@@ -1,7 +1,8 @@
 """Numerical curvature classification for Lorentzian metrics.
 
-Computes curvature tensors of closed-form metrics by jet arithmetic and
-classifies them invariantly under the stabiliser of a null line and under
+Differentiates closed-form metrics by jet arithmetic, computes their
+curvature tensors from the derivative arrays, and classifies them
+invariantly under the stabiliser of a null line and under
 the stabiliser of an almost Robinson structure, with dimension-table and
 diagram verification and a worked-example catalog.
 """

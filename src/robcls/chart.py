@@ -1,10 +1,12 @@
-"""Metric charts and pointwise curvature via degree-3 jet arithmetic.
+"""Metric charts and pointwise curvature from metric derivative arrays.
 
-A chart supplies closed-form metric components evaluable on jets; one jet
-pass per point yields third metric derivatives exactly to round-off, so
-Christoffel symbols, Riemann, Ricci, Weyl, Schouten and Cotton-York
-tensors (and first covariant derivatives of any of them) come out without
-finite-difference noise.
+A chart supplies closed-form metric components evaluable on jets.  Jets
+only differentiate those closed forms (and closed-form tensor fields): one
+jet pass per point is read off as the derivative arrays g, dg, d2g, d3g,
+exact to round-off.  Christoffel symbols, Riemann, Ricci, Weyl, Schouten
+and Cotton-York tensors, and the first derivatives the Cotton-York tensor
+and the second Bianchi identity need, are plain tensor algebra on those
+arrays, without finite-difference noise.
 
 Curvature conventions, fixed package-wide:
 
@@ -18,13 +20,14 @@ Iwasawa nilmanifold +2, matching the worked values this engine reproduces.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 from . import jets as J
 from .classes import metric_wedge_part, weyl_trace_part
-from .tensor import skew_arr
+from .tensor import skew_arr, transform_slots
 
 
 @dataclass
@@ -45,7 +48,7 @@ class MetricChart:
     def evaluate(self, point) -> "ChartPoint":
         point = np.asarray(point, dtype=float)
         if point.shape != (self.dim,):
-            raise ValueError(f"point must have {self.dim} coordinates")
+            raise DomainError(f"point must have {self.dim} coordinates, got {point.size}")
         if not self.contains(point):
             raise DomainError(f"point {point.tolist()} outside the domain of chart '{self.name}'")
         return ChartPoint(self, point)
@@ -55,44 +58,25 @@ class DomainError(ValueError):
     pass
 
 
-def _jet_contract(a: np.ndarray, b: np.ndarray, nvar: int, spec: str) -> np.ndarray:
-    """einsum for jet arrays (last axis = coefficients), looped over the
-    contracted indices to bound memory."""
-    lhs, rhs = spec.split("->")
-    s1, s2 = lhs.split(",")
-    contracted = sorted(set(s1) & set(s2))
-    out_idx = rhs
-    # build by explicit loops over contracted labels (few, small ranges)
-    n_axes = {c: a.shape[s1.index(c)] for c in s1 if c in contracted}
-    out_shape = tuple(
-        (a.shape[s1.index(c)] if c in s1 else b.shape[s2.index(c)]) for c in out_idx
-    ) + (a.shape[-1],)
-    out = np.zeros(out_shape, dtype=np.result_type(a.dtype, b.dtype))
+def _first_kind(d: np.ndarray) -> np.ndarray:
+    """Gamma_abc = (d_b g_ac + d_c g_ab - d_a g_bc) / 2, and its derivatives.
 
-    import itertools
+    ``d[a, b, c, ...]`` is d_c d_... g_ab: the first metric derivative array
+    or a higher one, whose extra derivative axes are carried along.
+    """
+    return 0.5 * (np.swapaxes(d, 1, 2) + d - np.moveaxis(d, 2, 0))
 
-    for combo in itertools.product(*[range(n_axes[c]) for c in contracted]):
-        sel = dict(zip(contracted, combo))
-        sl1 = tuple(sel.get(c, slice(None)) for c in s1) + (slice(None),)
-        sl2 = tuple(sel.get(c, slice(None)) for c in s2) + (slice(None),)
-        a_sub, b_sub = a[sl1], b[sl2]
-        free1 = [c for c in s1 if c not in contracted]
-        free2 = [c for c in s2 if c not in contracted]
-        # broadcast the two pieces over the output layout
-        shape1 = tuple(a_sub.shape[free1.index(c)] if c in free1 else 1 for c in out_idx) + (a.shape[-1],)
-        shape2 = tuple(b_sub.shape[free2.index(c)] if c in free2 else 1 for c in out_idx) + (b.shape[-1],)
-        perm1 = [free1.index(c) for c in out_idx if c in free1] + [a_sub.ndim - 1]
-        perm2 = [free2.index(c) for c in out_idx if c in free2] + [b_sub.ndim - 1]
-        out += J.jmul(
-            np.transpose(a_sub, perm1).reshape(shape1),
-            np.transpose(b_sub, perm2).reshape(shape2),
-            nvar,
-        )
-    return out
+
+def _antisym_front(h: np.ndarray) -> np.ndarray:
+    return h - np.swapaxes(h, 0, 1)
 
 
 class ChartPoint:
-    """All curvature data of a chart at one point (lazy, cached)."""
+    """All curvature data of a chart at one point (lazy, cached).
+
+    Derivative arrays carry their derivative indices last:
+    ``dg[a, b, e] = d_e g_ab``, ``dgamma[a, b, c, e] = d_e Gamma^a_bc``.
+    """
 
     def __init__(self, chart: MetricChart, point: np.ndarray):
         self.chart = chart
@@ -109,68 +93,76 @@ class ChartPoint:
         if G.shape[:2] != (n, n):
             raise ValueError("metric function must return an n x n matrix")
         G = 0.5 * (G + np.swapaxes(G, 0, 1))
-        self._G = G
         self.g = G[..., 0]
         if abs(np.linalg.det(self.g)) < 1e-12:
             raise DomainError(f"metric singular at {point.tolist()}")
         self.g_inv = np.linalg.inv(self.g)
-        self._cache: dict = {}
+        self.dg, self.d2g, self.d3g = (J.jet_derivatives(G, n, k) for k in (1, 2, 3))
 
-    # --- jet-level building blocks ------------------------------------
+    # --- metric and connection derivative arrays -------------------------
 
-    def _ginv_jets(self):
-        if "ginv" not in self._cache:
-            self._cache["ginv"] = J.jmatinv(self._G, self.n)
-        return self._cache["ginv"]
+    @cached_property
+    def _dg_inv(self) -> np.ndarray:
+        """d_e g^ab = -g^ap d_e g_pq g^qb."""
+        return -np.einsum("ap,pqe,qb->abe", self.g_inv, self.dg, self.g_inv)
 
-    def _gamma_jets(self):
-        if "gamma" not in self._cache:
-            n = self.n
-            dG = np.stack([J.jdiff(self._G, v, n) for v in range(n)])  # (d, a, b, M)
-            tmp = np.transpose(dG, (1, 0, 2, 3)) + np.transpose(dG, (2, 1, 0, 3)) - dG
-            # tmp[d, b, c] = d_b g_dc + d_c g_bd - d_d g_bc
-            self._cache["gamma"] = 0.5 * _jet_contract(self._ginv_jets(), tmp, n, "ad,dbc->abc")
-        return self._cache["gamma"]
+    @cached_property
+    def _gamma(self) -> tuple:
+        """(Gamma^a_bc, d_e Gamma^a_bc)."""
+        low, dlow = _first_kind(self.dg), _first_kind(self.d2g)
+        gamma = np.einsum("ad,dbc->abc", self.g_inv, low)
+        dgamma = np.einsum("ade,dbc->abce", self._dg_inv, low) + np.einsum("ad,dbce->abce", self.g_inv, dlow)
+        return gamma, dgamma
+
+    @cached_property
+    def _d2gamma(self) -> np.ndarray:
+        """d_ef Gamma^a_bc, with d_ef g^ab the derivative of -g^-1 (d_e g) g^-1."""
+        low, dlow, d2low = _first_kind(self.dg), _first_kind(self.d2g), _first_kind(self.d3g)
+        s = np.einsum("ape,pqf,qb->abef", self._dg_inv, self.dg, self.g_inv)
+        d2g_inv = -np.einsum("ap,pqef,qb->abef", self.g_inv, self.d2g, self.g_inv) - s - np.swapaxes(s, 2, 3)
+        t = np.einsum("ade,dbcf->abcef", self._dg_inv, dlow)
+        return (
+            np.einsum("adef,dbc->abcef", d2g_inv, low)
+            + t
+            + np.swapaxes(t, 3, 4)
+            + np.einsum("ad,dbcef->abcef", self.g_inv, d2low)
+        )
 
     @property
     def christoffel(self) -> np.ndarray:
         """Gamma^a_{bc} values."""
-        return J.jet_value(self._gamma_jets())
+        return self._gamma[0]
 
-    def _riemann_jets(self):
-        # R_{abd}{}^c as jets (degree >= 1 coefficients exact)
-        if "riem" not in self._cache:
-            n = self.n
-            Gm = self._gamma_jets()
-            dGm = np.stack([J.jdiff(Gm, v, n) for v in range(n)])  # (e, a, b, c, M) = d_e Gamma^a_bc
-            term = np.transpose(dGm, (0, 2, 3, 1, 4))  # (a, b, d, c, M): d_a Gamma^c_{bd}
-            curv = term - np.transpose(term, (1, 0, 2, 3, 4))
-            quad = _jet_contract(Gm, Gm, n, "cae,ebd->abdc")
-            curv = curv + quad - np.transpose(quad, (1, 0, 2, 3, 4))
-            self._cache["riem"] = curv
-        return self._cache["riem"]
+    # --- curvature ------------------------------------------------------
 
-    def _riemann_low_jets(self):
-        if "riem_low" not in self._cache:
-            self._cache["riem_low"] = _jet_contract(self._riemann_jets(), self._G, self.n, "abdc,ce->abde")
-        return self._cache["riem_low"]
+    @cached_property
+    def _riemann_up(self) -> np.ndarray:
+        """R_{abd}{}^c = d_a Gamma^c_bd + Gamma^c_ae Gamma^e_bd - (a <-> b)."""
+        gamma, dgamma = self._gamma
+        return _antisym_front(np.einsum("cbda->abdc", dgamma) + np.einsum("cae,ebd->abdc", gamma, gamma))
+
+    @cached_property
+    def _d_riemann_up(self) -> np.ndarray:
+        """d_f R_{abd}{}^c."""
+        gamma, dgamma = self._gamma
+        return _antisym_front(
+            np.einsum("cbdaf->abdcf", self._d2gamma)
+            + np.einsum("caef,ebd->abdcf", dgamma, gamma)
+            + np.einsum("cae,ebdf->abdcf", gamma, dgamma)
+        )
+
+    @cached_property
+    def _riemann_low(self) -> np.ndarray:
+        return np.einsum("abdc,ce->abde", self._riemann_up, self.g)
 
     @property
     def riemann(self) -> np.ndarray:
         """R_abcd, all lower indices."""
-        return J.jet_value(self._riemann_low_jets())
+        return self._riemann_low
 
     @property
     def ricci(self) -> np.ndarray:
-        if "ricci" not in self._cache:
-            self._cache["ricci"] = np.einsum("acbc->ab", J.jet_value(self._riemann_jets()))
-        return self._cache["ricci"]
-
-    def _ricci_jets(self):
-        if "ricci_jets" not in self._cache:
-            r = self._riemann_jets()
-            self._cache["ricci_jets"] = np.einsum("acbcM->abM", r)
-        return self._cache["ricci_jets"]
+        return np.einsum("acbc->ab", self._riemann_up)
 
     @property
     def ricci_scalar(self) -> float:
@@ -181,18 +173,20 @@ class ChartPoint:
         """Tracefree Ricci."""
         return self.ricci - (self.ricci_scalar / self.n) * self.g
 
+    @cached_property
+    def _weyl(self) -> np.ndarray:
+        n = self.n
+        if n <= 3:
+            raise ValueError("no Weyl tensor when n <= 3")
+        return (
+            self.riemann
+            - (4.0 / (n - 2)) * weyl_trace_part(self.phi, self.g)
+            - (2.0 / (n * (n - 1))) * self.ricci_scalar * metric_wedge_part(self.g)
+        )
+
     @property
     def weyl(self) -> np.ndarray:
-        if "weyl" not in self._cache:
-            n = self.n
-            if n <= 3:
-                raise ValueError("no Weyl tensor when n <= 3")
-            self._cache["weyl"] = (
-                self.riemann
-                - (4.0 / (n - 2)) * weyl_trace_part(self.phi, self.g)
-                - (2.0 / (n * (n - 1))) * self.ricci_scalar * metric_wedge_part(self.g)
-            )
-        return self._cache["weyl"]
+        return self._weyl
 
     def curvature_parts(self) -> dict:
         """Weyl / tracefree-Ricci / scalar split of the Riemann tensor."""
@@ -211,30 +205,25 @@ class ChartPoint:
         n = self.n
         return (self.ricci - (self.ricci_scalar / (2.0 * (n - 1))) * self.g) / (n - 2)
 
-    def _schouten_jets(self):
+    @cached_property
+    def _cotton(self) -> np.ndarray:
         n = self.n
-        ric = self._ricci_jets()
-        rs = _jet_contract(self._ginv_jets(), ric, n, "ab,ab->")
-        return (ric - (1.0 / (2.0 * (n - 1))) * J.jmul(rs, self._G, n)) / (n - 2)
+        dric = np.einsum("acbcf->abf", self._d_riemann_up)
+        drs = np.einsum("abf,ab->f", self._dg_inv, self.ricci) + np.einsum("ab,abf->f", self.g_inv, dric)
+        dP = (dric - (np.einsum("f,ab->abf", drs, self.g) + self.ricci_scalar * self.dg) / (2.0 * (n - 1))) / (n - 2)
+        dP = np.moveaxis(dP, -1, 0)  # (d, a, b) = d_d P_ab
+        P = self.schouten
+        Gm = self.christoffel
+        nab = dP - np.einsum("eda,eb->dab", Gm, P) - np.einsum("edb,ae->dab", Gm, P)
+        return np.einsum("bca->abc", nab) - np.einsum("cba->abc", nab)
 
     def cotton_york(self, kappa: float = 1.0) -> np.ndarray:
         """A_abc = kappa * 2 nabla_[b P_c]a with P the Schouten tensor."""
-        if "cotton" not in self._cache:
-            n = self.n
-            P = self._schouten_jets()
-            dP = np.moveaxis(J.jet_gradient(P, n), -1, 0)  # (d, a, b) = d_d P_ab
-            Pv = J.jet_value(P)
-            Gm = self.christoffel
-            nab = dP - np.einsum("eda,eb->dab", Gm, Pv) - np.einsum("edb,ae->dab", Gm, Pv)
-            self._cache["cotton"] = np.einsum("bca->abc", nab) - np.einsum("cba->abc", nab)
-        return kappa * self._cache["cotton"]
+        return kappa * self._cotton
 
     @property
     def kretschmann(self) -> float:
-        up = self.riemann
-        for ax in range(4):
-            up = np.moveaxis(np.tensordot(self.g_inv, up, axes=(1, ax)), 0, ax)
-        return float(np.einsum("abcd,abcd->", self.riemann, up))
+        return float(np.einsum("abcd,abcd->", self.riemann, transform_slots(self.riemann, self.g_inv)))
 
     def curvature_scale(self) -> float:
         return float(np.linalg.norm(self.riemann.ravel()))
@@ -250,9 +239,10 @@ class ChartPoint:
         }
 
     def second_bianchi_residual(self) -> float:
-        n = self.n
-        rl = self._riemann_low_jets()
-        dR = np.moveaxis(J.jet_gradient(rl, n), -1, 0)  # (f, a, b, c, d) = d_f R_abcd
+        d_low = np.einsum("abdcf,ce->abdef", self._d_riemann_up, self.g) + np.einsum(
+            "abdc,cef->abdef", self._riemann_up, self.dg
+        )
+        dR = np.moveaxis(d_low, -1, 0)  # (f, a, b, c, d) = d_f R_abcd
         Rv = self.riemann
         Gm = self.christoffel
         nab = (
@@ -269,20 +259,11 @@ class ChartPoint:
     # --- fields ---------------------------------------------------------
 
     def eval_covector_field(self, fn) -> tuple:
-        """(values, gradient) of a covector field alpha_a(x)."""
+        """(values, gradient) of a vector or covector field; gradient[b, a] = d_a v_b."""
         n = self.n
         x = J.jet_point(self.point, n)
         comps = J.stack_jets(fn(x), n)
-        return comps[..., 0], J.jet_gradient(comps, n)
-
-    def eval_vector_field(self, fn) -> tuple:
-        return self.eval_covector_field(fn)
-
-    def covariant_derivative_covector(self, fn) -> np.ndarray:
-        """nabla_a alpha_b for a covector field."""
-        vals, grad = self.eval_covector_field(fn)
-        Gm = self.christoffel
-        return np.transpose(grad, (1, 0)) - np.einsum("eab,e->ab", Gm, vals)
+        return comps[..., 0], J.jet_derivatives(comps, n, 1)
 
     def covariant_derivative_form2(self, fn) -> np.ndarray:
         """nabla_a phi_bc for a 2-form field."""
@@ -290,7 +271,7 @@ class ChartPoint:
         x = J.jet_point(self.point, n)
         comps = J.stack_jets(fn(x), n)
         vals = comps[..., 0]
-        grad = J.jet_gradient(comps, n)  # (b, c, a) = d_a phi_bc
+        grad = J.jet_derivatives(comps, n, 1)  # (b, c, a) = d_a phi_bc
         Gm = self.christoffel
         return (
             np.transpose(grad, (2, 0, 1))
@@ -300,7 +281,7 @@ class ChartPoint:
 
     def covariant_derivative_vector(self, fn) -> np.ndarray:
         """nabla_a X^b for a vector field."""
-        vals, grad = self.eval_vector_field(fn)
+        vals, grad = self.eval_covector_field(fn)
         Gm = self.christoffel
         return np.transpose(grad, (1, 0)) + np.einsum("bae,e->ab", Gm, vals)
 
@@ -308,8 +289,8 @@ class ChartPoint:
 def frame_field_bracket(chart: MetricChart, X_fn, Y_fn, point) -> np.ndarray:
     """[X, Y]^a = X^b d_b Y^a - Y^b d_b X^a at the point."""
     cp = chart.evaluate(point)
-    xv, xg = cp.eval_vector_field(X_fn)
-    yv, yg = cp.eval_vector_field(Y_fn)
+    xv, xg = cp.eval_covector_field(X_fn)
+    yv, yg = cp.eval_covector_field(Y_fn)
     return np.einsum("b,ab->a", xv, yg) - np.einsum("b,ab->a", yv, xg)
 
 

@@ -21,7 +21,7 @@ from .catalog import ENTRIES, run_expectations
 from .chart import DomainError
 from .frames import FrameError, build_robinson, complete_null_frame, sample_robinson_over_null_line
 from .modules import rob_table, sim_table
-from .repdims import all_dim_checks, nilpotent_action_check, paper_arrow_delta
+from .repdims import all_dim_checks, paper_arrow_delta
 from .report import ClassificationReport, decomposition_dict, frame_dict, indeterminate_flags, report_schema
 from .robclass import (
     aligned_residual,
@@ -53,8 +53,14 @@ def cmd_classify(args) -> int:
         return 2
     entry = ENTRIES[args.metric]
     params = dict(entry.default_params)
-    if args.params:
-        params.update(json.loads(args.params))
+    try:
+        extra = json.loads(args.params or "{}")
+    except json.JSONDecodeError:
+        extra = None
+    if not isinstance(extra, dict):
+        print(f"--params must be a JSON object, got {args.params!r}", file=sys.stderr)
+        return 2
+    params.update(extra)
     if args.dim:
         params["dim"] = args.dim
     chart = entry.build(params)
@@ -63,7 +69,11 @@ def cmd_classify(args) -> int:
     except ValueError:
         print("malformed point", file=sys.stderr)
         return 2
-    tol = Tolerance(args.tol, args.tol)
+    try:
+        tol = Tolerance(args.tol, args.tol)
+    except ValueError as exc:
+        print(f"invalid --tol: {exc}", file=sys.stderr)
+        return 2
     try:
         cp = chart.evaluate(point)
     except DomainError as exc:
@@ -119,8 +129,11 @@ def cmd_classify(args) -> int:
     indeterminate += indeterminate_flags(dec)
     if args.robinson:
         if args.robinson.startswith("random:"):
-            seed = int(args.robinson.split(":", 1)[1])
-            N = sample_robinson_over_null_line(frame, 1, seed)[0]
+            seed = args.robinson.split(":", 1)[1]
+            if not (seed.isascii() and seed.isdigit()):
+                print(f"malformed robinson seed in '{args.robinson}' (SEED must be a nonnegative integer)", file=sys.stderr)
+                return 2
+            N = sample_robinson_over_null_line(frame, 1, int(seed))[0]
         elif args.robinson == "standard":
             N = build_robinson(frame, "standard")
         else:

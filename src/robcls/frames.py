@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .modules import n_to_m_eps
+from .tensor import transform_slots
 
 
 class FrameError(ValueError):
@@ -39,32 +40,23 @@ class NullFrame:
     def n(self) -> int:
         return self.g.shape[0]
 
-    @property
+    @cached_property
     def vectors(self) -> np.ndarray:
         """Frame matrix, rows (k, e_1..e_{n-2}, l)."""
         return np.vstack([self.k, *self.screen, self.l])
 
+    @cached_property
     def coframe(self) -> np.ndarray:
         """Rows theta^alpha with theta^alpha(E_beta) = delta."""
         return np.linalg.inv(self.vectors @ self.g @ self.vectors.T) @ self.vectors @ self.g
 
     def to_frame(self, arr: np.ndarray) -> np.ndarray:
         """Frame components of an all-lower tensor."""
-        out = arr
-        B = self.vectors
-        for ax in range(arr.ndim):
-            out = np.tensordot(B, out, axes=(1, ax))
-            out = np.moveaxis(out, 0, ax)
-        return out
+        return transform_slots(arr, self.vectors)
 
     def from_frame(self, F: np.ndarray) -> np.ndarray:
         """Coordinate components from frame components."""
-        C = self.coframe()
-        out = F
-        for ax in range(F.ndim):
-            out = np.tensordot(C, out, axes=(0, ax))
-            out = np.moveaxis(out, 0, ax)
-        return out
+        return transform_slots(F, self.coframe.T)
 
     def residuals(self) -> dict:
         g, k, l = self.g, self.k, self.l
@@ -440,7 +432,7 @@ def robinson_from_span(g: np.ndarray, span: list[np.ndarray], tol: float = 1e-9)
         raise FrameError("real intersection is not null")
     frame = complete_null_frame(g, k)
     # project the plane onto the screen to extract J
-    cof = frame.coframe()
+    cof = frame.coframe
     span_screen = []
     for col in range(m):
         v = q[:, col]

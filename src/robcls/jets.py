@@ -4,8 +4,10 @@ A jet in ``nvar`` variables is stored as a coefficient vector over all
 monomials of total degree <= 3, ordered degree-first.  Products are exact
 at degree <= 3 (higher-order terms are dropped), so third derivatives of
 any composite expression built from smooth primitives are exact to
-round-off.  This is what lets the chart layer produce Cotton-York tensors
-(third metric derivatives) without finite-difference noise.
+round-off.  The chart layer differentiates closed-form metrics and fields
+this way and reads the result off with `jet_derivatives`, which is how it
+gets Cotton-York tensors (third metric derivatives) without
+finite-difference noise.
 
 Tensor-valued jets are plain ndarrays whose *last* axis is the coefficient
 axis; the functions `jmul`, `jinv`, ... broadcast over leading axes.
@@ -13,6 +15,7 @@ axis; the functions `jmul`, `jinv`, ... broadcast over leading axes.
 
 from __future__ import annotations
 
+import itertools
 import math
 from functools import lru_cache
 
@@ -103,10 +106,16 @@ def jvar(value, v: int, nvar: int, dtype=float) -> np.ndarray:
 
 def jmul(a: np.ndarray, b: np.ndarray, nvar: int) -> np.ndarray:
     ii, jj, kk = _product_table(nvar)
-    dtype = np.result_type(a.dtype, b.dtype)
-    out = np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]) + a.shape[-1:], dtype=dtype)
-    np.add.at(out, (Ellipsis, kk), a[..., ii] * b[..., jj])
-    return out
+    prod = a[..., ii] * b[..., jj]
+    lead, size = prod.shape[:-1], jet_size(nvar)
+    rows = math.prod(lead)
+    # one bincount over all leading entries: entry r accumulates into bins r*size + kk
+    idx = kk if rows == 1 else (np.arange(rows)[:, None] * size + kk).ravel()
+    # bincount takes no complex weights: real and imaginary parts are summed apart
+    parts = (prod.real, prod.imag) if np.iscomplexobj(prod) else (prod,)
+    sums = [np.bincount(idx, weights=w.ravel(), minlength=rows * size) for w in parts]
+    out = sums[0] if len(sums) == 1 else np.stack(sums, axis=-1).view(prod.dtype)[..., 0]
+    return out.reshape(lead + (size,))
 
 
 def jdiff(a: np.ndarray, v: int, nvar: int) -> np.ndarray:
@@ -285,41 +294,24 @@ def stack_jets(rows, nvar: int) -> np.ndarray:
     return conv(rows)
 
 
-def jet_value(a: np.ndarray) -> np.ndarray:
-    return a[..., 0]
+@lru_cache(maxsize=None)
+def _derivative_table(nvar: int, order: int):
+    """Coefficient index and alpha! for every index tuple in range(nvar)**order."""
+    index = _index_of(nvar)
+    coef, fac = [], []
+    for combo in itertools.product(range(nvar), repeat=order):
+        alpha = [0] * nvar
+        for v in combo:
+            alpha[v] += 1
+        coef.append(index[tuple(alpha)])
+        fac.append(math.prod(math.factorial(e) for e in alpha))
+    return np.array(coef, dtype=np.intp), np.array(fac, dtype=float)
 
 
-def jet_gradient(a: np.ndarray, nvar: int) -> np.ndarray:
-    """First-derivative coefficients, stacked on a new last axis."""
-    idx = _index_of(nvar)
-    cols = []
-    for v in range(nvar):
-        e = [0] * nvar
-        e[v] = 1
-        cols.append(a[..., idx[tuple(e)]])
-    return np.stack(cols, axis=-1)
+def jet_derivatives(a: np.ndarray, nvar: int, order: int) -> np.ndarray:
+    """Symmetric array of the order-th partial derivatives, on new last axes.
 
-
-def jmatmul(a: np.ndarray, b: np.ndarray, nvar: int) -> np.ndarray:
-    """Matrix product of jet matrices, shapes (p,q,M) x (q,r,M) -> (p,r,M)."""
-    p, q, _ = a.shape
-    r = b.shape[1]
-    out = 0
-    # sum over the shared axis with truncated products
-    out = np.zeros((p, r, a.shape[-1]), dtype=np.result_type(a.dtype, b.dtype))
-    for s in range(q):
-        out += jmul(a[:, s, None, :], b[None, s, :, :], nvar)
-    return out
-
-
-def jmatinv(g: np.ndarray, nvar: int) -> np.ndarray:
-    """Inverse of a jet matrix via Newton iteration (exact: correction nilpotent)."""
-    n = g.shape[0]
-    x0 = np.linalg.inv(jet_value(g))
-    x = np.zeros_like(g)
-    x[:, :, 0] = x0
-    ident = np.zeros_like(g)
-    ident[:, :, 0] = np.eye(n)
-    for _ in range(2):
-        x = jmatmul(x, 2 * ident - jmatmul(g, x, nvar), nvar)
-    return x
+    The coefficient of x^alpha times alpha! is d^alpha; ``order`` <= 3.
+    """
+    coef, fac = _derivative_table(nvar, order)
+    return (a[..., coef] * fac).reshape(a.shape[:-1] + (nvar,) * order)

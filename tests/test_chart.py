@@ -41,36 +41,63 @@ def test_schwarzschild_kretschmann_and_oracles():
     assert cp.second_bianchi_residual() < 1e-8
 
 
-def test_finite_difference_riemann_oracle():
-    """Jet curvature agrees with a second-order finite-difference oracle."""
-    entry = ENTRIES["schwarzschild"]
-    chart = entry.chart({"dim": 4, "M": 1.0})
-    pt = np.array([0.0, 3.0, 0.5, -0.2])
-    cp = chart.evaluate(pt)
-    h = 1e-4
-    n = 4
-
-    def gamma_at(q):
-        return chart.evaluate(q).christoffel
-
-    dGamma = np.zeros((n, n, n, n))
-    for d in range(n):
+def _central_difference(fn, pt, h):
+    """(d) -> (fn(pt + h e_d) - fn(pt - h e_d)) / 2h, stacked on a leading axis."""
+    out = []
+    for d in range(len(pt)):
         qp, qm = pt.copy(), pt.copy()
         qp[d] += h
         qm[d] -= h
-        dGamma[d] = (gamma_at(qp) - gamma_at(qm)) / (2 * h)
-    G = cp.christoffel
-    R_updown = (
-        np.einsum("acbd->abdc", dGamma * 0)
-        + np.transpose(dGamma, (0, 2, 1, 3)) * 0
-    )
-    # R_{abd}^c = d_a G^c_bd - d_b G^c_ad + G^c_ae G^e_bd - G^c_be G^e_ad
-    term = np.transpose(dGamma, (0, 2, 3, 1))
-    curv = term - np.transpose(term, (1, 0, 2, 3))
-    quad = np.einsum("cae,ebd->abdc", G, G)
-    curv = curv + quad - np.transpose(quad, (1, 0, 2, 3))
-    R_fd = np.einsum("abdc,ce->abde", curv, cp.g)
-    assert np.abs(R_fd - cp.riemann).max() < 1e-6
+        out.append((fn(qp) - fn(qm)) / (2 * h))
+    return np.array(out)
+
+
+def test_finite_difference_riemann_oracle():
+    """Curvature agrees with a second-order finite-difference oracle (Schwarzschild, n = 4 and 7)."""
+    for dim, pt in ((4, [0.0, 3.0, 0.5, -0.2]), (7, [0.0, 3.0, 0.5, -0.2, 0.3, 0.1, 0.4])):
+        chart = ENTRIES["schwarzschild"].chart({"dim": dim, "M": 1.0})
+        pt = np.array(pt)
+        cp = chart.evaluate(pt)
+        dGamma = _central_difference(lambda q: chart.evaluate(q).christoffel, pt, 1e-4)
+        G = cp.christoffel
+        # R_{abd}^c = d_a G^c_bd - d_b G^c_ad + G^c_ae G^e_bd - G^c_be G^e_ad
+        term = np.transpose(dGamma, (0, 2, 3, 1))
+        curv = term - np.transpose(term, (1, 0, 2, 3))
+        quad = np.einsum("cae,ebd->abdc", G, G)
+        curv = curv + quad - np.transpose(quad, (1, 0, 2, 3))
+        R_fd = np.einsum("abdc,ce->abde", curv, cp.g)
+        assert np.abs(R_fd - cp.riemann).max() < 1e-6 * cp.curvature_scale(), dim
+
+
+def _generic_lorentzian_chart(n, seed):
+    """A generic polynomial perturbation of Minkowski space, with nonvanishing Cotton-York tensor."""
+    rng = np.random.default_rng(seed)
+    coef = 0.1 * rng.standard_normal((n, n, n, 2))
+    coef = coef + np.transpose(coef, (1, 0, 2, 3))
+
+    def g_fn(x):
+        g = [[0.0] * n for _ in range(n)]
+        for a in range(n):
+            for b in range(n):
+                g[a][b] = sum(coef[a, b, c, 0] * x[c] + coef[a, b, c, 1] * x[c] * x[c] * x[(c + 1) % n] for c in range(n))
+            g[a][a] = g[a][a] + (-1.0 if a == 0 else 1.0)
+        return g
+
+    return MetricChart("generic", n, (-1,) + (1,) * (n - 1), tuple(f"x{i}" for i in range(n)), g_fn)
+
+
+def test_finite_difference_cotton_oracle():
+    """Cotton-York values agree with central differences of neighbouring Schouten values."""
+    chart = _generic_lorentzian_chart(5, seed=3)
+    pt = 0.1 + 0.05 * np.arange(5)
+    cp = chart.evaluate(pt)
+    A = cp.cotton_york()
+    assert np.abs(A).max() > 1e-3 * cp.curvature_scale()
+    dP = _central_difference(lambda q: chart.evaluate(q).schouten, pt, 1e-4)  # (d, a, b) = d_d P_ab
+    P, Gm = cp.schouten, cp.christoffel
+    nab = dP - np.einsum("eda,eb->dab", Gm, P) - np.einsum("edb,ae->dab", Gm, P)
+    A_fd = np.einsum("bca->abc", nab) - np.einsum("cba->abc", nab)
+    assert np.abs(A_fd - A).max() < 1e-6 * np.abs(A).max()
 
 
 def test_decompose_reassemble_random_perturbed_flat():

@@ -67,6 +67,30 @@ def test_classify_domain_error():
     assert code == 2
 
 
+SCHW5 = ["classify", "--metric", "schwarzschild", "--params", '{"M": 1, "dim": 5}', "--point", "0,3,1.0,0.5,0.2"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--metric", "schwarzschild", "--params", '{"M": 1,', "--point", "0,3,1.0,0.5,0.2"],
+        ["classify", "--metric", "schwarzschild", "--params", "[1, 5]", "--point", "0,3,1.0,0.5,0.2"],
+        ["classify", "--metric", "schwarzschild", "--params", '{"M": 1, "dim": 5}', "--point", "0,3,1.0,0.5"],
+        SCHW5 + ["--tol=-1e-9"],
+        SCHW5 + ["--tol", "nan"],
+        SCHW5 + ["--robinson", "random:x"],
+        SCHW5 + ["--robinson", "random:-3"],
+    ],
+    ids=["params-json", "params-not-object", "point-count", "tol-negative", "tol-nan", "robinson-seed", "robinson-seed-negative"],
+)
+def test_classify_bad_input_one_line_exit_2(argv, capsys):
+    """Malformed input gets a one-line error and the usage exit code, not a traceback."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+
+
 def test_classify_unknown_metric():
     assert main(["classify", "--metric", "nosuch", "--point", "0"]) == 2
 

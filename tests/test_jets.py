@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -48,7 +50,7 @@ def test_polynomials_exact():
         jet = build(x)
         assert abs(jet.value - val(x)) < 1e-13
         for v in range(n):
-            d1 = J.jet_gradient(jet.c[None, :], n)[0, v]
+            d1 = J.jet_derivatives(jet.c, n, 1)[v]
             assert abs(d1 - val(x, (v,))) < 1e-13
         # a third derivative
         d3 = J.jdiff(J.jdiff(J.jdiff(jet.c, 0, n), 0, n), 0, n)[0]
@@ -64,7 +66,7 @@ def test_function_derivatives():
     def fval(a, b):
         return np.exp(a * b) * np.sqrt(1 + a * a) / (2 - b)
 
-    g = J.jet_gradient(f.c[None, :], n)[0]
+    g = J.jet_derivatives(f.c, n, 1)
     fd0 = (fval(0.7 + h, -0.3) - fval(0.7 - h, -0.3)) / (2 * h)
     fd1 = (fval(0.7, -0.3 + h) - fval(0.7, -0.3 - h)) / (2 * h)
     assert abs(g[0] - fd0) < 1e-8
@@ -80,16 +82,53 @@ def test_trig_and_log():
     assert abs(d - expected) < 1e-13
 
 
-def test_matrix_inverse_jets():
-    rng = np.random.default_rng(1)
+def test_jet_derivatives_cubic():
+    """p = 2 + x - 3yz + x^2 y + 4 z^3 - x y z: known d, d^2, d^3 arrays."""
     n = 3
-    xs = J.jet_point([0.2, -0.1, 0.5], n)
-    G = np.zeros((2, 2, J.jet_size(n)))
-    G[0, 0] = (1 + xs[0] ** 2).c
-    G[1, 1] = (2 + xs[1] * xs[2]).c
-    G[0, 1] = G[1, 0] = (0.3 * xs[0] * xs[1]).c
-    Ginv = J.jmatinv(G, n)
-    prod = J.jmatmul(G, Ginv, n)
-    ident = np.zeros_like(prod)
-    ident[0, 0, 0] = ident[1, 1, 0] = 1.0
-    assert np.abs(prod - ident).max() < 1e-13
+    pt = np.array([0.2, -0.1, 0.5])
+    x, y, z = J.jet_point(pt, n)
+    p = 2 + x - 3 * y * z + x * x * y + 4 * z ** 3 - x * y * z
+    X, Y, Z = pt
+    d1 = np.array([1 + 2 * X * Y - Y * Z, -3 * Z + X * X - X * Z, -3 * Y + 12 * Z * Z - X * Y])
+    d2 = np.array(
+        [
+            [2 * Y, 2 * X - Z, -Y],
+            [2 * X - Z, 0.0, -3 - X],
+            [-Y, -3 - X, 24 * Z],
+        ]
+    )
+    d3 = np.zeros((3, 3, 3))
+    for idx, v in {(0, 0, 1): 2.0, (0, 1, 2): -1.0, (2, 2, 2): 24.0}.items():
+        for perm in itertools.permutations(idx):
+            d3[perm] = v
+    assert abs(J.jet_derivatives(p.c, n, 0) - p.value) == 0.0
+    for order, want in ((1, d1), (2, d2), (3, d3)):
+        got = J.jet_derivatives(p.c, n, order)
+        assert got.shape == (n,) * order
+        assert np.abs(got - want).max() < 1e-13
+        for perm in itertools.permutations(range(order)):
+            assert np.array_equal(got, np.transpose(got, perm))
+    # leading axes broadcast: a 2-vector of jets
+    stacked = J.jet_derivatives(np.stack([p.c, 2 * p.c]), n, 2)
+    assert stacked.shape == (2, n, n)
+    assert np.abs(stacked[1] - 2 * d2).max() < 1e-13
+
+
+def _jmul_add_at(a, b, nvar):
+    """Reference product: the np.add.at scatter over the product table."""
+    ii, jj, kk = J._product_table(nvar)
+    out = np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]) + a.shape[-1:], dtype=np.result_type(a, b))
+    np.add.at(out, (Ellipsis, kk), a[..., ii] * b[..., jj])
+    return out
+
+
+@pytest.mark.parametrize("nvar", range(1, 8))
+def test_jmul_matches_add_at(nvar):
+    rng = np.random.default_rng(nvar)
+    M = J.jet_size(nvar)
+    real = rng.standard_normal((3, 2, M))
+    cplx = rng.standard_normal((2, M)) + 1j * rng.standard_normal((2, M))
+    for a, b in ((real, real[:, ::-1]), (real[0], cplx), (cplx, cplx[::-1]), (real[0, 0], real[1, 1])):
+        got, want = J.jmul(a, b, nvar), _jmul_add_at(a, b, nvar)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
