@@ -9,14 +9,13 @@ returns a pass/fail ledger; evaluation failures are recorded, not fatal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from . import jets as JT
 from .chart import (
-    CKYReport,
     DistributionSpec,
     MetricChart,
     check_cky,
@@ -27,7 +26,6 @@ from .chart import (
 )
 from .classes import project_class
 from .frames import (
-    NullFrame,
     build_robinson,
     complete_null_frame,
     robinson_from_span,
@@ -36,24 +34,16 @@ from .frames import (
 from .jets import Jet
 from .robclass import (
     aligned_residual,
-    multi_robinson_equivalences,
     parallel_structure_relations,
     parallel_vector_relations,
     recurrent_line_relations,
     special_residual,
 )
 from .simclass import decompose, probe_norms, weyl_type_at_frame, weyl_type_search
-from .tensor import DEFAULT_TOL
 
 
 def _c(v):
     return v.conj() if isinstance(v, Jet) else np.conj(v)
-
-
-def _jet_partial(j, v, nvar):
-    if isinstance(j, Jet):
-        return Jet(JT.jdiff(j.c, v, nvar), nvar)
-    return 0.0
 
 
 @dataclass

@@ -18,11 +18,9 @@ import numpy as np
 
 from . import __version__
 from .catalog import ENTRIES, run_expectations
-from .chart import DomainError
 from .frames import FrameError, build_robinson, complete_null_frame, sample_robinson_over_null_line
-from .modules import rob_table, sim_table
 from .repdims import all_dim_checks, paper_arrow_delta
-from .report import ClassificationReport, decomposition_dict, frame_dict, indeterminate_flags, report_schema
+from .report import ClassificationReport, decomposition_dict, frame_dict, indeterminate_flags
 from .robclass import (
     aligned_residual,
     refined_flags,
@@ -63,11 +61,18 @@ def cmd_classify(args) -> int:
     params.update(extra)
     if args.dim:
         params["dim"] = args.dim
-    chart = entry.build(params)
+    try:
+        chart = entry.build(params)
+    except (TypeError, ValueError) as exc:
+        print(f"invalid parameters for '{args.metric}': {exc}", file=sys.stderr)
+        return 2
     try:
         point = np.array([float(v) for v in args.point.split(",")])
     except ValueError:
         print("malformed point", file=sys.stderr)
+        return 2
+    if not np.isfinite(point).all():
+        print(f"point coordinates must be finite, got '{args.point}'", file=sys.stderr)
         return 2
     try:
         tol = Tolerance(args.tol, args.tol)
@@ -76,28 +81,33 @@ def cmd_classify(args) -> int:
         return 2
     try:
         cp = chart.evaluate(point)
-    except DomainError as exc:
+        scale = cp.curvature_scale()
+        curvature = {
+            "ricci_scalar": cp.ricci_scalar,
+            "kretschmann": cp.kretschmann,
+            "riemann_norm": scale,
+            "weyl_norm": float(np.linalg.norm(cp.weyl.ravel())),
+            "phi_norm": float(np.linalg.norm(cp.phi.ravel())),
+        }
+    except ValueError as exc:  # DomainError, or no Weyl tensor for n <= 3
         print(f"domain error: {exc}", file=sys.stderr)
         return 2
-    scale = cp.curvature_scale()
     report = ClassificationReport(
         tool_version=__version__,
         chart=chart.name,
         params={k: v for k, v in params.items() if v is not None},
         point=point.tolist(),
         tolerances={"abs_eps": tol.abs_eps, "rel_eps": tol.rel_eps},
-        curvature={
-            "ricci_scalar": cp.ricci_scalar,
-            "kretschmann": cp.kretschmann,
-            "riemann_norm": scale,
-            "weyl_norm": float(np.linalg.norm(cp.weyl.ravel())),
-            "phi_norm": float(np.linalg.norm(cp.phi.ravel())),
-        },
+        curvature=curvature,
         seeds={"robinson": args.robinson or ""},
     )
     indeterminate = []
     if args.search:
-        label = weyl_type_search(cp.weyl, cp.g, tol)
+        try:
+            label = weyl_type_search(cp.weyl, cp.g, tol)
+        except ValueError as exc:  # FrameError on a metric that is not Lorentzian
+            print(f"cannot search: {exc}", file=sys.stderr)
+            return 2
         report.weyl_type = label.as_dict()
         frame = complete_null_frame(cp.g, label.direction)
     else:

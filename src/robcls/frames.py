@@ -16,7 +16,7 @@ lives in the frame vectors, not in the J matrix.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np

@@ -31,10 +31,9 @@ from .classes import (
     frame_metric,
     orthonormal_rows,
     project_class,
-    reference_class_basis,
     screen_class_basis,
 )
-from .tensor import skew_arr, sym_arr
+from .tensor import skew_arr
 
 
 # --------------------------------------------------------------------------
@@ -1045,9 +1044,6 @@ def rob_module_dim(space: str, n: int, i: int, j: int, k: int) -> int:
     """Closed-form dimensions of the refined modules (0 when absent)."""
     m, eps = n_to_m_eps(n)
     ai = abs(i)
-
-    def even_only(x):
-        return x if True else 0
 
     table: dict[tuple[str, int, int, int], int] = {}
     vdim = {0: 2 * m - 2, 1: eps * 1}

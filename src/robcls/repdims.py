@@ -17,10 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classes import RANK, class_dim, frame_metric, reference_class_basis
+from .classes import RANK, frame_metric, reference_class_basis
 from .frames import NullFrame
 from .graphs import graph_arrows
-from .modules import ModuleKey, n_to_m_eps, rob_module_dim, rob_table, sim_module_dim, sim_table
+from .modules import ModuleKey, rob_module_dim, rob_table, sim_module_dim, sim_table
 from .simclass import decompose
 
 

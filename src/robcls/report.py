@@ -8,7 +8,6 @@ from importlib import resources
 
 import numpy as np
 
-from . import __version__
 from .frames import NullFrame
 from .simclass import GradedDecomposition
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frames import NullFrame, RobinsonStructure, robinson_forms, sample_robinson_over_null_line
-from .modules import ModuleKey, rob_table
 from .simclass import GradedDecomposition, decompose, probe_norms
 from .tensor import DEFAULT_TOL, Tolerance, skew_arr
 
@@ -112,13 +111,6 @@ def refined_flags(
 ) -> GradedDecomposition:
     """Graded decomposition into the refined modules of the adapted frame."""
     return decompose(space, T, N.frame, level="rob", tol=tol, scale=scale)
-
-
-def _contraction_norm(C: np.ndarray, slots: list) -> float:
-    out = C.astype(complex)
-    for vec in slots:
-        out = np.tensordot(out, vec, axes=(0, 0))
-    return float(np.linalg.norm(np.atleast_1d(out)))
 
 
 def aligned_residual(C: np.ndarray, N: RobinsonStructure) -> float:
@@ -240,30 +232,6 @@ def multi_robinson_equivalences(
             failing = N
     all_special = special_count == len(structures)
     return MultiRobinsonReport(pi11, vanishes, len(structures), special_count, failing, vanishes == all_special)
-
-
-def multi_robinson_aligned(
-    C: np.ndarray,
-    frame: NullFrame,
-    samples: int = 100,
-    rng_seed: int = 0,
-    tol: Tolerance = DEFAULT_TOL,
-) -> dict:
-    """The aligned-for-all equivalence: Pi_{-1}^1 = 0 (n >= 5) and Pi_0^3 = 0 (n > 5)."""
-    n = frame.n
-    Cn = float(np.linalg.norm(frame.to_frame(C)))
-    norms = probe_norms("C", C, frame)
-    cond = norms[(-1, 1)] <= tol.threshold(Cn)
-    if n > 5:
-        cond = cond and norms[(0, 3)] <= tol.threshold(Cn)
-    structures = sample_robinson_over_null_line(frame, samples, rng_seed)
-    aligned_count = sum(1 for N in structures if aligned_residual(C, N) <= 1e-9)
-    return {
-        "condition_holds": bool(cond),
-        "samples": len(structures),
-        "aligned_count": aligned_count,
-        "equivalence_holds": bool(cond == (aligned_count == len(structures))),
-    }
 
 
 # --------------------------------------------------------------------------

@@ -167,22 +167,6 @@ def raise_lower(t: PointTensor, slot: int, metric: PointTensor) -> PointTensor:
     return PointTensor(t.dim, valence, out, t.label)
 
 
-def all_lower(t: PointTensor, metric: PointTensor) -> PointTensor:
-    out = t
-    for s in range(t.rank):
-        if out.valence[s] == "u":
-            out = raise_lower(out, s, metric)
-    return out
-
-
-def all_upper(t: PointTensor, metric: PointTensor) -> PointTensor:
-    out = t
-    for s in range(t.rank):
-        if out.valence[s] == "d":
-            out = raise_lower(out, s, metric)
-    return out
-
-
 # --- raw-array helpers used heavily by the classification layers ---------
 
 
@@ -207,6 +191,3 @@ def skew_arr(a: np.ndarray, slots) -> np.ndarray:
 def sym_arr(a: np.ndarray, slots) -> np.ndarray:
     return _perm_average(a, slots, signed=False)
 
-
-def skew_pairs(a: np.ndarray, pair1=(0, 1), pair2=(2, 3)) -> np.ndarray:
-    return skew_arr(skew_arr(a, pair1), pair2)

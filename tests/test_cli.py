@@ -80,8 +80,26 @@ SCHW5 = ["classify", "--metric", "schwarzschild", "--params", '{"M": 1, "dim": 5
         SCHW5 + ["--tol", "nan"],
         SCHW5 + ["--robinson", "random:x"],
         SCHW5 + ["--robinson", "random:-3"],
+        ["classify", "--metric", "schwarzschild", "--params", '{"dim": "x"}', "--point", "0,3,1,0.5,0.2"],
+        ["classify", "--metric", "schwarzschild", "--dim", "3", "--point", "0,3,1"],
+        ["classify", "--metric", "schwarzschild", "--point", "nan,3,1,0.5,0.2"],
+        ["classify", "--metric", "schwarzschild", "--point", "inf,3,1,0.5,0.2"],
+        ["classify", "--metric", "iwasawa", "--search", "--point", "0.1,0.2,0.3,0.4,0.5,0.6"],
     ],
-    ids=["params-json", "params-not-object", "point-count", "tol-negative", "tol-nan", "robinson-seed", "robinson-seed-negative"],
+    ids=[
+        "params-json",
+        "params-not-object",
+        "point-count",
+        "tol-negative",
+        "tol-nan",
+        "robinson-seed",
+        "robinson-seed-negative",
+        "params-bad-dim",
+        "no-weyl-n3",
+        "point-nan",
+        "point-inf",
+        "search-riemannian",
+    ],
 )
 def test_classify_bad_input_one_line_exit_2(argv, capsys):
     """Malformed input gets a one-line error and the usage exit code, not a traceback."""

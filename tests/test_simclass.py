@@ -4,12 +4,18 @@ import pytest
 from robcls.classes import RANK, frame_metric, random_class_tensor
 from robcls.frames import NullFrame, complete_null_frame, random_lorentzian, random_null_vector
 from robcls.modules import sim_table
+import robcls.simclass as simclass
+from robcls.catalog import ENTRIES
 from robcls.simclass import (
     GradedDecomposition,
+    _grid_wand_sq,
+    _orthonormal_basis,
+    _to_basis,
     decompose,
     down_closure,
     probe_norms,
     sphere_grid,
+    wand_residual,
     weyl_type_at_frame,
     weyl_type_search,
 )
@@ -186,20 +192,80 @@ def test_weyl_types_on_constructed_tensors():
     assert weyl_type_at_frame(np.zeros((n,) * 4), fr).type == "O"
 
 
+def planted_weyl(n, grades, seed):
+    """Weyl tensor with components only in the given grades of a random frame, and its k."""
+    rng = np.random.default_rng(seed)
+    g = random_lorentzian(n, rng)
+    fr = complete_null_frame(g, random_null_vector(g, rng))
+    rows = np.vstack([e.basis for e in sim_table("C", n).entries if e.grade in grades])
+    t = fr.from_frame((rng.standard_normal(rows.shape[0]) @ rows).reshape((n,) * 4))
+    return t / np.linalg.norm(t), g, fr.k
+
+
 def test_weyl_type_search_recovers_wand():
     # a type-N tensor along a hidden direction is found by the search
-    n = 5
-    rng = np.random.default_rng(47)
-    g = random_lorentzian(n, rng)
-    k = random_null_vector(g, rng)
-    fr = complete_null_frame(g, k)
-    tab = sim_table("C", n)
-    e = next(x for x in tab.entries if x.key.i == 2)
-    t = fr.from_frame((rng.standard_normal(e.dim) @ e.basis).reshape((n,) * 4))
-    t /= np.linalg.norm(t)
+    t, g, _ = planted_weyl(5, {2}, seed=47)
     label = weyl_type_search(t, g, grid_count=2000, refine_steps=60)
     assert label.search["refined_floor"] < 1e-6
     assert label.type in ("N", "O")
+
+
+@pytest.mark.parametrize("n", (4, 5, 6, 7, 8, 9))
+def test_grid_closed_form_matches_wand_residual(n):
+    """The batched closed form equals wand_residual**2 and stays inside its error bound."""
+    rng = np.random.default_rng(61 + n)
+    g = random_lorentzian(n, rng)
+    fr = complete_null_frame(g, random_null_vector(g, rng))
+    C = fr.from_frame(random_class_tensor("C", n, rng))
+    basis = _orthonormal_basis(g)
+    Cnorm = float(np.linalg.norm(_to_basis(C, basis, g)))
+    grid = sphere_grid(n - 2, 3000)  # more than one block
+    val, err = _grid_wand_sq(C, basis, grid, g, Cnorm)
+    exact = np.array([wand_residual(C, basis, w, g, Cnorm) for w in grid]) ** 2
+    assert np.all(np.abs(val - exact) <= err)
+    big = exact >= 1e-6  # residual >= 1e-3
+    assert big.any()
+    assert np.all(np.abs(val - exact)[big] <= 1e-10 * exact[big])
+
+
+def _per_point_grid(C, basis, grid, g, Cnorm):
+    vals = np.array([wand_residual(C, basis, w, g, Cnorm) for w in grid])
+    return int(np.argmin(vals)), float(vals.min()), float(np.median(vals))
+
+
+def _search_case(name):
+    if name.startswith("schwarzschild"):
+        n = int(name[-1])
+        cp = ENTRIES["schwarzschild"].chart({"dim": n}).evaluate([0.0, 3.0] + [0.0] * (n - 2))
+        return cp.weyl, cp.g
+    if name == "planted-N-n5":
+        return planted_weyl(5, {2}, seed=47)[:2]
+    entry = ENTRIES[name.split("#")[0]]
+    cp = entry.chart().evaluate(entry.sample_points(dict(entry.default_params))[0])
+    return cp.weyl, cp.g
+
+
+@pytest.mark.parametrize("name", ["schwarzschild-r3-n4", "schwarzschild-r3-n7", "pp-wave#0", "kk-bubble#0", "planted-N-n5"])
+def test_weyl_type_search_matches_per_point_grid(name, monkeypatch):
+    """Ranking by the closed form reports exactly what the per-point grid loop did."""
+    C, g = _search_case(name)
+    new = weyl_type_search(C, g, grid_count=2000)
+    monkeypatch.setattr(simclass, "_grid_stage", _per_point_grid)
+    ref = weyl_type_search(C, g, grid_count=2000)
+    for key in ("grid_floor", "grid_median", "refined_floor"):
+        assert new.search[key] == ref.search[key], key
+    assert np.array_equal(new.direction, ref.direction)
+    assert new.type == ref.type
+
+
+@pytest.mark.parametrize("n,grades,planted", [(8, {2}, "N"), (9, {0, 1, 2}, "II")])
+def test_weyl_type_search_recovers_planted_wand_high_dim(n, grades, planted):
+    C, g, k0 = planted_weyl(n, grades, seed=1)
+    label = weyl_type_search(C, g)
+    assert label.type == planted
+    assert label.search["refined_floor"] < 1e-12
+    k = label.direction / np.linalg.norm(label.direction)
+    assert abs(k @ k0) / np.linalg.norm(k0) > 1 - 1e-9
 
 
 def test_sphere_grid_deterministic_unit():
