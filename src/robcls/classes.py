@@ -26,42 +26,46 @@ RANK = {"G": 2, "F": 2, "A": 3, "C": 4}
 
 
 def project_G(t: np.ndarray) -> np.ndarray:
-    return skew_arr(t, (0, 1))
+    b = t.ndim - 2
+    return skew_arr(t, (b, b + 1))
 
 
 def project_F(t: np.ndarray, g: np.ndarray, g_inv: np.ndarray, dim: int) -> np.ndarray:
-    s = sym_arr(t, (0, 1))
-    tr = np.einsum("ab,ab->", g_inv, s)
-    return s - (tr / dim) * g
+    b = t.ndim - 2
+    s = sym_arr(t, (b, b + 1))
+    tr = np.einsum("ab,...ab->...", g_inv, s)
+    return s - (tr / dim)[..., None, None] * g
 
 
 def project_A(t: np.ndarray, g: np.ndarray, g_inv: np.ndarray, dim: int) -> np.ndarray:
-    b = skew_arr(t, (1, 2))
-    b = b - skew_arr(b, (0, 1, 2))
-    tr = np.einsum("ab,abc->c", g_inv, b)
-    trace_part = skew_arr(np.einsum("ab,c->abc", g, tr), (1, 2))
+    b = t.ndim - 3
+    x = skew_arr(t, (b + 1, b + 2))
+    x = x - skew_arr(x, (b, b + 1, b + 2))
+    tr = np.einsum("ab,...abc->...c", g_inv, x)
+    trace_part = skew_arr(np.einsum("ab,...c->...abc", g, tr), (b + 1, b + 2))
     # g_{a[b} t_{c]} carries trace (dim-1)/2 * t
-    return b - (2.0 / (dim - 1)) * trace_part
+    return x - (2.0 / (dim - 1)) * trace_part
 
 
 def project_riemann(t: np.ndarray) -> np.ndarray:
-    b = skew_arr(skew_arr(t, (0, 1)), (2, 3))
-    b = 0.5 * (b + np.transpose(b, (2, 3, 0, 1)))
-    return b - skew_arr(b, (0, 1, 2, 3))
+    b = t.ndim - 4
+    r = skew_arr(skew_arr(t, (b, b + 1)), (b + 2, b + 3))
+    r = 0.5 * (r + np.transpose(r, (*range(b), b + 2, b + 3, b, b + 1)))
+    return r - skew_arr(r, (b, b + 1, b + 2, b + 3))
 
 
 def ricci_contraction(r: np.ndarray, g_inv: np.ndarray) -> np.ndarray:
-    """rho_bd = g^{ac} R_abcd for a Riemann-class array."""
-    return np.einsum("ac,abcd->bd", g_inv, r)
+    """rho_bd = g^{ac} R_abcd for a Riemann-class array (leading axes batch)."""
+    return np.einsum("ac,...abcd->...bd", g_inv, r)
 
 
 def weyl_trace_part(phi: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Phi_{[c|[a} g_{b]|d]} assembled explicitly."""
+    """Phi_{[c|[a} g_{b]|d]} assembled explicitly (leading axes of phi batch)."""
     return 0.25 * (
-        np.einsum("ca,bd->abcd", phi, g)
-        - np.einsum("da,bc->abcd", phi, g)
-        - np.einsum("cb,ad->abcd", phi, g)
-        + np.einsum("db,ac->abcd", phi, g)
+        np.einsum("...ca,bd->...abcd", phi, g)
+        - np.einsum("...da,bc->...abcd", phi, g)
+        - np.einsum("...cb,ad->...abcd", phi, g)
+        + np.einsum("...db,ac->...abcd", phi, g)
     )
 
 
@@ -73,12 +77,14 @@ def metric_wedge_part(g: np.ndarray) -> np.ndarray:
 def project_C(t: np.ndarray, g: np.ndarray, g_inv: np.ndarray, dim: int) -> np.ndarray:
     r = project_riemann(t)
     rho = ricci_contraction(r, g_inv)
-    rs = np.einsum("bd,bd->", g_inv, rho)
-    phi = rho - (rs / dim) * g
-    return r - (4.0 / (dim - 2)) * weyl_trace_part(phi, g) - (2.0 / (dim * (dim - 1))) * rs * metric_wedge_part(g)
+    rs = np.einsum("bd,...bd->...", g_inv, rho)
+    phi = rho - (rs / dim)[..., None, None] * g
+    wedge = (2.0 / (dim * (dim - 1))) * rs[..., None, None, None, None] * metric_wedge_part(g)
+    return r - (4.0 / (dim - 2)) * weyl_trace_part(phi, g) - wedge
 
 
 def project_class(space: str, t: np.ndarray, g: np.ndarray, g_inv: np.ndarray, dim: int) -> np.ndarray:
+    """Project onto the class; axes before the last ``RANK[space]`` are batch axes."""
     if space == "G":
         return project_G(t)
     if space == "F":
@@ -88,6 +94,25 @@ def project_class(space: str, t: np.ndarray, g: np.ndarray, g_inv: np.ndarray, d
     if space == "C":
         return project_C(t, g, g_inv, dim)
     raise ValueError(f"unknown space {space!r}")
+
+
+# Rows per project_class call in project_rows. Blocks of 4 to 16 rows
+# projected the spanning seeds of every class at n = 4..9 about 1.7x faster
+# than one row per call; one block of all 666 rows of C at n = 9 was slower
+# than one row per call.
+_PROJECT_BLOCK = 16
+
+
+def project_rows(space: str, rows: np.ndarray, g: np.ndarray, g_inv: np.ndarray, dim: int) -> np.ndarray:
+    """project_class applied to each flattened row of ``rows``, a block of rows per call."""
+    shape = (g.shape[0],) * RANK[space]
+    out = np.empty_like(rows)
+    for start in range(0, rows.shape[0], _PROJECT_BLOCK):
+        block = rows[start : start + _PROJECT_BLOCK]
+        out[start : start + _PROJECT_BLOCK] = project_class(
+            space, block.reshape(-1, *shape), g, g_inv, dim
+        ).reshape(block.shape)
+    return out
 
 
 def class_dim(space: str, d: int) -> int:
@@ -156,11 +181,8 @@ def class_basis(space: str, g: np.ndarray, g_inv: np.ndarray, idx: list[int] | N
     target = class_dim(space, dim)
     if target <= 0:
         return np.zeros((0, n ** RANK[space]))
-    rows = []
-    for seed in _spanning_seeds(space, idx, n):
-        proj = project_class(space, seed, g, g_inv, dim)
-        rows.append(proj.ravel())
-    basis = orthonormal_rows(np.array(rows))
+    seeds = np.array(_spanning_seeds(space, idx, n)).reshape(-1, n ** RANK[space])
+    basis = orthonormal_rows(project_rows(space, seeds, g, g_inv, dim))
     if basis.shape[0] != target:
         raise RuntimeError(
             f"class basis {space} dim {dim}: got rank {basis.shape[0]}, expected {target}"

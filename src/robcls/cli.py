@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -28,13 +26,6 @@ from .robclass import (
 )
 from .simclass import decompose, weyl_type_at_frame, weyl_type_search
 from .tensor import Tolerance
-
-
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("ROBCLS_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _write(text: str, out: str | None):
@@ -59,7 +50,10 @@ def cmd_classify(args) -> int:
         print(f"--params must be a JSON object, got {args.params!r}", file=sys.stderr)
         return 2
     params.update(extra)
-    if args.dim:
+    if args.dim is not None:
+        if args.dim < 4:
+            print(f"--dim must be at least 4 (no Weyl tensor for n <= 3), got {args.dim}", file=sys.stderr)
+            return 2
         params["dim"] = args.dim
     try:
         chart = entry.build(params)
@@ -229,7 +223,13 @@ def _default_direction(entry, cp, params):
 
 
 def cmd_verify_dims(args) -> int:
-    lo, hi = (int(v) for v in args.n.split("..")) if ".." in args.n else (int(args.n), int(args.n))
+    try:
+        lo, hi = (int(v) for v in args.n.split("..")) if ".." in args.n else (int(args.n), int(args.n))
+    except ValueError:
+        lo = hi = None
+    if lo is None or not 4 <= lo <= hi:
+        print(f"--n must be N or LO..HI with 4 <= LO <= HI, got {args.n!r}", file=sys.stderr)
+        return 2
     spaces = ["G", "F", "A", "C"] if args.space == "all" else [args.space]
     levels = ["sim", "rob"] if args.level == "all" else [args.level]
     rows = []
@@ -289,16 +289,7 @@ def cmd_regress(args) -> int:
         if name == "robinson-trautman":
             jobs.append((name, {"screen": "spheres"}))
 
-    def run(job):
-        name, extra = job
-        return (name, extra, run_expectations(ENTRIES[name], params=extra))
-
-    workers = _threads()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, jobs))
-    else:
-        results = [run(j) for j in jobs]
+    results = [(name, extra, run_expectations(ENTRIES[name], params=extra)) for name, extra in jobs]
     lines = ["# catalog regression", ""]
     failures = 0
     for name, extra, res in results:

@@ -31,6 +31,7 @@ from .classes import (
     frame_metric,
     orthonormal_rows,
     project_class,
+    project_rows,
     screen_class_basis,
 )
 from .tensor import skew_arr
@@ -632,7 +633,6 @@ class ModuleEntry:
     key: ModuleKey
     grade: int
     basis: np.ndarray  # orthonormal rows, flattened frame components
-    embed: np.ndarray | None = None  # raw representative rows (paper normalisation)
 
     @property
     def dim(self) -> int:
@@ -646,7 +646,6 @@ class ModuleTable:
     level: str  # 'sim' or 'rob'
     entries: list[ModuleEntry]
     stacked: np.ndarray = field(init=False, repr=False)
-    pinv: np.ndarray = field(init=False, repr=False)
     slices: dict = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -656,10 +655,15 @@ class ModuleTable:
             self.slices[e.key] = slice(pos, pos + e.dim)
             pos += e.dim
         self.stacked = np.vstack(rows) if rows else np.zeros((0, self.n ** RANK[self.space]))
-        self.pinv = np.linalg.pinv(self.stacked.T) if pos else self.stacked
+        gram_err = np.abs(self.stacked @ self.stacked.T - np.eye(pos)).max(initial=0.0)
+        if gram_err > 1e-12:
+            raise RuntimeError(
+                f"{self.level} table {self.space} n={self.n}: module bases not orthonormal (max |S S^T - I| = {gram_err:.1e})"
+            )
 
     def coefficients(self, frame_flat: np.ndarray) -> np.ndarray:
-        return self.pinv @ frame_flat
+        """Coordinates of the orthogonal projection onto the module bases (rows of ``stacked``)."""
+        return self.stacked @ frame_flat
 
     def entry(self, key: ModuleKey) -> ModuleEntry:
         for e in self.entries:
@@ -891,7 +895,7 @@ def sim_table(space: str, n: int) -> ModuleTable:
         expected = sim_module_dim(space, n, i, j, pm)
         if basis.shape[0] != expected:
             raise RuntimeError(f"sim module {key}: dim {basis.shape[0]} != expected {expected}")
-        entries.append(ModuleEntry(key, i, basis, rows))
+        entries.append(ModuleEntry(key, i, basis))
     table = ModuleTable(space, n, "sim", entries)
     if table.total_dim != class_dim(space, n):
         raise RuntimeError(f"sim table {space} n={n}: total {table.total_dim} != {class_dim(space, n)}")
@@ -904,11 +908,9 @@ def _validate_rows(space, n, rows, expect_grade):
     eta = frame_metric(n)
     eta_inv = np.linalg.inv(eta)
     mask = grade_mask(n, RANK[space], expect_grade).ravel()
-    for r in rows:
+    for r, proj in zip(rows, project_rows(space, rows, eta, eta_inv, n)):
         nr = np.linalg.norm(r)
-        arr = r.reshape((n,) * RANK[space])
-        proj = project_class(space, arr, eta, eta_inv, n)
-        if np.linalg.norm(proj.ravel() - r) > 1e-9 * max(nr, 1e-30):
+        if np.linalg.norm(proj - r) > 1e-9 * max(nr, 1e-30):
             raise RuntimeError(f"representative not in class {space} (n={n}, grade {expect_grade})")
         if np.linalg.norm(r[~mask]) > 1e-10 * max(nr, 1e-30):
             raise RuntimeError(f"representative has off-grade support ({space}, n={n}, grade {expect_grade})")
@@ -1207,7 +1209,7 @@ def rob_table(space: str, n: int) -> ModuleTable:
         expected = rob_module_dim(space, n, i, j, k)
         if basis.shape[0] != expected:
             raise RuntimeError(f"rob module {key} (n={n}): dim {basis.shape[0]} != expected {expected}")
-        entries.append(ModuleEntry(key, i, basis, rows))
+        entries.append(ModuleEntry(key, i, basis))
     table = ModuleTable(space, n, "rob", entries)
     if table.total_dim != class_dim(space, n):
         raise RuntimeError(f"rob table {space} n={n}: total {table.total_dim} != {class_dim(space, n)}")

@@ -88,7 +88,8 @@ def lowering_action(T: np.ndarray, frame: NullFrame, z: np.ndarray) -> np.ndarra
     """First-order change of T under the null rotation about l with parameter z.
 
     The generator is psi_ab = 2 l_[a z_b] (z a screen covector built from
-    the coefficients ``z``); it lowers the grade by exactly one.
+    the coefficients ``z``); it lowers the grade by exactly one.  This is the
+    per-tensor reference that ``_lowered_basis`` reproduces for whole bases.
     """
     g = frame.g
     g_inv = np.linalg.inv(g)
@@ -101,6 +102,31 @@ def lowering_action(T: np.ndarray, frame: NullFrame, z: np.ndarray) -> np.ndarra
     for s in range(T.ndim):
         out -= np.moveaxis(np.tensordot(P, T, axes=(0, s)), 0, s)
     return out
+
+
+def _lowered_basis(basis: np.ndarray, n: int, rank: int) -> np.ndarray:
+    """Images of every row of ``basis`` under the lowering generators of
+    ``reference_frame(n)``, one screen direction e_d at a time.
+
+    Row ``r * (n - 2) + d`` equals ``lowering_action`` of row r with z = e_d,
+    bit for bit.  In the reference frame the generator P_d = g^-1 psi has the
+    two entries P[n-1, d+1] = 1 and P[d+1, 0] = -1, so its action on one slot
+    is two slice updates instead of a matrix product.
+    """
+    T = basis.reshape(-1, *(n,) * rank)
+    out = np.zeros((T.shape[0], n - 2) + T.shape[1:])
+
+    def at(slot, index):
+        key = [slice(None)] * (rank + 1)
+        key[slot] = index
+        return tuple(key)
+
+    for d in range(n - 2):
+        od = out[:, d]
+        for s in range(1, rank + 1):
+            od[at(s, d + 1)] -= T[at(s, n - 1)]
+            od[at(s, 0)] += T[at(s, d + 1)]
+    return out.reshape(T.shape[0] * (n - 2), -1)
 
 
 @dataclass
@@ -143,31 +169,21 @@ def computed_arrow_set(space: str, n: int, level: str, tol: float = 1e-8) -> set
     module onto a nonzero piece of the target module.
 
     The action is bilinear in (screen direction, source element), so running
-    over basis pairs decides each arrow exactly.
+    over basis pairs decides each arrow exactly.  Each source module is
+    lowered as a whole basis and dropped before the next.
     """
     cache_key = (space, n, level)
     if cache_key in _ARROW_CACHE:
         return _ARROW_CACHE[cache_key]
-    frame = reference_frame(n)
     table = sim_table(space, n) if level == "sim" else rob_table(space, n)
-    lowered: dict = {}
-    for e in table.entries:
-        imgs = []
-        for row in e.basis:
-            T = row.reshape((n,) * RANK[space])
-            for d in range(n - 2):
-                z = np.zeros(n - 2)
-                z[d] = 1.0
-                dT = lowering_action(T, frame, z)
-                imgs.append(dT.ravel())
-        lowered[e.key] = np.array(imgs)
     out = set()
     for e in table.entries:
-        imgs = lowered[e.key]
+        targets = [t for t in table.entries if t.grade == e.grade - 1]
+        if not targets:
+            continue
+        imgs = _lowered_basis(e.basis, n, RANK[space])
         scale = max(np.abs(imgs).max(), 1e-300)
-        for t in table.entries:
-            if t.grade != e.grade - 1:
-                continue
+        for t in targets:
             comp = imgs @ t.basis.T
             if np.abs(comp).max() > tol * scale:
                 out.add((e.key, t.key))

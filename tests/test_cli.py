@@ -85,6 +85,8 @@ SCHW5 = ["classify", "--metric", "schwarzschild", "--params", '{"M": 1, "dim": 5
         ["classify", "--metric", "schwarzschild", "--point", "nan,3,1,0.5,0.2"],
         ["classify", "--metric", "schwarzschild", "--point", "inf,3,1,0.5,0.2"],
         ["classify", "--metric", "iwasawa", "--search", "--point", "0.1,0.2,0.3,0.4,0.5,0.6"],
+        ["classify", "--metric", "schwarzschild", "--dim", "0", "--point", "0,3,1,0.5,0.2"],
+        ["classify", "--metric", "schwarzschild", "--dim", "-1", "--point", "0,3,1,0.5,0.2"],
     ],
     ids=[
         "params-json",
@@ -99,6 +101,8 @@ SCHW5 = ["classify", "--metric", "schwarzschild", "--params", '{"M": 1, "dim": 5
         "point-nan",
         "point-inf",
         "search-riemannian",
+        "dim-zero",
+        "dim-negative",
     ],
 )
 def test_classify_bad_input_one_line_exit_2(argv, capsys):
@@ -129,6 +133,15 @@ def test_verify_dims_table(tmp_path, capsys):
     # n = 4 has no C.0.3 rows (low-dimension exclusion)
     rows4 = [line for line in text.splitlines() if line.startswith("| 4 ")]
     assert rows4 and not any("C.0.3" in r for r in rows4)
+
+
+@pytest.mark.parametrize("spec", ["x", "4..x", "-1", "3..5", "9..4"])
+def test_verify_dims_bad_n_one_line_exit_2(spec, capsys):
+    assert main(["verify-dims", "--n", spec, "--space", "G", "--level", "sim"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+    assert "--n" in captured.err
 
 
 def test_verify_dims_n6_includes_pm_rows(tmp_path):
@@ -186,12 +199,3 @@ def test_distinguished_structures_registry():
             assert structs, entry.name
         named += len(structs)
     assert named >= 20
-
-
-def test_regress_threads_deterministic(tmp_path, monkeypatch):
-    a, b = tmp_path / "a.md", tmp_path / "b.md"
-    monkeypatch.delenv("ROBCLS_THREADS", raising=False)
-    assert main(["regress", "--only", "walker", "--out", str(a)]) == 0
-    monkeypatch.setenv("ROBCLS_THREADS", "3")
-    assert main(["regress", "--only", "walker", "--out", str(b)]) == 0
-    assert a.read_text() == b.read_text()

@@ -20,11 +20,26 @@ SPACES = ("G", "F", "A", "C")
 def test_tables_complete(space, n):
     for level, table in (("sim", sim_table(space, n)), ("rob", rob_table(space, n))):
         assert table.total_dim == class_dim(space, n), (space, n, level)
+        S = table.stacked
+        # the guard in ModuleTable: the stacked module bases are orthonormal
+        assert np.abs(S @ S.T - np.eye(table.total_dim)).max() <= 1e-12
         # per-grade completeness: reconstruction of random class tensors
         rng = np.random.default_rng(17)
         t = random_class_tensor(space, n, rng).ravel()
         coeff = table.coefficients(t)
-        assert np.linalg.norm(table.stacked.T @ coeff - t) < 1e-10
+        assert np.linalg.norm(S.T @ coeff - t) < 1e-10
+        # the projection agrees with the least-squares coordinates
+        ts = np.array([random_class_tensor(space, n, rng).ravel() for _ in range(3)]).T
+        assert np.abs(table.coefficients(ts) - np.linalg.pinv(S.T) @ ts).max() < 1e-13
+
+
+def test_table_rejects_non_orthonormal_bases():
+    from robcls.modules import ModuleEntry, ModuleTable
+
+    e = sim_table("G", 4).entries[0]
+    skewed = ModuleEntry(e.key, e.grade, 2.0 * e.basis)
+    with pytest.raises(RuntimeError, match="not orthonormal"):
+        ModuleTable("G", 4, "sim", [skewed])
 
 
 @pytest.mark.parametrize("n", (5, 6, 8, 9))

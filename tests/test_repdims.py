@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
 
-from robcls.classes import class_dim
+from robcls.classes import RANK, class_dim
 from robcls.modules import ModuleKey, rob_table, sim_table
 from robcls.repdims import (
     all_dim_checks,
     computed_arrow_set,
+    _lowered_basis,
     computed_module_dim,
+    lowering_action,
     nilpotent_action_check,
     paper_arrow_delta,
     paper_arrow_set,
+    reference_frame,
     symmetry_basis,
 )
 
@@ -91,3 +94,20 @@ def test_bottom_grade_action_vanishes():
                 z = np.ones(n - 2) / np.sqrt(n - 2)
                 dT = lowering_action(T, fr, z)
                 assert np.abs(dT).max() < 1e-12
+
+
+@pytest.mark.parametrize("n", (5, 6, 7))
+def test_lowered_basis_matches_lowering_action(n):
+    """Whole-basis lowering equals the per-tensor action bit for bit, per row and direction."""
+    frame = reference_frame(n)
+    eye = np.eye(n - 2)
+    for space in ("A", "C"):
+        shape = (n,) * RANK[space]
+        for table in (sim_table(space, n), rob_table(space, n)):
+            for e in table.entries:
+                imgs = _lowered_basis(e.basis, n, RANK[space])
+                assert imgs.shape == (e.dim * (n - 2), n ** RANK[space])
+                for r, row in enumerate(e.basis):
+                    for d in range(n - 2):
+                        ref = lowering_action(row.reshape(shape), frame, eye[d]).ravel()
+                        assert np.array_equal(imgs[r * (n - 2) + d], ref), (str(e.key), r, d)
