@@ -2,9 +2,12 @@
 classification claims they are expected to satisfy.
 
 Each entry is a regression fixture: a chart family, default parameters,
-probe points, named null lines / Robinson structures, and a list of
-expectations with citations.  `run_expectations` evaluates everything and
-returns a pass/fail ledger; evaluation failures are recorded, not fatal.
+probe points, a list of expectations with citations, and the registry of
+what the entry names: its null lines (`null_lines`), its Robinson
+structures / Hermitian distributions (`structures`) and the parameter
+variants the regression runs (`variants`).  `run_expectations` evaluates
+everything and returns a pass/fail ledger; evaluation failures are
+recorded, not fatal.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from .robclass import (
     special_residual,
 )
 from .simclass import decompose, probe_norms, weyl_type_at_frame, weyl_type_search
+from .tensor import transform_slots
 
 
 def _c(v):
@@ -70,6 +74,12 @@ class CatalogEntry:
     default_params: dict
     sample_points: Callable[[dict], list]
     expectations: Callable[[MetricChart, dict, list], list]
+    # named null lines at a chart point: (cp, params) -> {name: vector}
+    null_lines: Callable[[object, dict], dict] = lambda cp, p: {}
+    # named distributions: params -> {name: DistributionSpec}
+    structures: Callable[[dict], dict] = lambda p: {}
+    # parameter overrides the regression runs (None: the defaults)
+    variants: tuple = (None,)
 
     def chart(self, params: dict | None = None) -> MetricChart:
         p = dict(self.default_params)
@@ -172,6 +182,13 @@ def _pp_k_field(n):
     return fn
 
 
+def _parallel_line(cp, p) -> dict:
+    """The parallel (pp-wave) or recurrent (Walker) null line e_1 = d/dv."""
+    k = np.zeros(cp.n)
+    k[1] = 1.0
+    return {"K": k}
+
+
 def _pp_expect(chart, p, pts):
     n = chart.dim
     out = []
@@ -184,9 +201,7 @@ def _pp_expect(chart, p, pts):
             out.append(
                 _res("pp-wave", "cotton_vanishes", "Ricci-flat metrics have vanishing Cotton-York", np.abs(cp.cotton_york()).max() / max(cp.curvature_scale(), 1e-300), 1e-9)
             )
-        k = np.zeros(n)
-        k[1] = 1.0
-        fr = complete_null_frame(cp.g, k)
+        fr = complete_null_frame(cp.g, _parallel_line(cp, p)["K"])
         rel = parallel_vector_relations(cp.weyl, cp.phi, cp.ricci_scalar, cp.riemann, fr)
         for name, val in rel.items():
             out.append(_res("pp-wave", f"parallel_vector:{name}", "parallel null vector curvature relations", val, 1e-9))
@@ -206,6 +221,7 @@ PP_WAVE = CatalogEntry(
     {"dim": 6, "vacuum": True},
     lambda p: [np.array([0.2, 0.0] + [0.3, -0.4, 0.5, 0.1, 0.2][: int(p["dim"]) - 2]), np.array([-0.4, 1.0] + [0.8, 0.2, -0.3, 0.4, -0.1][: int(p["dim"]) - 2])],
     _pp_expect,
+    null_lines=_parallel_line,
 )
 
 
@@ -232,8 +248,7 @@ def _walker_expect(chart, p, pts):
     for pt in pts:
         cp = chart.evaluate(pt)
         nk = cp.covariant_derivative_vector(_pp_k_field(n))
-        k = np.zeros(n)
-        k[1] = 1.0
+        k = _parallel_line(cp, p)["K"]
         # recurrence: nabla_a k^b = alpha_a k^b
         alpha = nk[:, 1]
         resid = np.abs(nk - np.outer(alpha, k)).max()
@@ -254,6 +269,7 @@ WALKER = CatalogEntry(
     {"dim": 6},
     lambda p: [np.array([0.1, 0.7] + [0.4, -0.2, 0.3, 0.5, 0.1][: int(p["dim"]) - 2]), np.array([0.5, -0.3] + [0.2, 0.6, -0.4, 0.1, 0.3][: int(p["dim"]) - 2])],
     _walker_expect,
+    null_lines=_parallel_line,
 )
 
 
@@ -350,6 +366,7 @@ SCHWARZSCHILD = CatalogEntry(
         np.array([0.5, -2.5, 2.0, 0.8, -0.5, 0.3, -0.4][: int(p["dim"])]),
     ],
     _schw_expect,
+    null_lines=lambda cp, p: schwarzschild_null_lines(cp),
 )
 
 
@@ -525,6 +542,7 @@ MYERS_PERRY = CatalogEntry(
     {"M": 1.0, "a1": 0.3, "a2": 0.2, "dim": 5},
     lambda p: [np.array([0.0, 2.2, 0.5, 1.2, -0.6]), np.array([0.3, -1.5, 1.8, 0.4, 1.1])],
     _mp_expect,
+    null_lines=mp_null_lines,
 )
 
 
@@ -626,6 +644,7 @@ KK_BUBBLE = CatalogEntry(
     {"M": 1.0},
     lambda p: [np.array([0.0, r, 0.3, 0.2, -0.4]) for r in (2.5, 3.0, 5.0)],
     _kk_expect,
+    structures=kk_structures,
 )
 
 
@@ -723,9 +742,7 @@ def _rt_m(cp, which):
 
 
 def _rt_mixed_structure(cp):
-    k = np.zeros(6)
-    k[1] = 1.0
-    fr = complete_null_frame(cp.g, k)
+    fr = complete_null_frame(cp.g, rt_null_lines(cp)["K"])
     # rotate the screen by mixing the two sphere blocks
     th = 0.7
     O = np.eye(4)
@@ -742,6 +759,8 @@ ROBINSON_TRAUTMAN = CatalogEntry(
     {"M": 1.0, "screen": "flat"},
     lambda p: [np.array([0.0, 3.0, 0.3, -0.2, 0.4, 0.1]), np.array([0.7, 4.0, -0.5, 0.3, 0.2, -0.3])],
     _rt_expect,
+    null_lines=lambda cp, p: rt_null_lines(cp),
+    variants=(None, {"screen": "spheres"}),
 )
 
 
@@ -860,6 +879,7 @@ TAUB_NUT = CatalogEntry(
     {"N2": 0.4, "N3": 0.7, "F": None},
     lambda p: [np.array([0.0, 2.0, 0.3, -0.2, 0.5, 0.1]), np.array([0.4, 3.0, -0.6, 0.2, 0.1, 0.4])],
     _tn_expect,
+    structures=taub_nut_structures,
 )
 
 
@@ -1040,12 +1060,7 @@ def _special_residual_span(C, span):
 
 def _restriction_residual(T, span):
     scale = max(float(np.abs(T).max()), 1e-300)
-    M = T.astype(complex)
-    S = np.array(span).T
-    for ax in range(T.ndim):
-        M = np.tensordot(np.moveaxis(M, ax, 0), S, axes=(0, 0))
-        M = np.moveaxis(M, -1, ax)
-    return float(np.abs(M).max() / scale)
+    return float(np.abs(transform_slots(T, np.array(span))).max() / scale)
 
 
 IWASAWA = CatalogEntry(
@@ -1055,31 +1070,8 @@ IWASAWA = CatalogEntry(
     {},
     lambda p: [np.array([0.3, -0.2, 0.5, 0.1, -0.4, 0.7]), np.array([-0.1, 0.4, 0.2, -0.3, 0.6, 0.2])],
     _iwasawa_expect,
+    structures=lambda p: iwasawa_distributions(),
 )
-
-
-def distinguished_structures(entry: CatalogEntry, params: dict | None = None) -> dict:
-    """Named structures of an entry: null lines (callables of a chart point)
-    and Robinson structures / Hermitian distributions (annihilator forms)."""
-    p = dict(entry.default_params)
-    if params:
-        p.update(params)
-    name = entry.name
-    if name == "schwarzschild":
-        return {"K": schwarzschild_null_lines, "L": schwarzschild_null_lines}
-    if name == "myers-perry":
-        return {"K": mp_null_lines, "L": mp_null_lines, "cky": mp_cky_field(p)}
-    if name == "robinson-trautman":
-        return {"K": rt_null_lines, "L": rt_null_lines}
-    if name == "kk-bubble":
-        return dict(kk_structures(p))
-    if name == "taub-nut":
-        return dict(taub_nut_structures(p))
-    if name == "iwasawa":
-        return dict(iwasawa_distributions())
-    if name in ("pp-wave", "walker"):
-        return {"k": _pp_k_field(int(p["dim"]))}
-    return {}
 
 
 ENTRIES = {
@@ -1099,6 +1091,4 @@ ENTRIES = {
 
 
 def catalog_entries() -> list:
-    out = [ENTRIES[k] for k in sorted(ENTRIES)]
-    # robinson-trautman ships both screen branches
-    return out
+    return [ENTRIES[k] for k in sorted(ENTRIES)]

@@ -16,7 +16,8 @@ import numpy as np
 
 from . import __version__
 from .catalog import ENTRIES, run_expectations
-from .frames import FrameError, build_robinson, complete_null_frame, sample_robinson_over_null_line
+from .chart import distribution_span
+from .frames import FrameError, build_robinson, complete_null_frame, robinson_from_span, sample_robinson_over_null_line
 from .repdims import all_dim_checks, paper_arrow_delta
 from .report import ClassificationReport, decomposition_dict, frame_dict, indeterminate_flags
 from .robclass import (
@@ -24,7 +25,7 @@ from .robclass import (
     refined_flags,
     special_residual,
 )
-from .simclass import decompose, weyl_type_at_frame, weyl_type_search
+from .simclass import _orthonormal_basis, decompose, weyl_type_at_frame, weyl_type_search
 from .tensor import Tolerance
 
 
@@ -105,10 +106,11 @@ def cmd_classify(args) -> int:
         report.weyl_type = label.as_dict()
         frame = complete_null_frame(cp.g, label.direction)
     else:
+        lines = entry.null_lines(cp, params)
         if args.k:
-            named = _named_direction(entry, cp, params, args.k)
-            if named is not None:
-                kvec = named
+            name = {"ingoing": "K", "outgoing": "L", "k": "K", "l": "L"}.get(args.k.lower(), args.k)
+            if name in lines:
+                kvec = lines[name]
             else:
                 try:
                     kvec = np.array([float(v) for v in args.k.split(",")])
@@ -118,8 +120,11 @@ def cmd_classify(args) -> int:
             if abs(kvec @ cp.g @ kvec) > 1e-6 * np.abs(cp.g).max() * (kvec @ kvec):
                 print("k is not null", file=sys.stderr)
                 return 2
-        else:
-            kvec = _default_direction(entry, cp, params)
+        elif "K" in lines:
+            kvec = lines["K"]
+        else:  # generic: first coordinate null direction from the orthonormal frame
+            basis = _orthonormal_basis(cp.g)
+            kvec = basis[0] + basis[1]
         try:
             frame = complete_null_frame(cp.g, kvec)
         except FrameError as exc:
@@ -141,13 +146,14 @@ def cmd_classify(args) -> int:
         elif args.robinson == "standard":
             N = build_robinson(frame, "standard")
         else:
-            N = _named_structure(entry, cp, params, args.robinson)
-            if N is None:
+            dists = entry.structures(params)
+            if args.robinson not in dists:
                 print(
                     f"unknown robinson spec '{args.robinson}' (use 'standard', 'random:SEED', or a named structure)",
                     file=sys.stderr,
                 )
                 return 2
+            N = robinson_from_span(cp.g, distribution_span(chart, dists[args.robinson], cp.point))
         rdec = refined_flags("C", cp.weyl, N, tol, scale)
         report.robinson = N.serialise()
         report.refined_flags = rdec.summary()
@@ -157,69 +163,6 @@ def cmd_classify(args) -> int:
     report.indeterminate = sorted(set(indeterminate))
     _write(report.to_json(), args.out)
     return 3 if report.indeterminate else 0
-
-
-def _named_direction(entry, cp, params, name):
-    aliases = {"ingoing": "K", "outgoing": "L", "k": "K", "l": "L"}
-    name = aliases.get(name.lower(), name)
-    lines = {}
-    if entry.name == "schwarzschild":
-        from .catalog import schwarzschild_null_lines
-
-        lines = schwarzschild_null_lines(cp)
-    elif entry.name == "myers-perry":
-        from .catalog import mp_null_lines
-
-        lines = mp_null_lines(cp, params)
-    elif entry.name == "robinson-trautman":
-        from .catalog import rt_null_lines
-
-        lines = rt_null_lines(cp)
-    return lines.get(name)
-
-
-def _named_structure(entry, cp, params, name):
-    from .chart import distribution_span
-    from .frames import robinson_from_span
-
-    dists = {}
-    if entry.name == "kk-bubble":
-        from .catalog import kk_structures
-
-        dists = kk_structures(params)
-    elif entry.name == "taub-nut":
-        from .catalog import taub_nut_structures
-
-        dists = taub_nut_structures(params)
-    elif entry.name == "iwasawa":
-        from .catalog import iwasawa_distributions
-
-        dists = iwasawa_distributions()
-    if name not in dists:
-        return None
-    chart = entry.build(params)
-    span = distribution_span(chart, dists[name], cp.point)
-    return robinson_from_span(cp.g, span)
-
-
-def _default_direction(entry, cp, params):
-    if entry.name == "schwarzschild":
-        from .catalog import schwarzschild_null_lines
-
-        return schwarzschild_null_lines(cp)["K"]
-    if entry.name == "myers-perry":
-        from .catalog import mp_null_lines
-
-        return mp_null_lines(cp, params)["K"]
-    if entry.name in ("pp-wave", "walker", "robinson-trautman"):
-        k = np.zeros(cp.n)
-        k[1] = 1.0
-        return k
-    # generic: first coordinate null direction from the orthonormal frame
-    from .simclass import _orthonormal_basis
-
-    basis = _orthonormal_basis(cp.g)
-    return basis[0] + basis[1]
 
 
 def cmd_verify_dims(args) -> int:
@@ -283,12 +226,7 @@ def cmd_regress(args) -> int:
             print(f"unknown entry '{args.only}'", file=sys.stderr)
             return 2
         names = [args.only]
-    jobs = []
-    for name in names:
-        jobs.append((name, None))
-        if name == "robinson-trautman":
-            jobs.append((name, {"screen": "spheres"}))
-
+    jobs = [(name, extra) for name in names for extra in ENTRIES[name].variants]
     results = [(name, extra, run_expectations(ENTRIES[name], params=extra)) for name, extra in jobs]
     lines = ["# catalog regression", ""]
     failures = 0
@@ -318,9 +256,15 @@ def main(argv=None) -> int:
     c.add_argument("--params", default="")
     c.add_argument("--dim", type=int, default=None)
     c.add_argument("--point", required=True, help="comma-separated coordinates")
-    c.add_argument("--k", default=None, help="comma-separated null direction (contravariant)")
+    c.add_argument(
+        "--k",
+        default=None,
+        help="comma-separated null direction (contravariant), or a named null line of the entry: K/L (ingoing/outgoing)",
+    )
     c.add_argument("--search", action="store_true", help="search the null sphere for the best-aligned direction")
-    c.add_argument("--robinson", default=None, help="'standard' or 'random:SEED'")
+    c.add_argument(
+        "--robinson", default=None, help="'standard', 'random:SEED', or a named structure of the entry (e.g. kk-bubble 'kappa')"
+    )
     c.add_argument("--tol", type=float, default=1e-9)
     c.add_argument("--out", default=None)
     c.set_defaults(func=cmd_classify)

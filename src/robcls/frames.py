@@ -297,9 +297,7 @@ def hodge_relation_residuals(N: "RobinsonStructure") -> dict:
     forms = robinson_forms(N)
     eps = volume_form(g)
     g_inv = np.linalg.inv(g)
-    rho_up = forms.rho
-    for ax in range(3):
-        rho_up = np.moveaxis(np.tensordot(g_inv, rho_up, axes=(1, ax)), 0, ax)
+    rho_up = transform_slots(forms.rho, g_inv)
     s = structure_sign(N)
     out = {}
     if n == 4:

@@ -126,10 +126,12 @@ def swap_kl(arr: np.ndarray, n: int) -> np.ndarray:
     """Interchange k and l: permute slot values 0 <-> n-1 on every axis."""
     perm = np.arange(n)
     perm[0], perm[n - 1] = n - 1, 0
-    out = arr
-    for ax in range(arr.ndim):
-        out = np.take(out, perm, axis=ax)
-    return out
+    return arr[np.ix_(*[perm] * arr.ndim)]
+
+
+def swap_kl_rows(rows: np.ndarray, n: int, rank: int) -> np.ndarray:
+    """`swap_kl` of every flattened rank-`rank` row of a stack, as one column permutation."""
+    return rows[:, swap_kl(np.arange(n**rank).reshape((n,) * rank), n).ravel()]
 
 
 def grade_mask(n: int, rank: int, grade: int) -> np.ndarray:
@@ -889,7 +891,7 @@ def sim_table(space: str, n: int) -> ModuleTable:
             rows = _module_rows_sim(space, n, i, j, pm)
         else:
             rows = _module_rows_sim(space, n, -i, j, pm)
-            rows = np.array([swap_kl(r.reshape((n,) * RANK[space]), n).ravel() for r in rows])
+            rows = swap_kl_rows(rows, n, RANK[space])
         _validate_rows(space, n, rows, expect_grade=i)
         basis = orthonormal_rows(rows)
         expected = sim_module_dim(space, n, i, j, pm)
@@ -1203,7 +1205,7 @@ def rob_table(space: str, n: int) -> ModuleTable:
         plist = params.get(k, [])
         rows = _build_rows(n, emb, plist)
         if i < 0:
-            rows = np.array([swap_kl(r.reshape((n,) * RANK[space]), n).ravel() for r in rows])
+            rows = swap_kl_rows(rows, n, RANK[space])
         _validate_rows(space, n, rows, expect_grade=i)
         basis = orthonormal_rows(rows)
         expected = rob_module_dim(space, n, i, j, k)

@@ -10,13 +10,14 @@ the quartic integrability map are implemented as cross-checks.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .frames import NullFrame, RobinsonStructure, robinson_forms, sample_robinson_over_null_line
 from .simclass import GradedDecomposition, decompose, probe_norms
-from .tensor import DEFAULT_TOL, Tolerance, skew_arr
+from .tensor import DEFAULT_TOL, Tolerance, skew_arr, transform_slots
 
 # block conditions of the alignment / specialness propositions, as refined keys
 ALIGNED_KEYS = {
@@ -39,67 +40,40 @@ SPECIAL_EXTRA_KEYS = {
 }
 
 
-def adapted_blocks(T: np.ndarray, N: RobinsonStructure) -> dict:
-    """Complex frame components of T in the adapted frame {k, m_A, mbar_A, u, l}.
+def _adapted_basis(N: RobinsonStructure) -> np.ndarray:
+    """Rows k, m_A, mbar_A, (u,) l of the adapted complex frame."""
+    ms = N.m_vectors()
+    rows = [N.frame.k, *ms, *np.conj(ms)] + ([N.u] if N.u is not None else []) + [N.frame.l]
+    return np.array(rows, dtype=complex)
 
-    Keyed by slot-type strings like ``"k m1 mb1 u"``; Hermiticity (the block
-    of the conjugated pattern is the conjugate) holds by construction for
-    real T.
+
+def adapted_component_array(T: np.ndarray, N: RobinsonStructure) -> np.ndarray:
+    """Complex frame components of T in the adapted frame {k, m_A, mbar_A, u, l}."""
+    return transform_slots(T, _adapted_basis(N))
+
+
+def adapted_reassemble(blocks_arr: np.ndarray, N: RobinsonStructure) -> np.ndarray:
+    """Inverse of the adapted-frame component map (takes the full array)."""
+    return transform_slots(blocks_arr, np.linalg.inv(_adapted_basis(N)))
+
+
+def adapted_blocks(T: np.ndarray, N: RobinsonStructure) -> dict:
+    """The nonzero adapted-frame components of T, keyed by slot-type strings.
+
+    Keys look like ``"k m1 mb1 u"``; Hermiticity (the block of the
+    conjugated pattern is the conjugate) holds by construction for real T.
     """
     m, eps = N.m_eps
-    vectors = [("k", N.frame.k.astype(complex))]
-    for a, mv in enumerate(N.m_vectors(), start=1):
-        vectors.append((f"m{a}", mv))
-    for a, mv in enumerate(N.m_vectors(), start=1):
-        vectors.append((f"mb{a}", np.conj(mv)))
-    if N.u is not None:
-        vectors.append(("u", N.u.astype(complex)))
-    vectors.append(("l", N.frame.l.astype(complex)))
-    names = [v[0] for v in vectors]
-    B = np.array([v[1] for v in vectors])
-    out = T.astype(complex)
-    for ax in range(T.ndim):
-        out = np.moveaxis(np.tensordot(B, out, axes=(1, ax)), 0, ax)
-    blocks = {}
-    import itertools
-
+    names = ["k", *(f"m{a}" for a in range(1, m)), *(f"mb{a}" for a in range(1, m))]
+    names += ["u"] * (N.u is not None) + ["l"]
+    out = adapted_component_array(T, N)
     cutoff = 1e-11 * max(float(np.abs(out).max()), 1e-300)
+    blocks = {}
     for combo in itertools.product(range(len(names)), repeat=T.ndim):
         val = out[combo]
         if abs(val) > cutoff:
             blocks[" ".join(names[c] for c in combo)] = val
     return blocks
-
-
-def adapted_reassemble(blocks_arr: np.ndarray, N: RobinsonStructure) -> np.ndarray:
-    """Inverse of the adapted-frame component map (takes the full array)."""
-    m, eps = N.m_eps
-    vectors = [N.frame.k.astype(complex)]
-    vectors += N.m_vectors()
-    vectors += [np.conj(v) for v in N.m_vectors()]
-    if N.u is not None:
-        vectors.append(N.u.astype(complex))
-    vectors.append(N.frame.l.astype(complex))
-    B = np.array(vectors)
-    C = np.linalg.inv(B.T)
-    out = blocks_arr
-    for ax in range(blocks_arr.ndim):
-        out = np.moveaxis(np.tensordot(C, out, axes=(0, ax)), 0, ax)
-    return out
-
-
-def adapted_component_array(T: np.ndarray, N: RobinsonStructure) -> np.ndarray:
-    vectors = [N.frame.k.astype(complex)]
-    vectors += N.m_vectors()
-    vectors += [np.conj(v) for v in N.m_vectors()]
-    if N.u is not None:
-        vectors.append(N.u.astype(complex))
-    vectors.append(N.frame.l.astype(complex))
-    B = np.array(vectors)
-    out = T.astype(complex)
-    for ax in range(T.ndim):
-        out = np.moveaxis(np.tensordot(B, out, axes=(1, ax)), 0, ax)
-    return out
 
 
 def refined_flags(
@@ -317,7 +291,6 @@ def recurrent_line_relations(C: np.ndarray, Phi: np.ndarray, R_scalar: float, ri
     kb = g @ k
     n = frame.n
     scale = max(np.abs(riemann).max(), 1e-300)
-    rk = np.einsum("abce,e->abc", riemann, np.linalg.inv(g) @ (g @ k) * 0 + k)
     # R_{ab[c}{}^e k_{d]} k_e: R_abce k^e then antisymmetrise (c, d) against k
     rke = np.einsum("abce,e->abc", riemann, k)
     t = skew_arr(np.einsum("abc,d->abcd", rke, kb), (2, 3))

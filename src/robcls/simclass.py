@@ -27,7 +27,7 @@ from .classes import RANK
 from .frames import FrameError, NullFrame, complete_null_frame, volume_form
 from .graphs import graph_arrows
 from .modules import ModuleKey, rob_table, sim_table
-from .tensor import DEFAULT_TOL, Tolerance, skew_arr
+from .tensor import DEFAULT_TOL, Tolerance, skew_arr, transform_slots
 
 
 # --------------------------------------------------------------------------
@@ -544,7 +544,7 @@ def weyl_type_search(
     if np.count_nonzero(np.linalg.eigvalsh(g) < 0) != 1:
         raise FrameError("the metric is not Lorentzian: no null sphere to search")
     basis = _orthonormal_basis(g)
-    Cnorm = max(float(np.linalg.norm(_to_basis(C, basis, g))), 1e-300)
+    Cnorm = max(float(np.linalg.norm(transform_slots(C, basis))), 1e-300)
     grid = sphere_grid(n - 2, grid_count)
     best, grid_floor, grid_median = _grid_stage(C, basis, grid, g, Cnorm)
     omega = grid[best]
@@ -613,13 +613,6 @@ def weyl_type_search(
     }
     label.direction = k_best
     return label
-
-
-def _to_basis(C: np.ndarray, basis: np.ndarray, g: np.ndarray) -> np.ndarray:
-    out = C
-    for ax in range(C.ndim):
-        out = np.moveaxis(np.tensordot(basis, out, axes=(1, ax)), 0, ax)
-    return out
 
 
 def sphere_grid(dim_sphere: int, count: int) -> np.ndarray:

@@ -171,17 +171,17 @@ def raise_lower(t: PointTensor, slot: int, metric: PointTensor) -> PointTensor:
 
 
 def transform_slots(arr: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """out_{a b ...} = M_ap M_bq ... arr_{p q ...} for a square M.
+    """out_{a b ...} = M_ap M_bq ... arr_{p q ...} for a (k, n) matrix M.
 
     Each step multiplies the leading slot by M and rotates it to the back,
     so after one step per slot the slots are back in order: one matrix
     product per slot, several times faster than an einsum over all slots.
     """
-    n = M.shape[0]
-    flat = arr.reshape(n, -1)
+    k, n = M.shape
+    out = arr
     for _ in range(arr.ndim):
-        flat = (M @ flat).T.reshape(n, -1)
-    return flat.reshape(arr.shape)
+        out = (M @ out.reshape(n, -1)).T.reshape(k, -1)
+    return out.reshape((k,) * arr.ndim)
 
 
 def skew_arr(a: np.ndarray, slots) -> np.ndarray:

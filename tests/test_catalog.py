@@ -3,11 +3,7 @@ import pytest
 
 from robcls.catalog import ENTRIES, catalog_entries, run_expectations
 
-VARIANTS = []
-for name in sorted(ENTRIES):
-    VARIANTS.append((name, None))
-    if name == "robinson-trautman":
-        VARIANTS.append((name, {"screen": "spheres"}))
+VARIANTS = [(name, extra) for name in sorted(ENTRIES) for extra in ENTRIES[name].variants]
 
 
 def test_catalog_shape():

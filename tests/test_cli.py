@@ -87,6 +87,7 @@ SCHW5 = ["classify", "--metric", "schwarzschild", "--params", '{"M": 1, "dim": 5
         ["classify", "--metric", "iwasawa", "--search", "--point", "0.1,0.2,0.3,0.4,0.5,0.6"],
         ["classify", "--metric", "schwarzschild", "--dim", "0", "--point", "0,3,1,0.5,0.2"],
         ["classify", "--metric", "schwarzschild", "--dim", "-1", "--point", "0,3,1,0.5,0.2"],
+        ["classify", "--metric", "iwasawa", "--point", "0.3,-0.2,0.5,0.1,-0.4,0.7", "--robinson", "N0"],
     ],
     ids=[
         "params-json",
@@ -103,6 +104,7 @@ SCHW5 = ["classify", "--metric", "schwarzschild", "--params", '{"M": 1, "dim": 5
         "search-riemannian",
         "dim-zero",
         "dim-negative",
+        "riemannian-named-structure",
     ],
 )
 def test_classify_bad_input_one_line_exit_2(argv, capsys):
@@ -190,12 +192,107 @@ def test_classify_indeterminate_exit_code(tmp_path):
 
 
 def test_distinguished_structures_registry():
-    from robcls.catalog import ENTRIES, distinguished_structures
+    from robcls.catalog import ENTRIES
 
     named = 0
     for entry in ENTRIES.values():
-        structs = distinguished_structures(entry)
+        params = dict(entry.default_params)
+        cp = entry.build(params).evaluate(entry.sample_points(params)[0])
+        structs = {**entry.null_lines(cp, params), **entry.structures(params)}
         if entry.name != "minkowski":
             assert structs, entry.name
         named += len(structs)
     assert named >= 20
+
+
+LORENTZIAN = ("minkowski", "pp-wave", "walker", "schwarzschild", "myers-perry", "kk-bubble", "robinson-trautman", "taub-nut")
+
+
+def _classify_at_sample(metric, extra, tmp_path):
+    """Run classify at the first sample point of a catalog entry; return (code, report, chart point, params)."""
+    from robcls.catalog import ENTRIES
+
+    entry = ENTRIES[metric]
+    params = dict(entry.default_params)
+    pt = entry.sample_points(params)[0]
+    out = tmp_path / "named.json"
+    argv = ["classify", "--metric", metric, "--point", ",".join(repr(float(v)) for v in pt), "--out", str(out)]
+    code = main(argv + extra)
+    report = json.loads(out.read_text()) if out.exists() else None
+    return code, report, entry.build(params).evaluate(pt), params
+
+
+def _reported(**fields):
+    """Fields as a report serialises them (floats rounded to 15 digits)."""
+    from robcls.report import ClassificationReport
+
+    return ClassificationReport("", "", {}, [], {}, **fields).to_dict()
+
+
+def _catalog_lines(metric, cp, params):
+    from robcls import catalog
+
+    if metric == "schwarzschild":
+        return catalog.schwarzschild_null_lines(cp)
+    if metric == "myers-perry":
+        return catalog.mp_null_lines(cp, params)
+    if metric == "robinson-trautman":
+        return catalog.rt_null_lines(cp)
+    k = np.zeros(cp.n)
+    k[1] = 1.0
+    return {"K": k}  # pp-wave and walker: the parallel line e_1
+
+
+@pytest.mark.parametrize(
+    "metric,name",
+    [(m, k) for m in ("schwarzschild", "myers-perry", "robinson-trautman") for k in ("K", "L", "ingoing", "outgoing", "l")]
+    + [(m, k) for m in ("pp-wave", "walker") for k in ("K", "k")],
+)
+def test_classify_named_k(metric, name, tmp_path):
+    """--k accepts the catalog's named null lines and their aliases (pp-wave and walker name only K)."""
+    code, report, cp, params = _classify_at_sample(metric, ["--k", name], tmp_path)
+    assert code == 0
+    canonical = {"ingoing": "K", "outgoing": "L", "k": "K", "l": "L"}.get(name.lower(), name)
+    assert report["frame"]["k"] == _reported(frame={"k": _catalog_lines(metric, cp, params)[canonical]})["frame"]["k"]
+
+
+@pytest.mark.parametrize("metric", LORENTZIAN)
+def test_classify_default_direction(metric, tmp_path):
+    """Without --k the frame is built on the entry's line K, else on the first orthonormal null direction."""
+    from robcls.simclass import _orthonormal_basis
+
+    code, report, cp, params = _classify_at_sample(metric, [], tmp_path)
+    assert code == 0
+    if metric in ("minkowski", "kk-bubble", "taub-nut"):
+        basis = _orthonormal_basis(cp.g)
+        expected = basis[0] + basis[1]
+    else:
+        expected = _catalog_lines(metric, cp, params)["K"]
+    assert report["frame"]["k"] == _reported(frame={"k": expected})["frame"]["k"]
+
+
+@pytest.mark.parametrize("metric,name", [("kk-bubble", "kappa"), ("taub-nut", "lambda_hb")])
+def test_classify_named_robinson(metric, name, tmp_path):
+    """--robinson accepts a named structure of the entry, built at the classified point."""
+    from robcls import catalog
+    from robcls.chart import distribution_span
+    from robcls.frames import robinson_from_span
+    from robcls.simclass import _orthonormal_basis
+
+    code, report, cp, params = _classify_at_sample(metric, ["--robinson", name], tmp_path)
+    assert code == 0
+    basis = _orthonormal_basis(cp.g)
+    assert report["frame"]["k"] == _reported(frame={"k": basis[0] + basis[1]})["frame"]["k"]
+    dists = catalog.kk_structures(params) if metric == "kk-bubble" else catalog.taub_nut_structures(params)
+    chart = catalog.ENTRIES[metric].build(params)
+    N = robinson_from_span(cp.g, distribution_span(chart, dists[name], cp.point))
+    assert report["robinson"] == _reported(robinson=N.serialise())["robinson"]
+
+
+def test_classify_named_robinson_unknown_for_entry(capsys):
+    """A structure name the entry does not own is a usage error with one line."""
+    assert main(SCHW5 + ["--robinson", "kappa"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and "unknown robinson spec" in lines[0]

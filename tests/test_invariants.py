@@ -11,11 +11,7 @@ from robcls.chart import eigenstructure
 from robcls.frames import random_lorentzian
 from robcls.tensor import PointTensor, contract, raise_lower, skew, sym
 
-VARIANTS = []
-for name in sorted(ENTRIES):
-    VARIANTS.append((name, None))
-    if name == "robinson-trautman":
-        VARIANTS.append((name, {"screen": "spheres"}))
+VARIANTS = [(name, extra) for name in sorted(ENTRIES) for extra in ENTRIES[name].variants]
 
 
 def _random_domain_points(entry, params, count, rng):

@@ -10,7 +10,6 @@ from robcls.simclass import (
     GradedDecomposition,
     _grid_wand_sq,
     _orthonormal_basis,
-    _to_basis,
     decompose,
     down_closure,
     probe_norms,
@@ -19,6 +18,7 @@ from robcls.simclass import (
     weyl_type_at_frame,
     weyl_type_search,
 )
+from robcls.tensor import transform_slots
 
 SPACES = ("G", "F", "A", "C")
 
@@ -218,7 +218,7 @@ def test_grid_closed_form_matches_wand_residual(n):
     fr = complete_null_frame(g, random_null_vector(g, rng))
     C = fr.from_frame(random_class_tensor("C", n, rng))
     basis = _orthonormal_basis(g)
-    Cnorm = float(np.linalg.norm(_to_basis(C, basis, g)))
+    Cnorm = float(np.linalg.norm(transform_slots(C, basis)))
     grid = sphere_grid(n - 2, 3000)  # more than one block
     val, err = _grid_wand_sq(C, basis, grid, g, Cnorm)
     exact = np.array([wand_residual(C, basis, w, g, Cnorm) for w in grid]) ** 2

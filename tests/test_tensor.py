@@ -13,6 +13,7 @@ from robcls.tensor import (
     raise_lower,
     skew,
     sym,
+    transform_slots,
 )
 
 
@@ -159,3 +160,37 @@ def test_schwarzschild_phi_trace_by_loop():
     up = raise_lower(phi, 0, g)
     trace = sum(up.components[a, a] for a in range(5))
     assert abs(trace) < 1e-12
+
+
+def _transform_slots_loop(arr, M):
+    """Reference: contract M into one slot at a time with tensordot."""
+    out = arr
+    for ax in range(arr.ndim):
+        out = np.moveaxis(np.tensordot(M, out, axes=(1, ax)), 0, ax)
+    return out
+
+
+@pytest.mark.parametrize("rank", range(5))
+@pytest.mark.parametrize("kind", ["square", "complex", "rectangular"])
+def test_transform_slots_matches_slot_loop(rank, kind):
+    rng = np.random.default_rng(10 * rank + len(kind))
+    n = 5
+    M = rng.standard_normal((3 if kind == "rectangular" else n, n))
+    if kind == "complex":
+        M = M + 1j * rng.standard_normal((n, n))
+    arr = rng.standard_normal((n,) * rank)
+    got = transform_slots(arr, M)
+    ref = _transform_slots_loop(arr, M)
+    assert got.shape == ref.shape == (M.shape[0],) * rank
+    assert np.abs(got - ref).max() <= 1e-14 * max(np.abs(ref).max(), 1.0)
+
+
+@pytest.mark.parametrize("n,rank", [(4, 2), (5, 3), (6, 4), (6, 6)])
+def test_swap_kl_rows_matches_per_row(n, rank):
+    from robcls.modules import swap_kl, swap_kl_rows
+
+    # n rows: the row axis has the size of a slot axis, so permuting it by mistake would show
+    rows = np.random.default_rng(n + rank).standard_normal((n, n**rank))
+    per_row = np.array([swap_kl(r.reshape((n,) * rank), n).ravel() for r in rows])
+    assert np.array_equal(swap_kl_rows(rows, n, rank), per_row)
+    assert np.array_equal(swap_kl(swap_kl(rows[0].reshape((n,) * rank), n), n), rows[0].reshape((n,) * rank))
