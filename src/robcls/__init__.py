@@ -9,7 +9,7 @@ diagram verification and a worked-example catalog.
 
 __version__ = "0.1.0"
 
-from .tensor import PointTensor, Tolerance, contract, is_zero, norm, raise_lower, skew, sym
+from .tensor import Tolerance
 from .frames import (
     NullFrame,
     RobinsonStructure,
@@ -42,14 +42,7 @@ from .robclass import (
 from .catalog import ENTRIES, catalog_entries, run_expectations
 
 __all__ = [
-    "PointTensor",
     "Tolerance",
-    "contract",
-    "skew",
-    "sym",
-    "raise_lower",
-    "is_zero",
-    "norm",
     "NullFrame",
     "RobinsonStructure",
     "complete_null_frame",

@@ -40,7 +40,10 @@ def project_F(t: np.ndarray, g: np.ndarray, g_inv: np.ndarray, dim: int) -> np.n
 def project_A(t: np.ndarray, g: np.ndarray, g_inv: np.ndarray, dim: int) -> np.ndarray:
     b = t.ndim - 3
     x = skew_arr(t, (b + 1, b + 2))
-    x = x - skew_arr(x, (b, b + 1, b + 2))
+    # x is skew in its last two slots, so x_[abc] is the cyclic sum (x_abc + x_bca + x_cab) / 3
+    bca = np.transpose(x, (*range(b), b + 2, b, b + 1))
+    cab = np.transpose(x, (*range(b), b + 1, b + 2, b))
+    x = x - (x + bca + cab) / 3.0
     tr = np.einsum("ab,...abc->...c", g_inv, x)
     trace_part = skew_arr(np.einsum("ab,...c->...abc", g, tr), (b + 1, b + 2))
     # g_{a[b} t_{c]} carries trace (dim-1)/2 * t
@@ -51,7 +54,11 @@ def project_riemann(t: np.ndarray) -> np.ndarray:
     b = t.ndim - 4
     r = skew_arr(skew_arr(t, (b, b + 1)), (b + 2, b + 3))
     r = 0.5 * (r + np.transpose(r, (*range(b), b + 2, b + 3, b, b + 1)))
-    return r - skew_arr(r, (b, b + 1, b + 2, b + 3))
+    # r is skew in each pair and pair-symmetric, so r_[abcd] is the cyclic sum
+    # (r_abcd + r_acdb + r_adbc) / 3 over the last three slots
+    acdb = np.transpose(r, (*range(b), b, b + 3, b + 1, b + 2))
+    adbc = np.transpose(r, (*range(b), b, b + 2, b + 3, b + 1))
+    return r - (r + acdb + adbc) / 3.0
 
 
 def ricci_contraction(r: np.ndarray, g_inv: np.ndarray) -> np.ndarray:
@@ -128,15 +135,56 @@ def class_dim(space: str, d: int) -> int:
     raise ValueError(f"unknown space {space!r}")
 
 
-def orthonormal_rows(mat: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """Orthonormal basis of the row space (SVD-based, rank by relative gap)."""
-    if mat.size == 0:
-        return mat.reshape(0, mat.shape[-1])
-    u, s, vt = np.linalg.svd(mat, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return vt[:0]
-    rank = int(np.sum(s > tol * s[0]))
-    return vt[:rank]
+@lru_cache(maxsize=None)
+def component_grades(n: int, rank: int) -> np.ndarray:
+    """Grade #(l-slots) - #(k-slots) of every flattened null-frame component.
+
+    A slot holding index 0 (the k slot) counts -1 and one holding n-1 (the l
+    slot) counts +1.  The frame metric pairs index 0 with n-1, so the class
+    projectors preserve grade.
+    """
+    g1 = np.zeros(n, dtype=int)
+    g1[0], g1[n - 1] = -1, 1
+    total = np.zeros((n,) * rank, dtype=int)
+    for ax in range(rank):
+        total = total + g1.reshape([n if a == ax else 1 for a in range(rank)])
+    out = total.ravel()
+    out.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=None)
+def grade_columns(n: int, rank: int, grade: int) -> np.ndarray:
+    """Flat indices of the null-frame components of one grade."""
+    out = np.flatnonzero(component_grades(n, rank) == grade)
+    out.flags.writeable = False
+    return out
+
+
+def orthonormal_rows(mat: np.ndarray, cols: np.ndarray | None = None, tol: float = 1e-10) -> np.ndarray:
+    """Orthonormal basis of the row space of ``mat`` (real or complex).
+
+    With ``cols`` only those columns are read, and the basis is scattered back
+    into rows of full width that vanish elsewhere: pass a grade's columns for
+    rows supported on that grade.  The rank counts eigenvalues of the Gram
+    matrix P P^H above ``tol`` times the largest; one Cholesky pass then
+    re-orthonormalises the rows (CholeskyQR2), which an eigen-basis alone
+    leaves off by eps times the condition number squared.
+    """
+    block = mat if cols is None else mat[:, cols]
+    q = block[:0]
+    if block.size:
+        w, v = np.linalg.eigh(block @ block.conj().T)
+        keep = w > tol * max(w[-1], 0.0)
+        if keep.any():
+            q = (v[:, keep].conj().T @ block) / np.sqrt(w[keep])[:, None]
+            # the Cholesky factor is within round-off of the identity here
+            q = np.linalg.inv(np.linalg.cholesky(q @ q.conj().T)) @ q
+    if cols is None:
+        return q
+    out = np.zeros((q.shape[0], mat.shape[-1]), dtype=q.dtype)
+    out[:, cols] = q
+    return out
 
 
 def _spanning_seeds(space: str, idx: list[int], n: int):
@@ -172,7 +220,9 @@ def class_basis(space: str, g: np.ndarray, g_inv: np.ndarray, idx: list[int] | N
     """Orthonormal basis (rows, flattened) of the class supported on ``idx``.
 
     ``idx`` defaults to all indices; passing the screen indices of a null
-    frame with the screen metric in ``g`` yields the screen classes.
+    frame with the screen metric in ``g`` yields the screen classes.  ``g``
+    must be the frame metric or the screen metric: the rows are
+    orthonormalised one grade at a time, on that grade's columns.
     """
     n = g.shape[0]
     if idx is None:
@@ -181,8 +231,14 @@ def class_basis(space: str, g: np.ndarray, g_inv: np.ndarray, idx: list[int] | N
     target = class_dim(space, dim)
     if target <= 0:
         return np.zeros((0, n ** RANK[space]))
-    seeds = np.array(_spanning_seeds(space, idx, n)).reshape(-1, n ** RANK[space])
-    basis = orthonormal_rows(project_rows(space, seeds, g, g_inv, dim))
+    rank = RANK[space]
+    seeds = np.array(_spanning_seeds(space, idx, n)).reshape(-1, n**rank)
+    projected = project_rows(space, seeds, g, g_inv, dim)
+    # every seed is one frame component, and the projection keeps its grade
+    seed_grades = component_grades(n, rank)[seeds.argmax(axis=1)]
+    basis = np.vstack(
+        [orthonormal_rows(projected[seed_grades == q], grade_columns(n, rank, q)) for q in np.unique(seed_grades)]
+    )
     if basis.shape[0] != target:
         raise RuntimeError(
             f"class basis {space} dim {dim}: got rank {basis.shape[0]}, expected {target}"

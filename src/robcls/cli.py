@@ -259,7 +259,8 @@ def main(argv=None) -> int:
     c.add_argument(
         "--k",
         default=None,
-        help="comma-separated null direction (contravariant), or a named null line of the entry: K/L (ingoing/outgoing)",
+        help="comma-separated null direction (contravariant), or a named null line of the entry: K/L (ingoing/outgoing); "
+        "write a direction whose first component is negative as --k=-1,...",
     )
     c.add_argument("--search", action="store_true", help="search the null sphere for the best-aligned direction")
     c.add_argument(

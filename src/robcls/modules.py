@@ -28,7 +28,9 @@ import numpy as np
 from .classes import (
     RANK,
     class_dim,
+    component_grades,
     frame_metric,
+    grade_columns,
     orthonormal_rows,
     project_class,
     project_rows,
@@ -136,15 +138,7 @@ def swap_kl_rows(rows: np.ndarray, n: int, rank: int) -> np.ndarray:
 
 def grade_mask(n: int, rank: int, grade: int) -> np.ndarray:
     """Boolean mask over frame components with #(l-slots) - #(k-slots) = grade."""
-    g1 = np.zeros(n)
-    g1[0] = -1.0
-    g1[n - 1] = 1.0
-    total = np.zeros((n,) * rank)
-    for ax in range(rank):
-        shape = [1] * rank
-        shape[ax] = n
-        total = total + g1.reshape(shape)
-    return total == grade
+    return (component_grades(n, rank) == grade).reshape((n,) * rank)
 
 
 # --------------------------------------------------------------------------
@@ -361,16 +355,19 @@ def _skew12(a):
     return skew_arr(a, (1, 2))
 
 
+# The rank-4 helpers below count slots from the end, so leading axes batch.
+
+
 def _skew23(a):
-    return skew_arr(a, (2, 3))
+    return skew_arr(a, (-2, -1))
 
 
 def _skew_pairs(a):
-    return skew_arr(skew_arr(a, (0, 1)), (2, 3))
+    return skew_arr(skew_arr(a, (-4, -3)), (-2, -1))
 
 
 def _pairswap(a):
-    return np.transpose(a, (2, 3, 0, 1))
+    return a.swapaxes(-4, -2).swapaxes(-3, -1)
 
 
 def _emb_G_1_0(n, v):
@@ -551,17 +548,22 @@ def _emb_C03_12(n, psi):
     )
 
 
+# _emb_C03_3 .. _emb_C03_6 take the whole stack of complex parameters z
+# (leading axis) and return the stack of embedded tensors.
+
+
 def _emb_C03_3(n, z):
     mb = np.conj(np.array(_m_vectors(n)))
-    t = np.einsum("ABCD,Aa,Bb,Cc,Dd->abcd", z, mb, mb, mb, mb)
+    t = np.einsum("NABCD,Aa,Bb,Cc,Dd->Nabcd", z, mb, mb, mb, mb, optimize=True)
     return t + np.conj(t)
 
 
 def _emb_C03_4(n, z):
     mv = np.array(_m_vectors(n))
     mb = np.conj(mv)
-    x1 = np.einsum("ABCD,Aa,Bb,Cc,Dd->abcd", z, mb, mb, mv, mv)
-    x3 = _skew_pairs(np.einsum("ACDB,Aa,Bb,Cc,Dd->abcd", z, mb, mv, mb, mv))
+    x1 = np.einsum("NABCD,Aa,Bb,Cc,Dd->Nabcd", z, mb, mb, mv, mv, optimize=True)
+    # z_ACDB mb_A^a mv_B^b mb_C^c mv_D^d is x1 with its slots read as (a, c, d, b)
+    x3 = _skew_pairs(np.transpose(x1, (0, 1, 4, 2, 3)))
     t = x1 + _pairswap(x1) - 2.0 * x3
     return t + np.conj(t)
 
@@ -569,14 +571,14 @@ def _emb_C03_4(n, z):
 def _emb_C03_5(n, z):
     mv = np.array(_m_vectors(n))
     mb = np.conj(mv)
-    t = _skew_pairs(np.einsum("ACDB,Aa,Bb,Cc,Dd->abcd", z, mb, mv, mb, mv))
+    t = _skew_pairs(np.einsum("NACDB,Aa,Bb,Cc,Dd->Nabcd", z, mb, mv, mb, mv, optimize=True))
     return t + np.conj(t)
 
 
 def _emb_C03_6(n, z):
     mv = np.array(_m_vectors(n))
     mb = np.conj(mv)
-    x = _skew23(np.einsum("ABCD,Aa,Bb,Cc,Dd->abcd", z, mb, mb, mb, mv))
+    x = _skew23(np.einsum("NABCD,Aa,Bb,Cc,Dd->Nabcd", z, mb, mb, mb, mv, optimize=True))
     t = x + _pairswap(x)
     return t + np.conj(t)
 
@@ -801,7 +803,7 @@ def _module_rows_sim(space, n, i, j, pm):
                     arr = _pm_project_pair(n, r.reshape((n,) * 4), sgn, (0, 1))
                     arr = _pm_project_pair(n, arr, sgn, (2, 3))
                     rows.append(arr.ravel())
-                return orthonormal_rows(np.array(rows))
+                return orthonormal_rows(np.array(rows), grade_columns(n, 4, 0))
             return base
     raise KeyError((space, n, i, j, pm))
 
@@ -884,23 +886,38 @@ def sim_module_dim(space: str, n: int, i: int, j: int, pm: str | None = None) ->
 
 @lru_cache(maxsize=None)
 def sim_table(space: str, n: int) -> ModuleTable:
+    return _build_table(space, n, "sim")
+
+
+def module_rows(space: str, n: int, key: ModuleKey) -> np.ndarray:
+    """Representative rows spanning a module (refined when ``key.k`` is set), before orthonormalisation."""
+    if key.k is None:
+        rows = _module_rows_sim(space, n, abs(key.i), key.j, key.pm)
+    else:
+        params, emb = _rob_param_lists(space, n, abs(key.i), key.j)
+        rows = _build_rows(n, emb, params.get(key.k, []))
+    return swap_kl_rows(rows, n, RANK[space]) if key.i < 0 else rows
+
+
+def _build_table(space: str, n: int, level: str) -> ModuleTable:
+    """Validate, orthonormalise on the module's grade and rank-check every module of a level."""
+    keys = sim_module_keys(space, n) if level == "sim" else rob_module_keys(space, n)
     entries = []
-    for key in sim_module_keys(space, n):
-        i, j, pm = key.i, key.j, key.pm
-        if i >= 0:
-            rows = _module_rows_sim(space, n, i, j, pm)
-        else:
-            rows = _module_rows_sim(space, n, -i, j, pm)
-            rows = swap_kl_rows(rows, n, RANK[space])
-        _validate_rows(space, n, rows, expect_grade=i)
-        basis = orthonormal_rows(rows)
-        expected = sim_module_dim(space, n, i, j, pm)
+    for key in keys:
+        rows = module_rows(space, n, key)
+        _validate_rows(space, n, rows, expect_grade=key.i)
+        basis = orthonormal_rows(rows, grade_columns(n, RANK[space], key.i))
+        expected = (
+            sim_module_dim(space, n, key.i, key.j, key.pm)
+            if level == "sim"
+            else rob_module_dim(space, n, key.i, key.j, key.k)
+        )
         if basis.shape[0] != expected:
-            raise RuntimeError(f"sim module {key}: dim {basis.shape[0]} != expected {expected}")
-        entries.append(ModuleEntry(key, i, basis))
-    table = ModuleTable(space, n, "sim", entries)
+            raise RuntimeError(f"{level} module {key} (n={n}): dim {basis.shape[0]} != expected {expected}")
+        entries.append(ModuleEntry(key, key.i, basis))
+    table = ModuleTable(space, n, level, entries)
     if table.total_dim != class_dim(space, n):
-        raise RuntimeError(f"sim table {space} n={n}: total {table.total_dim} != {class_dim(space, n)}")
+        raise RuntimeError(f"{level} table {space} n={n}: total {table.total_dim} != {class_dim(space, n)}")
     return table
 
 
@@ -1014,18 +1031,14 @@ def _refined_C03_params(n):
         out[1] = [_emb_C03_12(n, w) for w in form2[1]]
         if m > 3:
             out[2] = [_emb_C03_12(n, w) for w in form2[2]]
-    for z in _cplx_riem_basis(p):
-        for w in _real_pair_complexparam(z):
-            out[3].append(_emb_C03_3(n, w))
-    for z in _cplx_22_tf_basis(p):
-        for w in _real_pair_complexparam(z):
-            out[4].append(_emb_C03_4(n, w))
-    for z in _cplx_22_sym_tf_basis(p):
-        for w in _real_pair_complexparam(z):
-            out[5].append(_emb_C03_5(n, w))
-    for z in _cplx_31_tf_basis(p):
-        for w in _real_pair_complexparam(z):
-            out[6].append(_emb_C03_6(n, w))
+    for k, emb, basis in (
+        (3, _emb_C03_3, _cplx_riem_basis(p)),
+        (4, _emb_C03_4, _cplx_22_tf_basis(p)),
+        (5, _emb_C03_5, _cplx_22_sym_tf_basis(p)),
+        (6, _emb_C03_6, _cplx_31_tf_basis(p)),
+    ):
+        if basis:
+            out[k] = list(emb(n, np.array([w for z in basis for w in _real_pair_complexparam(z)])))
     if eps and m > 2:
         out[7] = [_emb_C03_7(n, v) for v in _vecJ_basis(n)]
         out[8] = [_emb_C03_89(n, s) for s in sym2[0]]
@@ -1198,21 +1211,4 @@ def rob_module_keys(space: str, n: int) -> list[ModuleKey]:
 
 @lru_cache(maxsize=None)
 def rob_table(space: str, n: int) -> ModuleTable:
-    entries = []
-    for key in rob_module_keys(space, n):
-        i, j, k = key.i, key.j, key.k
-        params, emb = _rob_param_lists(space, n, abs(i), j)
-        plist = params.get(k, [])
-        rows = _build_rows(n, emb, plist)
-        if i < 0:
-            rows = swap_kl_rows(rows, n, RANK[space])
-        _validate_rows(space, n, rows, expect_grade=i)
-        basis = orthonormal_rows(rows)
-        expected = rob_module_dim(space, n, i, j, k)
-        if basis.shape[0] != expected:
-            raise RuntimeError(f"rob module {key} (n={n}): dim {basis.shape[0]} != expected {expected}")
-        entries.append(ModuleEntry(key, i, basis))
-    table = ModuleTable(space, n, "rob", entries)
-    if table.total_dim != class_dim(space, n):
-        raise RuntimeError(f"rob table {space} n={n}: total {table.total_dim} != {class_dim(space, n)}")
-    return table
+    return _build_table(space, n, "rob")

@@ -14,10 +14,11 @@ components in its arrow targets; any other nonzero component is a leak.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .classes import RANK, frame_metric, reference_class_basis
+from .classes import RANK, frame_metric, grade_columns, reference_class_basis
 from .frames import NullFrame
 from .graphs import graph_arrows
 from .modules import ModuleKey, rob_module_dim, rob_table, sim_module_dim, sim_table
@@ -33,6 +34,12 @@ def reference_frame(n: int) -> NullFrame:
 def symmetry_basis(space: str, n: int) -> np.ndarray:
     """Orthonormal basis of the symmetry class (frame components, rows)."""
     return reference_class_basis(space, n)
+
+
+@lru_cache(maxsize=None)
+def _symmetry_basis_on_grade(space: str, n: int, grade: int) -> np.ndarray:
+    """``symmetry_basis`` read on the columns of one grade."""
+    return symmetry_basis(space, n)[:, grade_columns(n, RANK[space], grade)]
 
 
 @dataclass
@@ -53,9 +60,10 @@ def computed_module_dim(space: str, n: int, key: ModuleKey, level: str, sigma_to
     """Rank of T -> Pi_key(T) over the symmetry class, via singular values."""
     table = sim_table(space, n) if level == "sim" else rob_table(space, n)
     entry = table.entry(key)
-    basis = symmetry_basis(space, n)
-    # coefficients of each class-basis element in the module
-    coeffs = basis @ entry.basis.T
+    # coefficients of each class-basis element in the module, read on the
+    # module's grade, the only columns where its rows are nonzero
+    cols = grade_columns(n, RANK[space], entry.grade)
+    coeffs = _symmetry_basis_on_grade(space, n, entry.grade) @ entry.basis[:, cols].T
     s = np.linalg.svd(coeffs, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         rank, stable, gap = 0, True, np.inf
@@ -170,7 +178,8 @@ def computed_arrow_set(space: str, n: int, level: str, tol: float = 1e-8) -> set
 
     The action is bilinear in (screen direction, source element), so running
     over basis pairs decides each arrow exactly.  Each source module is
-    lowered as a whole basis and dropped before the next.
+    lowered as a whole basis and dropped before the next; the images are
+    paired with the targets on the target grade's columns only.
     """
     cache_key = (space, n, level)
     if cache_key in _ARROW_CACHE:
@@ -183,8 +192,10 @@ def computed_arrow_set(space: str, n: int, level: str, tol: float = 1e-8) -> set
             continue
         imgs = _lowered_basis(e.basis, n, RANK[space])
         scale = max(np.abs(imgs).max(), 1e-300)
+        cols = grade_columns(n, RANK[space], e.grade - 1)
+        imgs = imgs[:, cols]
         for t in targets:
-            comp = imgs @ t.basis.T
+            comp = imgs @ t.basis[:, cols].T
             if np.abs(comp).max() > tol * scale:
                 out.add((e.key, t.key))
     _ARROW_CACHE[cache_key] = out

@@ -1,14 +1,26 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
 from robcls.classes import (
     RANK,
     _spanning_seeds,
+    class_dim,
+    component_grades,
     frame_metric,
+    grade_columns,
+    metric_wedge_part,
     orthonormal_rows,
+    project_A,
+    project_C,
     project_class,
+    project_riemann,
     project_rows,
     reference_class_basis,
+    screen_class_basis,
+    weyl_trace_part,
 )
 
 SPACES = ("G", "F", "A", "C")
@@ -31,7 +43,151 @@ def test_project_class_batched_matches_per_tensor(space, n):
 @pytest.mark.parametrize("n", range(4, 10))
 @pytest.mark.parametrize("space", SPACES)
 def test_reference_class_basis_matches_per_seed_loop(space, n):
+    """Seeds projected one at a time and orthonormalised grade by grade give the basis bit for bit."""
     eta = frame_metric(n)
     eta_inv = np.linalg.inv(eta)
-    rows = [project_class(space, s, eta, eta_inv, n).ravel() for s in _spanning_seeds(space, list(range(n)), n)]
-    assert np.array_equal(reference_class_basis(space, n), orthonormal_rows(np.array(rows)))
+    rank = RANK[space]
+    seeds = _spanning_seeds(space, list(range(n)), n)
+    rows = np.array([project_class(space, s, eta, eta_inv, n).ravel() for s in seeds])
+    seed_grades = np.array([component_grades(n, rank)[s.argmax()] for s in seeds])
+    per_grade = [orthonormal_rows(rows[seed_grades == q], grade_columns(n, rank, q)) for q in sorted(set(seed_grades))]
+    assert np.array_equal(reference_class_basis(space, n), np.vstack(per_grade))
+
+
+# --- projectors against the full permutation sums -------------------------
+
+
+def _perm_sum(t, slots):
+    """Signed average over every permutation of ``slots``, written out (reference)."""
+    out = np.zeros_like(t)
+    for perm in itertools.permutations(range(len(slots))):
+        axes = list(range(t.ndim))
+        for pos, p in enumerate(perm):
+            axes[slots[pos]] = slots[p]
+        inversions = sum(perm[a] > perm[b] for a in range(len(perm)) for b in range(a + 1, len(perm)))
+        out += (-1) ** inversions * np.transpose(t, axes)
+    return out / math.factorial(len(slots))
+
+
+def _project_riemann_ref(t):
+    b = t.ndim - 4
+    r = _perm_sum(_perm_sum(t, (b, b + 1)), (b + 2, b + 3))
+    r = 0.5 * (r + np.transpose(r, (*range(b), b + 2, b + 3, b, b + 1)))
+    return r - _perm_sum(r, (b, b + 1, b + 2, b + 3))
+
+
+def _project_A_ref(t, g, g_inv, dim):
+    b = t.ndim - 3
+    x = _perm_sum(t, (b + 1, b + 2))
+    x = x - _perm_sum(x, (b, b + 1, b + 2))
+    tr = np.einsum("ab,...abc->...c", g_inv, x)
+    trace_part = _perm_sum(np.einsum("ab,...c->...abc", g, tr), (b + 1, b + 2))
+    return x - (2.0 / (dim - 1)) * trace_part
+
+
+def _project_C_ref(t, g, g_inv, dim):
+    r = _project_riemann_ref(t)
+    rho = np.einsum("ac,...abcd->...bd", g_inv, r)
+    rs = np.einsum("bd,...bd->...", g_inv, rho)
+    phi = rho - (rs / dim)[..., None, None] * g
+    wedge = (2.0 / (dim * (dim - 1))) * rs[..., None, None, None, None] * metric_wedge_part(g)
+    return r - (4.0 / (dim - 2)) * weyl_trace_part(phi, g) - wedge
+
+
+def _random(shape, kind, rng):
+    t = rng.standard_normal(shape)
+    return t + 1j * rng.standard_normal(shape) if kind == "complex" else t
+
+
+@pytest.mark.parametrize("kind", ("real", "complex"))
+@pytest.mark.parametrize("n", range(4, 10))
+def test_projectors_match_full_permutation_sums(n, kind):
+    """The cyclic 3-term sums equal the 24-term and 6-term alternations, with leading batch axes."""
+    rng = np.random.default_rng(n)
+    eta = frame_metric(n)
+    eta_inv = np.linalg.inv(eta)
+    t4 = _random((2, 3) + (n,) * 4, kind, rng)
+    t3 = _random((2, 3) + (n,) * 3, kind, rng)
+    tol4 = 1e-15 * np.linalg.norm(t4)
+    tol3 = 1e-15 * np.linalg.norm(t3)
+    assert np.abs(project_riemann(t4) - _project_riemann_ref(t4)).max() <= tol4
+    assert np.abs(project_C(t4, eta, eta_inv, n) - _project_C_ref(t4, eta, eta_inv, n)).max() <= tol4
+    assert np.abs(project_A(t3, eta, eta_inv, n) - _project_A_ref(t3, eta, eta_inv, n)).max() <= tol3
+
+
+@pytest.mark.parametrize("n", range(4, 10))
+@pytest.mark.parametrize("space", SPACES)
+def test_project_class_idempotent_and_euclidean_symmetric(space, n):
+    """On the frame metric the projectors are Euclidean-orthogonal, so P P^T bases are the class."""
+    rng = np.random.default_rng(7 * n)
+    eta = frame_metric(n)
+    eta_inv = np.linalg.inv(eta)
+    s, t = rng.standard_normal((2,) + (n,) * RANK[space])
+    ps = project_class(space, s, eta, eta_inv, n)
+    pt = project_class(space, t, eta, eta_inv, n)
+    scale = np.linalg.norm(s) * np.linalg.norm(t)
+    assert np.abs(project_class(space, ps, eta, eta_inv, n) - ps).max() <= 1e-14 * np.linalg.norm(s)
+    assert abs(np.vdot(ps, t) - np.vdot(s, pt)) <= 1e-13 * scale
+
+
+# --- the orthonormaliser ---------------------------------------------------
+
+
+def _svd_rows(mat):
+    """Full-SVD row-space basis on the columns where ``mat`` is nonzero (reference)."""
+    cols = np.flatnonzero(np.abs(mat).max(axis=0))
+    _, s, vt = np.linalg.svd(mat[:, cols], full_matrices=False)
+    out = np.zeros((int(np.sum(s > 1e-10 * s[0])), mat.shape[1]), dtype=vt.dtype)
+    out[:, cols] = vt[: out.shape[0]]
+    return out
+
+
+def assert_orthonormal_basis_of(basis, rows, dim):
+    assert basis.shape[0] == dim
+    assert np.abs(basis @ basis.conj().T - np.eye(dim)).max() <= 1e-13
+    ref = _svd_rows(rows)
+    assert ref.shape[0] == dim
+    assert np.abs(basis - basis @ ref.conj().T @ ref).max() <= 1e-13
+
+
+@pytest.mark.parametrize("n", range(4, 10))
+@pytest.mark.parametrize("space", SPACES)
+def test_class_basis_spans_projected_seeds(space, n):
+    eta = frame_metric(n)
+    seeds = np.array(_spanning_seeds(space, list(range(n)), n)).reshape(-1, n ** RANK[space])
+    rows = project_rows(space, seeds, eta, np.linalg.inv(eta), n)
+    assert_orthonormal_basis_of(reference_class_basis(space, n), rows, class_dim(space, n))
+    if n >= 5 and class_dim(space, n - 2) > 0:
+        h = np.diag([0.0] + [1.0] * (n - 2) + [0.0])
+        screen = np.array(_spanning_seeds(space, list(range(1, n - 1)), n)).reshape(-1, n ** RANK[space])
+        rows = project_rows(space, screen, h, h, n - 2)
+        assert_orthonormal_basis_of(screen_class_basis(space, n), rows, class_dim(space, n - 2))
+
+
+def test_orthonormal_rows_complex_rank_deficient():
+    rng = np.random.default_rng(11)
+    base = rng.standard_normal((4, 9)) + 1j * rng.standard_normal((4, 9))
+    rows = np.vstack([base, (1 - 2j) * base[:2], base[1] + 1j * base[3]])
+    basis = orthonormal_rows(rows)
+    assert basis.dtype == complex
+    assert_orthonormal_basis_of(basis, rows, 4)
+    cols = np.array([0, 2, 3, 5, 6, 8])
+    sub = np.zeros_like(rows)
+    sub[:, cols] = rows[:, cols]
+    basis = orthonormal_rows(sub, cols)
+    assert np.abs(basis[:, [1, 4, 7]]).max() == 0.0
+    assert_orthonormal_basis_of(basis, sub, 4)
+    assert orthonormal_rows(np.zeros((3, 5))).shape == (0, 5)
+
+
+@pytest.mark.parametrize("n", range(4, 10))
+@pytest.mark.parametrize("space", SPACES)
+def test_module_bases_span_representative_rows(space, n):
+    from robcls.modules import module_rows, rob_module_dim, rob_table, sim_module_dim, sim_table
+
+    for e in sim_table(space, n).entries:
+        k = e.key
+        assert_orthonormal_basis_of(e.basis, module_rows(space, n, k), sim_module_dim(space, n, k.i, k.j, k.pm))
+    for e in rob_table(space, n).entries:
+        k = e.key
+        assert_orthonormal_basis_of(e.basis, module_rows(space, n, k), rob_module_dim(space, n, k.i, k.j, k.k))

@@ -126,6 +126,16 @@ def test_classify_non_null_k():
     assert code == 2
 
 
+def test_classify_negative_k_needs_equals_form(capsys):
+    """argparse reads a value starting with '-' as an option, so only --k=-1,... passes it."""
+    point = ["classify", "--metric", "minkowski", "--point", "0,0,0,0,0,0"]
+    assert main(point + ["--k=-1,1,0,0,0,0"]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(point + ["--k", "-1,1,0,0,0,0"])
+    assert exc.value.code == 2
+    assert "--k" in capsys.readouterr().err
+
+
 def test_verify_dims_table(tmp_path, capsys):
     out = tmp_path / "dims.md"
     code = main(["verify-dims", "--n", "4..5", "--space", "C", "--level", "sim", "--out", str(out)])

@@ -153,3 +153,45 @@ def test_grade_support():
                     mask = grade_mask(n, RANK[space], e.grade).ravel()
                     for row in e.basis:
                         assert np.linalg.norm(row[~mask]) < 1e-11
+
+
+def test_batched_C03_embeddings_match_per_parameter_formulas():
+    """The stacked C_0^{3,k} embeddings equal the one-parameter formulas (k = 4 has no module below n = 10)."""
+    from robcls.modules import (
+        _emb_C03_3,
+        _emb_C03_4,
+        _emb_C03_5,
+        _emb_C03_6,
+        _m_vectors,
+        _pairswap,
+        _skew23,
+        _skew_pairs,
+    )
+
+    n, p = 9, 3
+    rng = np.random.default_rng(29)
+    z = rng.standard_normal((5,) + (p,) * 4) + 1j * rng.standard_normal((5,) + (p,) * 4)
+    mv = np.array(_m_vectors(n))
+    mb = np.conj(mv)
+
+    def real(t):
+        return t + np.conj(t)
+
+    def emb3(w):
+        return real(np.einsum("ABCD,Aa,Bb,Cc,Dd->abcd", w, mb, mb, mb, mb))
+
+    def emb4(w):
+        x1 = np.einsum("ABCD,Aa,Bb,Cc,Dd->abcd", w, mb, mb, mv, mv)
+        x3 = _skew_pairs(np.einsum("ACDB,Aa,Bb,Cc,Dd->abcd", w, mb, mv, mb, mv))
+        return real(x1 + _pairswap(x1) - 2.0 * x3)
+
+    def emb5(w):
+        return real(_skew_pairs(np.einsum("ACDB,Aa,Bb,Cc,Dd->abcd", w, mb, mv, mb, mv)))
+
+    def emb6(w):
+        x = _skew23(np.einsum("ABCD,Aa,Bb,Cc,Dd->abcd", w, mb, mb, mb, mv))
+        return real(x + _pairswap(x))
+
+    for batched, one in ((_emb_C03_3, emb3), (_emb_C03_4, emb4), (_emb_C03_5, emb5), (_emb_C03_6, emb6)):
+        ref = np.array([one(w) for w in z])
+        assert np.abs(batched(n, z) - ref).max() <= 1e-15 * np.abs(ref).max()
