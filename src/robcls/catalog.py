@@ -43,7 +43,7 @@ from .robclass import (
     special_residual,
 )
 from .simclass import decompose, probe_norms, weyl_type_at_frame, weyl_type_search
-from .tensor import transform_slots
+from .tensor import skew_arr, transform_slots
 
 
 def _c(v):
@@ -964,8 +964,6 @@ def iwasawa_quoted_combos(pt):
 
 def iwasawa_quoted_weyl(pt):
     """The Weyl tensor assembled from the quoted block combination."""
-    from robcls.tensor import skew_arr
-
     combos = iwasawa_quoted_combos(pt)
     NU, BE, MU, AL = combos["nu"], combos["beta"], combos["mu"], combos["alpha"]
     skewp = lambda x: skew_arr(skew_arr(x, (0, 1)), (2, 3))

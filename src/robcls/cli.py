@@ -117,6 +117,12 @@ def cmd_classify(args) -> int:
                 except ValueError:
                     print("malformed k", file=sys.stderr)
                     return 2
+                if kvec.shape != (cp.g.shape[0],):
+                    print(f"--k must have {cp.g.shape[0]} components, got {kvec.size} in '{args.k}'", file=sys.stderr)
+                    return 2
+                if not np.isfinite(kvec).all():
+                    print(f"--k components must be finite, got '{args.k}'", file=sys.stderr)
+                    return 2
             if abs(kvec @ cp.g @ kvec) > 1e-6 * np.abs(cp.g).max() * (kvec @ kvec):
                 print("k is not null", file=sys.stderr)
                 return 2

@@ -15,14 +15,14 @@ lives in the frame vectors, not in the J matrix.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 
+from .classes import frame_metric
 from .modules import n_to_m_eps
-from .tensor import transform_slots
+from .tensor import levi_civita, skew_arr, transform_slots
 
 
 class FrameError(ValueError):
@@ -244,8 +244,6 @@ class RobinsonStructure:
 
 @lru_cache(maxsize=None)
 def _reference_orientation_phase(n: int) -> complex:
-    from .classes import frame_metric
-
     eta = frame_metric(n)
     frame = NullFrame(eta, np.eye(n)[0], np.eye(n)[n - 1], tuple(np.eye(n)[1 : n - 1]))
     return _orientation_det(frame, eta)
@@ -294,21 +292,19 @@ def hodge_relation_residuals(N: "RobinsonStructure") -> dict:
     """
     g = N.frame.g
     n = N.n
+    if n not in (4, 5):
+        return {}
     forms = robinson_forms(N)
     eps = volume_form(g)
-    g_inv = np.linalg.inv(g)
-    rho_up = transform_slots(forms.rho, g_inv)
+    rho_up = transform_slots(forms.rho, np.linalg.inv(g))
     s = structure_sign(N)
-    out = {}
     if n == 4:
         dual = (1.0 / 6.0) * np.einsum("abcd,bcd->a", eps, rho_up)
         kb = g @ N.frame.k
-        out["k_from_rho"] = float(np.abs(dual + s * kb).max() / max(np.abs(kb).max(), 1e-300))
-    elif n == 5:
-        dual = (1.0 / 6.0) * np.einsum("abcde,cde->ab", eps, rho_up)
-        mu = forms.mu
-        out["mu_from_rho"] = float(np.abs(dual + s * mu).max() / max(np.abs(mu).max(), 1e-300))
-    return out
+        return {"k_from_rho": float(np.abs(dual + s * kb).max() / max(np.abs(kb).max(), 1e-300))}
+    dual = (1.0 / 6.0) * np.einsum("abcde,cde->ab", eps, rho_up)
+    mu = forms.mu
+    return {"mu_from_rho": float(np.abs(dual + s * mu).max() / max(np.abs(mu).max(), 1e-300))}
 
 
 def build_robinson(frame: NullFrame, J_spec, u_index: int | None = None) -> RobinsonStructure:
@@ -522,8 +518,6 @@ def robinson_form_residuals(N: RobinsonStructure) -> dict:
     lhs = np.einsum("ef,eab,fcd->abcd", g_inv, _raise2(rho, g_inv), rho)
     k_up = N.frame.k
     kdelta = np.einsum("a,c,bd->abcd", k_up, kb, np.eye(N.n))
-    from .tensor import skew_arr
-
     rhs = 4.0 * skew_arr(skew_arr(kdelta, (0, 1)), (2, 3))
     if eps:
         mu = forms.mu
@@ -542,19 +536,6 @@ def robinson_form_residuals(N: RobinsonStructure) -> dict:
 def _raise2(rho: np.ndarray, g_inv: np.ndarray) -> np.ndarray:
     """rho_e^{ab}: raise the last two slots."""
     return np.einsum("eab,ax,by->exy", rho, g_inv, g_inv)
-
-
-def levi_civita(n: int) -> np.ndarray:
-    eps = np.zeros((n,) * n)
-    for perm in itertools.permutations(range(n)):
-        sign = 1
-        p = list(perm)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if p[i] > p[j]:
-                    sign = -sign
-        eps[perm] = sign
-    return eps
 
 
 def volume_form(g: np.ndarray) -> np.ndarray:

@@ -8,6 +8,12 @@ null-frame components.  Subspaces are generated from representative
 formulas: a linear embedding of a small parameter space (screen vectors,
 screen 2-forms, ... complex screen tensors) into the full class.
 
+One registry, ``_MODULES``, declares each module (i, j) with i >= 0 once:
+its embedding and its parameter space.  A parameter space supplies both
+levels (its sim parameters and closed-form dimension, its refined
+parameters and closed-form dimensions by k), so the sim and rob tables,
+keys and dimensions are all read off the same rows.
+
 Conventions (fixed throughout the package):
   frame slot order   (k, e_1, ..., e_{n-2}, l),  g(k,l) = 1, g(e_i,e_j) = d_ij
   grade of a frame component = #(l-slots) - #(k-slots); k has grade +1
@@ -19,9 +25,9 @@ Negative-grade modules are the k <-> l swap of the positive-grade ones.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
@@ -33,10 +39,11 @@ from .classes import (
     grade_columns,
     orthonormal_rows,
     project_class,
+    project_riemann,
     project_rows,
     screen_class_basis,
 )
-from .tensor import skew_arr
+from .tensor import levi_civita, skew_arr
 
 
 # --------------------------------------------------------------------------
@@ -110,12 +117,6 @@ def _omega0(n):
     return w
 
 
-def _J0(n):
-    # J_a^b with V^a J_a^b = i V^b on (1,0) vectors; equals omega with
-    # screen indices raised by the identity.
-    return _omega0(n)
-
-
 def _H(n):
     m, eps = n_to_m_eps(n)
     H = _h(n).copy()
@@ -144,10 +145,6 @@ def grade_mask(n: int, rank: int, grade: int) -> np.ndarray:
 # --------------------------------------------------------------------------
 # small parameter spaces on the screen
 # --------------------------------------------------------------------------
-
-
-def _vec_basis(n):
-    return _screen_vecs(n)
 
 
 def _vecJ_basis(n):
@@ -280,8 +277,6 @@ def _cplx_symvec_tf_basis(p):
 
 def _cplx_riem_basis(p):
     """Psi_{[AB][CD]} with Psi_{[ABC]D} = 0 on C^p (no trace condition)."""
-    from .classes import project_riemann
-
     seeds = []
     pairs = [(a, b) for a in range(p) for b in range(a + 1, p)]
     for s, (a, b) in enumerate(pairs):
@@ -470,9 +465,9 @@ def _real_pair(x):
 
 
 def _emb_A02_0(n, v):
-    w, H, J = _omega0(n), _H(n), _J0(n)
+    w, H = _omega0(n), _H(n)
     m = n // 2
-    jv = J @ v  # (J A)_c = J_c^d A_d
+    jv = w @ v  # (J A)_c = J_c^d A_d, J being omega with screen indices raised
     return (
         np.einsum("a,bc->abc", v, w)
         - _skew12(np.einsum("b,ca->abc", v, w))
@@ -536,9 +531,9 @@ def _emb_C03_0(n, _):
 
 
 def _emb_C03_12(n, psi):
-    w, H, J = _omega0(n), _H(n), _J0(n)
+    w, H = _omega0(n), _H(n)
     m = n // 2
-    jpsi = np.einsum("de,be->db", J, psi)  # J_d^e Psi_be
+    jpsi = np.einsum("de,be->db", w, psi)  # J_d^e Psi_be
     t3 = _skew_pairs(np.einsum("ac,db->abcd", H, jpsi))
     return (
         np.einsum("ab,cd->abcd", w, psi)
@@ -584,9 +579,9 @@ def _emb_C03_6(n, z):
 
 
 def _emb_C03_7(n, v):
-    w, H, J, u = _omega0(n), _H(n), _J0(n), _u(n)
+    w, H, u = _omega0(n), _H(n), _u(n)
     m = n // 2
-    jv = J @ v
+    jv = w @ v
     t1 = _skew23(np.einsum("ab,c,d->abcd", w, v, u))
     t2 = _skew01(np.einsum("a,b,cd->abcd", v, u, w))
     t3 = _skew_pairs(np.einsum("ac,d,b->abcd", w, v, u))
@@ -611,7 +606,7 @@ def _emb_C03_10_12(n, psi):
 
 
 # --------------------------------------------------------------------------
-# module registry
+# module keys and tables
 # --------------------------------------------------------------------------
 
 
@@ -651,8 +646,10 @@ class ModuleTable:
     entries: list[ModuleEntry]
     stacked: np.ndarray = field(init=False, repr=False)
     slices: dict = field(init=False, repr=False)
+    _by_key: dict = field(init=False, repr=False)
 
     def __post_init__(self):
+        self._by_key = {e.key: e for e in self.entries}
         rows, self.slices, pos = [], {}, 0
         for e in self.entries:
             rows.append(e.basis)
@@ -670,10 +667,10 @@ class ModuleTable:
         return self.stacked @ frame_flat
 
     def entry(self, key: ModuleKey) -> ModuleEntry:
-        for e in self.entries:
-            if e.key == key:
-                return e
-        raise KeyError(str(key))
+        e = self._by_key.get(key)
+        if e is None:
+            raise KeyError(str(key))
+        return e
 
     @property
     def total_dim(self) -> int:
@@ -683,14 +680,7 @@ class ModuleTable:
 def _screen_hodge_eps(n):
     """Levi-Civita on the 4-dimensional screen (n = 6), frame slots 1..4."""
     eps = np.zeros((n,) * 4)
-    for perm in itertools.permutations(range(1, 5)):
-        sign = 1
-        p = list(perm)
-        for i in range(4):
-            for j in range(i + 1, 4):
-                if p[i] > p[j]:
-                    sign = -sign
-        eps[perm] = sign
+    eps[1:5, 1:5, 1:5, 1:5] = levi_civita(4)
     return eps
 
 
@@ -710,233 +700,27 @@ def _pm_project_pair(n, arr, sign, axes):
     return np.moveaxis(0.5 * (moved + sign * dual), (0, 1), axes)
 
 
-def _build_rows(n, embed_fn, params):
-    rows = []
-    for p in params:
-        t = embed_fn(n, p)
-        t = np.real_if_close(t, tol=1e6)
-        if np.iscomplexobj(t):
-            if np.abs(t.imag).max() > 1e-9 * max(np.abs(t.real).max(), 1e-30):
-                raise RuntimeError("representative embedding produced a complex tensor")
-            t = t.real
-        rows.append(np.asarray(t, dtype=float).ravel())
-    return np.array(rows) if rows else np.zeros((0, n ** 0))
+def _pm_split_A2(n, psis, sign):
+    h = _h(n)
+    return [project_class("A", _pm_project_pair(n, a, sign, (1, 2)), h, h, n - 2) for a in psis]
 
 
-def _module_rows_sim(space, n, i, j, pm):
-    """Raw representative rows for sim module (i, j[, pm]) with i >= 0."""
-    m, eps = n_to_m_eps(n)
-    if space == "G":
-        if (i, j) == (1, 0):
-            return _build_rows(n, _emb_G_1_0, _vec_basis(n))
-        if (i, j) == (0, 0):
-            return np.array([_E(n).ravel()])
-        if (i, j) == (0, 1):
-            forms = _form2_basis(n)
-            if pm:
-                forms = _pm_split_form2(n, forms, +1 if pm == "+" else -1)
-            return np.array([w.ravel() for w in forms])
-    if space == "F":
-        if (i, j) == (2, 0):
-            return _build_rows(n, _emb_F_2_0, [None])
-        if (i, j) == (1, 0):
-            return _build_rows(n, _emb_F_1_0, _vec_basis(n))
-        if (i, j) == (0, 0):
-            return _build_rows(n, _emb_F_0_0, [None])
-        if (i, j) == (0, 1):
-            return np.array([s.ravel() for s in _sym2tf_basis(n)])
-    if space == "A":
-        if (i, j) == (2, 0):
-            return _build_rows(n, _emb_A_2_0, _vec_basis(n))
-        if (i, j) == (1, 0):
-            return _build_rows(n, _emb_A_1_0, [None])
-        if (i, j) == (1, 1):
-            forms = _form2_basis(n)
-            if pm:
-                forms = _pm_split_form2(n, forms, +1 if pm == "+" else -1)
-            return _build_rows(n, _emb_A_1_1, forms)
-        if (i, j) == (1, 2):
-            return _build_rows(n, _emb_A_1_2, _sym2tf_basis(n))
-        if (i, j) == (0, 0):
-            return _build_rows(n, _emb_A_0_0, _vec_basis(n))
-        if (i, j) == (0, 1):
-            return _build_rows(n, _emb_A_0_1, _vec_basis(n))
-        if (i, j) == (0, 2):
-            base = screen_class_basis("A", n)
-            if pm:
-                sgn = +1 if pm == "+" else -1
-                rows = []
-                h = _h(n)
-                for r in base:
-                    arr = _pm_project_pair(n, r.reshape((n,) * 3), sgn, (1, 2))
-                    arr = project_class("A", arr, h, h, n - 2)
-                    rows.append(arr.ravel())
-                return np.array(rows)
-            return base
-    if space == "C":
-        if (i, j) == (2, 0):
-            return _build_rows(n, _emb_C_2_0, _sym2tf_basis(n))
-        if (i, j) == (1, 0):
-            return _build_rows(n, _emb_C_1_0, _vec_basis(n))
-        if (i, j) == (1, 1):
-            if pm:
-                rows = _module_rows_sim("A", n, 0, 2, pm)
-            else:
-                rows = screen_class_basis("A", n)
-            psis = [r.reshape((n,) * 3) for r in rows]
-            return _build_rows(n, _emb_C_1_1, psis)
-        if (i, j) == (0, 0):
-            return _build_rows(n, _emb_C_0_0, [None])
-        if (i, j) == (0, 1):
-            forms = _form2_basis(n)
-            if pm:
-                forms = _pm_split_form2(n, forms, +1 if pm == "+" else -1)
-            return _build_rows(n, _emb_C_0_1, forms)
-        if (i, j) == (0, 2):
-            return _build_rows(n, _emb_C_0_2, _sym2tf_basis(n))
-        if (i, j) == (0, 3):
-            base = screen_class_basis("C", n)
-            if pm:
-                sgn = +1 if pm == "+" else -1
-                rows = []
-                for r in base:
-                    arr = _pm_project_pair(n, r.reshape((n,) * 4), sgn, (0, 1))
-                    arr = _pm_project_pair(n, arr, sgn, (2, 3))
-                    rows.append(arr.ravel())
-                return orthonormal_rows(np.array(rows), grade_columns(n, 4, 0))
-            return base
-    raise KeyError((space, n, i, j, pm))
+def _pm_split_C3(n, psis, sign):
+    rows = [_pm_project_pair(n, _pm_project_pair(n, c, sign, (0, 1)), sign, (2, 3)).ravel() for c in psis]
+    return list(orthonormal_rows(np.array(rows), grade_columns(n, 4, 0)).reshape((-1,) + (n,) * 4))
 
 
-# sim-level module lists -----------------------------------------------------
+def _screen_class_params(space):
+    """Sim parameters of a screen class: its basis tensors on the screen slots."""
 
+    def params(n):
+        return list(screen_class_basis(space, n).reshape((-1,) + (n,) * RANK[space]))
 
-def sim_module_keys(space: str, n: int) -> list[ModuleKey]:
-    m, eps = n_to_m_eps(n)
-    six = n == 6
-    keys: list[tuple[int, int, str | None]] = []
-    if space == "G":
-        keys = [(1, 0, None), (0, 0, None)]
-        keys += [(0, 1, "+"), (0, 1, "-")] if six else [(0, 1, None)]
-        keys += [(-1, 0, None)]
-    elif space == "F":
-        keys = [(2, 0, None), (1, 0, None), (0, 0, None), (0, 1, None), (-1, 0, None), (-2, 0, None)]
-    elif space == "A":
-        keys = [(2, 0, None), (1, 0, None)]
-        keys += [(1, 1, "+"), (1, 1, "-")] if six else [(1, 1, None)]
-        keys += [(1, 2, None), (0, 0, None), (0, 1, None)]
-        keys += [(0, 2, "+"), (0, 2, "-")] if six else [(0, 2, None)]
-        keys += [(-1, 0, None)]
-        keys += [(-1, 1, "+"), (-1, 1, "-")] if six else [(-1, 1, None)]
-        keys += [(-1, 2, None), (-2, 0, None)]
-    elif space == "C":
-        keys = [(2, 0, None), (1, 0, None)]
-        keys += [(1, 1, "+"), (1, 1, "-")] if six else [(1, 1, None)]
-        keys += [(0, 0, None)]
-        keys += [(0, 1, "+"), (0, 1, "-")] if six else [(0, 1, None)]
-        keys += [(0, 2, None)]
-        keys += [(0, 3, "+"), (0, 3, "-")] if six else [(0, 3, None)]
-        keys += [(-1, 0, None)]
-        keys += [(-1, 1, "+"), (-1, 1, "-")] if six else [(-1, 1, None)]
-        keys += [(-2, 0, None)]
-    out = []
-    for (i, j, pm) in keys:
-        if sim_module_dim(space, n, i, j, pm) > 0:
-            out.append(ModuleKey(space, i, j, None, pm))
-    return out
-
-
-def sim_module_dim(space: str, n: int, i: int, j: int, pm: str | None = None) -> int:
-    """Dimension of the sim module from the closed-form tables (0 if absent)."""
-    d = n - 2
-    half = {"+": True, "-": True}
-    base: int
-    if space == "G":
-        base = {(1, 0): d, (0, 0): 1, (0, 1): d * (d - 1) // 2, (-1, 0): d}.get((i, j), 0)
-    elif space == "F":
-        base = {(2, 0): 1, (1, 0): d, (0, 0): 1, (0, 1): d * (d + 1) // 2 - 1, (-1, 0): d, (-2, 0): 1}.get((i, j), 0)
-    elif space == "A":
-        base = {
-            (2, 0): d,
-            (1, 0): 1,
-            (1, 1): d * (d - 1) // 2,
-            (1, 2): d * (d + 1) // 2 - 1,
-            (0, 0): d,
-            (0, 1): d,
-            (0, 2): max(class_dim("A", d), 0),
-        }.get((abs(i), j), 0)
-    elif space == "C":
-        if (abs(i), j) == (0, 2) and n == 4:
-            return 0  # dagger: only for n > 4
-        base = {
-            (2, 0): d * (d + 1) // 2 - 1,
-            (1, 0): d,
-            (1, 1): max(class_dim("A", d), 0),
-            (0, 0): 1,
-            (0, 1): d * (d - 1) // 2,
-            (0, 2): d * (d + 1) // 2 - 1,
-            (0, 3): max(class_dim("C", d), 0),
-        }.get((abs(i), j), 0)
-    else:
-        raise ValueError(space)
-    if pm in half:
-        base //= 2
-    return max(base, 0)
-
-
-@lru_cache(maxsize=None)
-def sim_table(space: str, n: int) -> ModuleTable:
-    return _build_table(space, n, "sim")
-
-
-def module_rows(space: str, n: int, key: ModuleKey) -> np.ndarray:
-    """Representative rows spanning a module (refined when ``key.k`` is set), before orthonormalisation."""
-    if key.k is None:
-        rows = _module_rows_sim(space, n, abs(key.i), key.j, key.pm)
-    else:
-        params, emb = _rob_param_lists(space, n, abs(key.i), key.j)
-        rows = _build_rows(n, emb, params.get(key.k, []))
-    return swap_kl_rows(rows, n, RANK[space]) if key.i < 0 else rows
-
-
-def _build_table(space: str, n: int, level: str) -> ModuleTable:
-    """Validate, orthonormalise on the module's grade and rank-check every module of a level."""
-    keys = sim_module_keys(space, n) if level == "sim" else rob_module_keys(space, n)
-    entries = []
-    for key in keys:
-        rows = module_rows(space, n, key)
-        _validate_rows(space, n, rows, expect_grade=key.i)
-        basis = orthonormal_rows(rows, grade_columns(n, RANK[space], key.i))
-        expected = (
-            sim_module_dim(space, n, key.i, key.j, key.pm)
-            if level == "sim"
-            else rob_module_dim(space, n, key.i, key.j, key.k)
-        )
-        if basis.shape[0] != expected:
-            raise RuntimeError(f"{level} module {key} (n={n}): dim {basis.shape[0]} != expected {expected}")
-        entries.append(ModuleEntry(key, key.i, basis))
-    table = ModuleTable(space, n, level, entries)
-    if table.total_dim != class_dim(space, n):
-        raise RuntimeError(f"{level} table {space} n={n}: total {table.total_dim} != {class_dim(space, n)}")
-    return table
-
-
-def _validate_rows(space, n, rows, expect_grade):
-    if rows.shape[0] == 0:
-        return
-    eta = frame_metric(n)
-    eta_inv = np.linalg.inv(eta)
-    mask = grade_mask(n, RANK[space], expect_grade).ravel()
-    for r, proj in zip(rows, project_rows(space, rows, eta, eta_inv, n)):
-        nr = np.linalg.norm(r)
-        if np.linalg.norm(proj - r) > 1e-9 * max(nr, 1e-30):
-            raise RuntimeError(f"representative not in class {space} (n={n}, grade {expect_grade})")
-        if np.linalg.norm(r[~mask]) > 1e-10 * max(nr, 1e-30):
-            raise RuntimeError(f"representative has off-grade support ({space}, n={n}, grade {expect_grade})")
+    return params
 
 
 # --------------------------------------------------------------------------
-# refined (Robinson) module registry
+# refined screen parameter spaces (Robinson stabiliser)
 # --------------------------------------------------------------------------
 
 
@@ -1049,36 +833,47 @@ def _refined_C03_params(n):
     return {k: [np.real(np.real_if_close(v, tol=1e8)) for v in vs] for k, vs in out.items()}
 
 
+
 def _refined_vec_params(n):
-    m, eps = n_to_m_eps(n)
     out = {0: _vecJ_basis(n)}
-    if eps:
+    if n % 2:
         out[1] = [_u(n)]
     return out
 
 
-def rob_module_dim(space: str, n: int, i: int, j: int, k: int) -> int:
-    """Closed-form dimensions of the refined modules (0 when absent)."""
-    m, eps = n_to_m_eps(n)
-    ai = abs(i)
+# closed-form dimensions of the refined pieces, k -> dim, from m = n // 2 and
+# eps = n % 2 (negative values are read as absent)
 
-    table: dict[tuple[str, int, int, int], int] = {}
-    vdim = {0: 2 * m - 2, 1: eps * 1}
-    g1dim = {0: 1, 1: (m - 1) * (m - 2), 2: m * (m - 2), 3: eps * (2 * m - 2)}
-    f1dim = {0: m * (m - 2), 1: m * (m - 1), 2: eps * 1, 3: eps * (2 * m - 2)}
-    a2dim = {
+
+def _vec_dims(m, eps):
+    return {0: 2 * m - 2, 1: eps}
+
+
+def _form2_dims(m, eps):
+    return {0: 1, 1: (m - 1) * (m - 2), 2: m * (m - 2), 3: eps * (2 * m - 2)}
+
+
+def _sym2_dims(m, eps):
+    return {0: m * (m - 2), 1: m * (m - 1), 2: eps, 3: eps * (2 * m - 2)}
+
+
+def _A2_dims(m, eps):
+    return {
         0: (2 * m - 2) if m > 2 else 0,
         1: 2 * m * (m - 1) * (m - 2) // 3,
         2: m * (m - 1) * (m - 3),
         3: (m + 1) * (m - 1) * (m - 2),
-        4: eps * 1,
+        4: eps,
         5: eps * (2 * m - 2),
         6: eps * (m - 1) * (m - 2),
         7: eps * m * (m - 2),
         8: eps * m * (m - 2),
         9: eps * m * (m - 1),
     }
-    c3dim = {
+
+
+def _C3_dims(m, eps):
+    return {
         0: 1 if m > 2 else 0,
         1: (m - 1) * (m - 2),
         2: m * (m - 2) if m > 3 else 0,
@@ -1093,122 +888,215 @@ def rob_module_dim(space: str, n: int, i: int, j: int, k: int) -> int:
         11: eps * m * (m - 1) * (m - 3),
         12: eps * (m + 1) * (m - 1) * (m - 2),
     }
-    if space == "G":
-        dims = {(1, 0): vdim, (0, 0): {0: 1}, (0, 1): g1dim}.get((ai, j), {})
-    elif space == "F":
-        dims = {(2, 0): {0: 1}, (1, 0): vdim, (0, 0): {0: 1}, (0, 1): f1dim}.get((ai, j), {})
-    elif space == "A":
-        dims = {
-            (2, 0): vdim,
-            (1, 0): {0: 1},
-            (1, 1): {0: g1dim[1], 1: g1dim[2], 2: g1dim[0], 3: g1dim[3]},
-            (1, 2): {0: f1dim[1], 1: f1dim[0], 2: f1dim[2], 3: f1dim[3]},
-            (0, 0): vdim,
-            (0, 1): vdim,
-            (0, 2): a2dim,
-        }.get((ai, j), {})
-    elif space == "C":
-        c11dim = dict(a2dim)
-        if m <= 2:
-            c11dim[0] = 0
-        dims = {
-            (2, 0): f1dim,
-            (1, 0): vdim,
-            (1, 1): c11dim,
-            (0, 0): {0: 1},
-            (0, 1): g1dim,
-            (0, 2): f1dim,
-            (0, 3): c3dim,
-        }.get((ai, j), {})
-    else:
-        raise ValueError(space)
-    val = dims.get(k, 0)
-    # a refined module cannot outlive its sim parent
-    if sim_module_dim(space if space != "G" else "G", n, i, j) <= 0:
-        return 0
-    return max(val, 0)
 
 
-def _rob_param_lists(space, n, i, j):
-    """(k -> parameter list, embedding fn) for grade >= 0 refined modules."""
-    m, eps = n_to_m_eps(n)
-    vecs = _refined_vec_params(n)
-    form2 = _refined_form2_params(n)
-    sym2 = _refined_sym2_params(n)
+# --------------------------------------------------------------------------
+# module registry
+# --------------------------------------------------------------------------
 
-    if space == "G":
-        if (i, j) == (1, 0):
-            return vecs, _emb_G_1_0
-        if (i, j) == (0, 0):
-            return {0: [None]}, lambda nn, _: _E(nn)
-        if (i, j) == (0, 1):
-            return form2, lambda nn, w: w
-    if space == "F":
-        if (i, j) == (2, 0):
-            return {0: [None]}, _emb_F_2_0
-        if (i, j) == (1, 0):
-            return vecs, _emb_F_1_0
-        if (i, j) == (0, 0):
-            return {0: [None]}, _emb_F_0_0
-        if (i, j) == (0, 1):
-            return sym2, lambda nn, s: s
-    if space == "A":
-        if (i, j) == (2, 0):
-            return vecs, _emb_A_2_0
-        if (i, j) == (1, 0):
-            return {0: [None]}, _emb_A_1_0
-        if (i, j) == (1, 1):
-            remap = {0: form2[1], 1: form2[2], 2: form2[0], 3: form2.get(3, [])}
-            return remap, _emb_A_1_1
-        if (i, j) == (1, 2):
-            remap = {0: sym2[1], 1: sym2[0], 2: sym2.get(2, []), 3: sym2.get(3, [])}
-            return remap, _emb_A_1_2
-        if (i, j) == (0, 0):
-            return vecs, _emb_A_0_0
-        if (i, j) == (0, 1):
-            return vecs, _emb_A_0_1
-        if (i, j) == (0, 2):
-            return _refined_A02_params(n), lambda nn, a: a
-    if space == "C":
-        if (i, j) == (2, 0):
-            return sym2, _emb_C_2_0
-        if (i, j) == (1, 0):
-            return vecs, _emb_C_1_0
-        if (i, j) == (1, 1):
-            params = dict(_refined_A02_params(n))
-            if m <= 2:
-                params[0] = []
-            return params, _emb_C_1_1
-        if (i, j) == (0, 0):
-            return {0: [None]}, _emb_C_0_0
-        if (i, j) == (0, 1):
-            return form2, _emb_C_0_1
-        if (i, j) == (0, 2):
-            return sym2, _emb_C_0_2
-        if (i, j) == (0, 3):
-            return _refined_C03_params(n), lambda nn, c: c
-    raise KeyError((space, i, j))
+
+@dataclass(frozen=True)
+class _ParamSpace:
+    """A screen parameter space, at both levels.
+
+    ``sim_dim`` and ``refined_dims`` are closed forms, independent of the
+    parameter lists: they are what the numerical ranks are checked against.
+    """
+
+    sim_params: Callable  # n -> parameter list
+    sim_dim: Callable  # d = n - 2 -> dimension
+    refined_params: Callable  # n -> {k: parameter list}
+    refined_dims: Callable  # (m, eps) -> {k: dimension}
+    pm_split: Callable | None = None  # (n, params, +-1) -> the n = 6 self-dual half
+
+
+_NONE = _ParamSpace(lambda n: [None], lambda d: 1, lambda n: {0: [None]}, lambda m, eps: {0: 1})
+_VEC = _ParamSpace(_screen_vecs, lambda d: d, _refined_vec_params, _vec_dims)
+_FORM2 = _ParamSpace(_form2_basis, lambda d: d * (d - 1) // 2, _refined_form2_params, _form2_dims, _pm_split_form2)
+_SYM2 = _ParamSpace(_sym2tf_basis, lambda d: d * (d + 1) // 2 - 1, _refined_sym2_params, _sym2_dims)
+_A2 = _ParamSpace(_screen_class_params("A"), lambda d: class_dim("A", d), _refined_A02_params, _A2_dims, _pm_split_A2)
+_C3 = _ParamSpace(_screen_class_params("C"), lambda d: class_dim("C", d), _refined_C03_params, _C3_dims, _pm_split_C3)
+
+
+def _identity(n, t):
+    return t
+
+
+def _emb_G_0_0(n, _):
+    return _E(n)
+
+
+@dataclass(frozen=True)
+class _Module:
+    """Module (i, j) with i >= 0: the embedding of its parameter space."""
+
+    i: int
+    j: int
+    embed: Callable  # (n, parameter) -> frame components
+    params: _ParamSpace
+    remap: tuple | None = None  # refined k -> k of the parameter space
+
+
+# every module of grade >= 0 of each space, in table order; grade -i (i > 0)
+# is the k <-> l swap of the grade-i rows and follows grade 0
+_MODULES = {
+    "G": (
+        _Module(1, 0, _emb_G_1_0, _VEC),
+        _Module(0, 0, _emb_G_0_0, _NONE),
+        _Module(0, 1, _identity, _FORM2),
+    ),
+    "F": (
+        _Module(2, 0, _emb_F_2_0, _NONE),
+        _Module(1, 0, _emb_F_1_0, _VEC),
+        _Module(0, 0, _emb_F_0_0, _NONE),
+        _Module(0, 1, _identity, _SYM2),
+    ),
+    "A": (
+        _Module(2, 0, _emb_A_2_0, _VEC),
+        _Module(1, 0, _emb_A_1_0, _NONE),
+        _Module(1, 1, _emb_A_1_1, _FORM2, remap=(1, 2, 0, 3)),
+        _Module(1, 2, _emb_A_1_2, _SYM2, remap=(1, 0, 2, 3)),
+        _Module(0, 0, _emb_A_0_0, _VEC),
+        _Module(0, 1, _emb_A_0_1, _VEC),
+        _Module(0, 2, _identity, _A2),
+    ),
+    "C": (
+        _Module(2, 0, _emb_C_2_0, _SYM2),
+        _Module(1, 0, _emb_C_1_0, _VEC),
+        _Module(1, 1, _emb_C_1_1, _A2),
+        _Module(0, 0, _emb_C_0_0, _NONE),
+        _Module(0, 1, _emb_C_0_1, _FORM2),
+        _Module(0, 2, _emb_C_0_2, _SYM2),
+        _Module(0, 3, _identity, _C3),
+    ),
+}
+_BY_LABEL = {(space, mod.i, mod.j): mod for space, mods in _MODULES.items() for mod in mods}
+
+
+def _labels(space: str) -> list[tuple[int, int, _Module]]:
+    """(i, j, module) of every module of a space, grade +2 down to -2."""
+    mods = _MODULES[space]
+    return [(mod.i, mod.j, mod) for mod in mods] + [(-g, mod.j, mod) for g in (1, 2) for mod in mods if mod.i == g]
+
+
+def sim_module_keys(space: str, n: int) -> list[ModuleKey]:
+    keys = []
+    for i, j, mod in _labels(space):
+        for pm in ("+", "-") if n == 6 and mod.params.pm_split else (None,):
+            if sim_module_dim(space, n, i, j, pm) > 0:
+                keys.append(ModuleKey(space, i, j, None, pm))
+    return keys
 
 
 def rob_module_keys(space: str, n: int) -> list[ModuleKey]:
-    keys = []
-    sim_keys = []
     # refined tables never use the n = 6 pm splits
-    if space == "G":
-        sim_keys = [(1, 0), (0, 0), (0, 1), (-1, 0)]
-    elif space == "F":
-        sim_keys = [(2, 0), (1, 0), (0, 0), (0, 1), (-1, 0), (-2, 0)]
-    elif space == "A":
-        sim_keys = [(2, 0), (1, 0), (1, 1), (1, 2), (0, 0), (0, 1), (0, 2), (-1, 0), (-1, 1), (-1, 2), (-2, 0)]
-    elif space == "C":
-        sim_keys = [(2, 0), (1, 0), (1, 1), (0, 0), (0, 1), (0, 2), (0, 3), (-1, 0), (-1, 1), (-2, 0)]
-    for (i, j) in sim_keys:
-        for k in range(13):
-            if rob_module_dim(space, n, i, j, k) > 0:
-                keys.append(ModuleKey(space, i, j, k))
-    return keys
+    return [
+        ModuleKey(space, i, j, k) for i, j, _ in _labels(space) for k in range(13) if rob_module_dim(space, n, i, j, k) > 0
+    ]
+
+
+def sim_module_dim(space: str, n: int, i: int, j: int, pm: str | None = None) -> int:
+    """Dimension of the sim module from the closed-form tables (0 if absent)."""
+    mod = _BY_LABEL.get((space, abs(i), j))
+    if mod is None or (space, abs(i), j, n) == ("C", 0, 2, 4):  # dagger: C(0, 2) only for n > 4
+        return 0
+    dim = max(mod.params.sim_dim(n - 2), 0)
+    return dim // 2 if pm else dim
+
+
+def rob_module_dim(space: str, n: int, i: int, j: int, k: int) -> int:
+    """Closed-form dimensions of the refined modules (0 when absent)."""
+    # a refined module cannot outlive its sim parent
+    if sim_module_dim(space, n, i, j) <= 0:
+        return 0
+    mod = _BY_LABEL[space, abs(i), j]
+    if mod.remap:
+        k = mod.remap[k] if k < len(mod.remap) else None
+    return max(mod.params.refined_dims(*n_to_m_eps(n)).get(k, 0), 0)
+
+
+def module_dim(space: str, n: int, key: ModuleKey) -> int:
+    """Closed-form dimension of a sim (``key.k`` unset) or refined module."""
+    if key.k is None:
+        return sim_module_dim(space, n, key.i, key.j, key.pm)
+    return rob_module_dim(space, n, key.i, key.j, key.k)
+
+
+def module_rows(space: str, n: int, key: ModuleKey) -> np.ndarray:
+    """Representative rows spanning a module (refined when ``key.k`` is set), before orthonormalisation."""
+    mod = _BY_LABEL[space, abs(key.i), key.j]
+    ps = mod.params
+    if key.k is not None:
+        params = ps.refined_params(n).get(mod.remap[key.k] if mod.remap else key.k, [])
+    elif key.pm:
+        params = ps.pm_split(n, ps.sim_params(n), +1 if key.pm == "+" else -1)
+    else:
+        params = ps.sim_params(n)
+    rows = _build_rows(n, mod.embed, params)
+    return swap_kl_rows(rows, n, RANK[space]) if key.i < 0 else rows
+
+
+# --------------------------------------------------------------------------
+# building the tables
+# --------------------------------------------------------------------------
+
+
+def _build_rows(n, embed_fn, params):
+    rows = []
+    for p in params:
+        t = embed_fn(n, p)
+        t = np.real_if_close(t, tol=1e6)
+        if np.iscomplexobj(t):
+            if np.abs(t.imag).max() > 1e-9 * max(np.abs(t.real).max(), 1e-30):
+                raise RuntimeError("representative embedding produced a complex tensor")
+            t = t.real
+        rows.append(np.asarray(t, dtype=float).ravel())
+    return np.array(rows) if rows else np.zeros((0, n ** 0))
+
+
+def _build_table(space: str, n: int, level: str) -> ModuleTable:
+    """Validate, orthonormalise on the module's grade and rank-check every module of a level."""
+    keys = sim_module_keys(space, n) if level == "sim" else rob_module_keys(space, n)
+    entries = []
+    for key in keys:
+        rows = module_rows(space, n, key)
+        _validate_rows(space, n, rows, expect_grade=key.i)
+        basis = orthonormal_rows(rows, grade_columns(n, RANK[space], key.i))
+        expected = module_dim(space, n, key)
+        if basis.shape[0] != expected:
+            raise RuntimeError(f"{level} module {key} (n={n}): dim {basis.shape[0]} != expected {expected}")
+        entries.append(ModuleEntry(key, key.i, basis))
+    table = ModuleTable(space, n, level, entries)
+    if table.total_dim != class_dim(space, n):
+        raise RuntimeError(f"{level} table {space} n={n}: total {table.total_dim} != {class_dim(space, n)}")
+    return table
+
+
+def _validate_rows(space, n, rows, expect_grade):
+    if rows.shape[0] == 0:
+        return
+    eta = frame_metric(n)
+    eta_inv = np.linalg.inv(eta)
+    mask = grade_mask(n, RANK[space], expect_grade).ravel()
+    for r, proj in zip(rows, project_rows(space, rows, eta, eta_inv, n)):
+        nr = np.linalg.norm(r)
+        if np.linalg.norm(proj - r) > 1e-9 * max(nr, 1e-30):
+            raise RuntimeError(f"representative not in class {space} (n={n}, grade {expect_grade})")
+        if np.linalg.norm(r[~mask]) > 1e-10 * max(nr, 1e-30):
+            raise RuntimeError(f"representative has off-grade support ({space}, n={n}, grade {expect_grade})")
+
+
+
+@lru_cache(maxsize=None)
+def sim_table(space: str, n: int) -> ModuleTable:
+    return _build_table(space, n, "sim")
 
 
 @lru_cache(maxsize=None)
 def rob_table(space: str, n: int) -> ModuleTable:
     return _build_table(space, n, "rob")
+
+
+def module_table(space: str, n: int, level: str) -> ModuleTable:
+    """The sim or rob table of a space."""
+    return sim_table(space, n) if level == "sim" else rob_table(space, n)

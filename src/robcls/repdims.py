@@ -21,7 +21,7 @@ import numpy as np
 from .classes import RANK, frame_metric, grade_columns, reference_class_basis
 from .frames import NullFrame
 from .graphs import graph_arrows
-from .modules import ModuleKey, rob_module_dim, rob_table, sim_module_dim, sim_table
+from .modules import ModuleKey, module_dim, module_table
 from .simclass import decompose
 
 
@@ -58,7 +58,7 @@ class DimCheck:
 
 def computed_module_dim(space: str, n: int, key: ModuleKey, level: str, sigma_tol: float = 1e-8) -> DimCheck:
     """Rank of T -> Pi_key(T) over the symmetry class, via singular values."""
-    table = sim_table(space, n) if level == "sim" else rob_table(space, n)
+    table = module_table(space, n, level)
     entry = table.entry(key)
     # coefficients of each class-basis element in the module, read on the
     # module's grade, the only columns where its rows are nonzero
@@ -74,16 +74,11 @@ def computed_module_dim(space: str, n: int, key: ModuleKey, level: str, sigma_to
         above = s[s > thr]
         gap = float((above.min() if above.size else np.inf) / max(below.max() if below.size else 0.0, 1e-300))
         stable = gap > 10.0
-    formula = (
-        sim_module_dim(space, n, key.i, key.j, key.pm)
-        if level == "sim"
-        else rob_module_dim(space, n, key.i, key.j, key.k)
-    )
-    return DimCheck(key, n, formula, rank, stable, gap)
+    return DimCheck(key, n, module_dim(space, n, key), rank, stable, gap)
 
 
 def all_dim_checks(space: str, n: int, level: str) -> list[DimCheck]:
-    table = sim_table(space, n) if level == "sim" else rob_table(space, n)
+    table = module_table(space, n, level)
     return [computed_module_dim(space, n, e.key, level) for e in table.entries]
 
 
@@ -153,13 +148,13 @@ class ArrowCheck:
 
 def paper_arrow_set(space: str, n: int, level: str) -> set:
     """Arrows transcribed from the published diagrams (n = 6 splits expanded)."""
-    table = sim_table(space, n) if level == "sim" else rob_table(space, n)
+    table = module_table(space, n, level)
     present = {e.key for e in table.entries}
 
     def expand(key: ModuleKey):
         if level == "sim" and key.pm is None:
             return [k for k in present if (k.i, k.j) == (key.i, key.j)]
-        return [k for k in present if k == key]
+        return [key] if key in present else []
 
     arrow_set = set()
     for a, b in graph_arrows(space, n, level):
@@ -184,7 +179,7 @@ def computed_arrow_set(space: str, n: int, level: str, tol: float = 1e-8) -> set
     cache_key = (space, n, level)
     if cache_key in _ARROW_CACHE:
         return _ARROW_CACHE[cache_key]
-    table = sim_table(space, n) if level == "sim" else rob_table(space, n)
+    table = module_table(space, n, level)
     out = set()
     for e in table.entries:
         targets = [t for t in table.entries if t.grade == e.grade - 1]
@@ -222,7 +217,7 @@ def nilpotent_action_check(
 ) -> list[ArrowCheck]:
     """Verify every arrow is realised and every non-arrow never leaks."""
     frame = reference_frame(n)
-    table = sim_table(space, n) if level == "sim" else rob_table(space, n)
+    table = module_table(space, n, level)
     arrow_set = computed_arrow_set(space, n, level) if arrows == "computed" else paper_arrow_set(space, n, level)
     rng = np.random.default_rng(rng_seed)
     records: dict = {}

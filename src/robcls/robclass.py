@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frames import NullFrame, RobinsonStructure, robinson_forms, sample_robinson_over_null_line
-from .simclass import GradedDecomposition, decompose, probe_norms
+from .simclass import GradedDecomposition, decompose, probe_images, probe_norms
 from .tensor import DEFAULT_TOL, Tolerance, skew_arr, transform_slots
 
 # block conditions of the alignment / specialness propositions, as refined keys
@@ -309,8 +309,6 @@ def recurrent_line_relations(C: np.ndarray, Phi: np.ndarray, R_scalar: float, ri
     ) * R_scalar * np.outer(kb, kb)
     out["Pi_0^0_relation"] = float(np.abs(lhs - rhs).max() / max(scale, 1e-300))
     # Pi_0^2(C) = -4/(n-2) Pi_0^1(F)
-    from .simclass import probe_images
-
     imC = probe_images("C", C, frame)
     imF = probe_images("F", Phi, frame)
     out["Pi_0^2_relation"] = float(
@@ -332,8 +330,6 @@ def parallel_vector_relations(C: np.ndarray, Phi: np.ndarray, R_scalar: float, r
     cs = max(float(np.linalg.norm(frame.to_frame(C))), 1e-300)
     out["Pi_0^1(C)"] = pn[(0, 1)] / cs
     # biconditional chains evaluated as residual pairs
-    from .simclass import probe_images
-
     imC = probe_images("C", C, frame)
     imF = probe_images("F", Phi, frame)
     out["Pi_0^0_relation"] = float(

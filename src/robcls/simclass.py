@@ -26,7 +26,7 @@ from scipy.special import ndtri
 from .classes import RANK
 from .frames import FrameError, NullFrame, complete_null_frame, volume_form
 from .graphs import graph_arrows
-from .modules import ModuleKey, rob_table, sim_table
+from .modules import ModuleKey, module_table, sim_table
 from .tensor import DEFAULT_TOL, Tolerance, skew_arr, transform_slots
 
 
@@ -138,7 +138,7 @@ def decompose(
 ) -> GradedDecomposition:
     """Split a class tensor (all-lower coordinate components) into modules."""
     n = frame.n
-    table = sim_table(space, n) if level == "sim" else rob_table(space, n)
+    table = module_table(space, n, level)
     F = frame.to_frame(np.asarray(arr, dtype=float))
     flat = F.ravel()
     coeff = table.coefficients(flat)

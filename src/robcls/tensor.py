@@ -1,8 +1,8 @@
 """Dense tensor helpers on plain arrays.
 
 All classification code works with all-lower components at a single
-point.  This module holds the tolerance pair, slot transforms into a frame
-and the (anti)symmetrisation over chosen slots.
+point.  This module holds the tolerance pair, slot transforms into a frame,
+the (anti)symmetrisation over chosen slots and the permutation symbol.
 """
 
 from __future__ import annotations
@@ -58,6 +58,14 @@ def _perm_sign(perm) -> int:
             perm[i], perm[j] = perm[j], perm[i]
             sign = -sign
     return sign
+
+
+def levi_civita(n: int) -> np.ndarray:
+    """The permutation symbol on n slots: eps[p] = sign of the permutation p."""
+    eps = np.zeros((n,) * n)
+    for perm in itertools.permutations(range(n)):
+        eps[perm] = _perm_sign(perm)
+    return eps
 
 
 def transform_slots(arr: np.ndarray, M: np.ndarray) -> np.ndarray:

@@ -88,6 +88,10 @@ SCHW5 = ["classify", "--metric", "schwarzschild", "--params", '{"M": 1, "dim": 5
         ["classify", "--metric", "schwarzschild", "--dim", "0", "--point", "0,3,1,0.5,0.2"],
         ["classify", "--metric", "schwarzschild", "--dim", "-1", "--point", "0,3,1,0.5,0.2"],
         ["classify", "--metric", "iwasawa", "--point", "0.3,-0.2,0.5,0.1,-0.4,0.7", "--robinson", "N0"],
+        ["classify", "--metric", "schwarzschild", "--point", "0,3,1,0.5,0.2", "--k=1,0"],
+        ["classify", "--metric", "schwarzschild", "--point", "0,3,1,0.5,0.2", "--k=1,1,0,0,0,0"],
+        ["classify", "--metric", "schwarzschild", "--point", "0,3,1,0.5,0.2", "--k=nan,1,0,0,0"],
+        ["classify", "--metric", "schwarzschild", "--point", "0,3,1,0.5,0.2", "--k=inf,inf,0,0,0"],
     ],
     ids=[
         "params-json",
@@ -105,6 +109,10 @@ SCHW5 = ["classify", "--metric", "schwarzschild", "--params", '{"M": 1, "dim": 5
         "dim-zero",
         "dim-negative",
         "riemannian-named-structure",
+        "k-short",
+        "k-long",
+        "k-nan",
+        "k-inf",
     ],
 )
 def test_classify_bad_input_one_line_exit_2(argv, capsys):

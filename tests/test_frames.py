@@ -5,6 +5,7 @@ from robcls.frames import (
     FrameError,
     build_robinson,
     complete_null_frame,
+    hodge_relation_residuals,
     levi_civita,
     orientation_of,
     random_lorentzian,
@@ -137,8 +138,6 @@ def test_hodge_relations_low_dimensions(n):
     The Hodge dual of the 3-form is proportional to k (n = 4) and to the
     2-form (n = 5), with the sign set by the structure's determinant sign.
     """
-    from robcls.frames import hodge_relation_residuals
-
     rng = np.random.default_rng(300 + n)
     for trial in range(20):
         g = random_lorentzian(n, rng)
@@ -147,6 +146,20 @@ def test_hodge_relations_low_dimensions(n):
         for N in sample_robinson_over_null_line(fr, 2, rng_seed=trial):
             res = hodge_relation_residuals(N)
             assert max(res.values()) < 1e-12, (n, res)
+
+
+def test_hodge_relations_build_no_volume_form_above_five(monkeypatch):
+    """There is no relation to check above n = 5, so no n^n volume form is built."""
+    import robcls.frames as frames
+
+    def refuse(g):
+        raise AssertionError(f"volume form built at n = {g.shape[0]}")
+
+    monkeypatch.setattr(frames, "volume_form", refuse)
+    rng = np.random.default_rng(306)
+    g = random_lorentzian(6, rng)
+    fr = complete_null_frame(g, random_null_vector(g, rng))
+    assert hodge_relation_residuals(build_robinson(fr, "standard")) == {}
 
 
 def test_orientation_conjugation_rule():

@@ -33,6 +33,16 @@ def test_tables_complete(space, n):
         assert np.abs(table.coefficients(ts) - np.linalg.pinv(S.T) @ ts).max() < 1e-13
 
 
+@pytest.mark.parametrize("n", range(4, 10))
+@pytest.mark.parametrize("space", SPACES)
+def test_refined_dims_sum_to_sim_dims(space, n):
+    """The closed-form refined dimensions of every (i, j) add up to its sim dimension."""
+    for i in range(-2, 3):
+        for j in range(4):
+            refined = sum(rob_module_dim(space, n, i, j, k) for k in range(13))
+            assert refined == sim_module_dim(space, n, i, j), (space, n, i, j)
+
+
 def test_table_rejects_non_orthonormal_bases():
     from robcls.modules import ModuleEntry, ModuleTable
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from robcls.classes import ricci_contraction
-from robcls.tensor import Tolerance, skew_arr, sym_arr, transform_slots
+from robcls.tensor import Tolerance, levi_civita, skew_arr, sym_arr, transform_slots
 
 
 def test_contract_matches_loop_oracle():
@@ -45,6 +45,16 @@ def test_sym_over_gradient_of_symmetric():
     P = P + np.transpose(P, (0, 2, 1))  # symmetric in the last two slots
     grad_like = np.transpose(P, (1, 0, 2)) - np.transpose(P, (2, 0, 1))
     assert np.abs(skew_arr(grad_like, (0, 1, 2))).max() < 1e-14
+
+
+def test_levi_civita_is_inversion_parity():
+    """The permutation symbol against an inversion count, zero off the permutations."""
+    for n in range(1, 6):
+        eps = levi_civita(n)
+        for perm in itertools.permutations(range(n)):
+            inversions = sum(perm[a] > perm[b] for a in range(n) for b in range(a + 1, n))
+            assert eps[perm] == (-1) ** inversions
+        assert np.count_nonzero(eps) == np.prod(range(1, n + 1))
 
 
 def test_tolerance_threshold():
