@@ -19,22 +19,16 @@ from .frames import (
     robinson_from_span,
     sample_robinson_over_null_line,
 )
-from .chart import MetricChart, check_cky, eigenstructure, frame_field_bracket, is_integrable
+from .chart import MetricChart, check_cky, eigenstructure, frame_field_bracket
 from .simclass import (
     GradedDecomposition,
     decompose,
     graded_reconstruct,
-    project_cotton,
-    project_g,
-    project_ricci_tf,
-    project_weyl,
     weyl_type_at_frame,
     weyl_type_search,
 )
 from .robclass import (
     adapted_blocks,
-    is_aligned,
-    is_algebraically_special,
     multi_robinson_equivalences,
     parallel_structure_relations,
     refined_flags,
@@ -54,20 +48,13 @@ __all__ = [
     "frame_field_bracket",
     "check_cky",
     "eigenstructure",
-    "is_integrable",
     "decompose",
     "GradedDecomposition",
     "graded_reconstruct",
-    "project_g",
-    "project_ricci_tf",
-    "project_cotton",
-    "project_weyl",
     "weyl_type_at_frame",
     "weyl_type_search",
     "refined_flags",
     "adapted_blocks",
-    "is_aligned",
-    "is_algebraically_special",
     "multi_robinson_equivalences",
     "parallel_structure_relations",
     "ENTRIES",

@@ -40,10 +40,11 @@ from .robclass import (
     parallel_structure_relations,
     parallel_vector_relations,
     recurrent_line_relations,
+    restriction_residual,
     special_residual,
 )
 from .simclass import decompose, probe_norms, weyl_type_at_frame, weyl_type_search
-from .tensor import skew_arr, transform_slots
+from .tensor import skew_arr
 
 
 def _c(v):
@@ -123,12 +124,9 @@ def _minkowski_chart(p):
 
 
 def _minkowski_expect(chart, p, pts):
-    out = []
-    for pt in pts:
-        cp = chart.evaluate(pt)
-        out.append(_res("minkowski", "riemann_vanishes", "flat space", np.abs(cp.riemann).max(), 1e-12))
-    cp = chart.evaluate(pts[0])
-    label = weyl_type_search(np.zeros((chart.dim,) * 4), cp.g, grid_count=200, refine_steps=5)
+    cps = [chart.evaluate(pt) for pt in pts]
+    out = [_res("minkowski", "riemann_vanishes", "flat space", np.abs(cp.riemann).max(), 1e-12) for cp in cps]
+    label = weyl_type_search(np.zeros((chart.dim,) * 4), cps[0].g, grid_count=200, refine_steps=5)
     out.append(_flag("minkowski", "type_O", "vanishing Weyl tensor", label.type == "O", label.type))
     return out
 
@@ -484,8 +482,7 @@ def mp_null_lines(cp, p) -> dict:
 
 def mp_eigen_structures(cp, p) -> list:
     """The 2^m Robinson structures from the principal CKY eigenplanes."""
-    phi_fn = mp_cky_field(p)
-    phi = JT.stack_jets(phi_fn(JT.jet_point(cp.point, 5)), 5)[..., 0].real
+    phi = cp.eval_covector_field(mp_cky_field(p))[0].real
     es = eigenstructure(phi, cp.g)
     vals, vecs = es["eigenvalues"], es["eigenvectors"]
     real_idx = [i for i, v in enumerate(vals) if abs(v.imag) < 1e-8 * max(abs(v), 1.0) and abs(v) > 1e-8]
@@ -507,9 +504,10 @@ def _mp_expect(chart, p, pts):
         cp = chart.evaluate(pt)
         scale = cp.curvature_scale()
         out.append(_res("myers-perry", "ricci_flat", "vacuum rotating black hole", np.abs(cp.ricci).max() / scale, 1e-9))
-        rep = check_cky(chart, mp_cky_field(p), pt)
+        cky = mp_cky_field(p)
+        rep = check_cky(cp, cky)
         out.append(_res("myers-perry", "cky_residual", "principal conformal Killing-Yano 2-form", rep.residual, 1e-9))
-        phi = JT.stack_jets(mp_cky_field(p)(JT.jet_point(pt, 5)), 5)[..., 0].real
+        phi = cp.eval_covector_field(cky)[0].real
         es = eigenstructure(phi, cp.g)
         xj = JT.jet_point(pt, 5)
         r = _mp_r_jet(xj, p).value
@@ -618,14 +616,13 @@ def _kk_expect(chart, p, pts):
         cp = chart.evaluate(pt)
         out.append(_res("kk-bubble", "ricci_flat", "product of Euclidean Schwarzschild and time", np.abs(cp.ricci).max() / cp.curvature_scale(), 1e-9))
         for name, dist in dists.items():
-            res = integrability_residual(chart, dist, pt)
+            res = integrability_residual(cp, dist)
             integrable = max(res.values()) < 1e-9
             expected = not name.endswith("prime")
             out.append(
                 _flag("kk-bubble", f"integrable_{name}", "unprimed structures integrable, primed not", integrable == expected, f"residuals {res}")
             )
-            span = distribution_span(chart, dist, pt)
-            N = robinson_from_span(cp.g, span)
+            N = robinson_from_span(cp.g, distribution_span(cp, dist))
             out.append(_res("kk-bubble", f"aligned_{name}", "Weyl alignment for all four structures", aligned_residual(cp.weyl, N), 1e-9))
             out.append(
                 _flag("kk-bubble", f"not_special_{name}", "type G metric is nowhere special", special_residual(cp.weyl, N) > 1e-6, f"{special_residual(cp.weyl, N):.3e}")
@@ -860,8 +857,7 @@ def _tn_expect(chart, p, pts):
     for pt in pts:
         cp = chart.evaluate(pt)
         for name, dist in dists.items():
-            span = distribution_span(chart, dist, pt)
-            N = robinson_from_span(cp.g, span)
+            N = robinson_from_span(cp.g, distribution_span(cp, dist))
             out.append(
                 _res("taub-nut", f"special_{name}", "special for every listed structure, regardless of F", special_residual(cp.weyl, N), 1e-9)
             )
@@ -1004,7 +1000,7 @@ def _iwasawa_expect(chart, p, pts):
         out.append(
             _res("iwasawa", "weyl_formula", "Weyl tensor from the invariant 2-tensor blocks", np.abs(cp.weyl - iwasawa_quoted_weyl(pt)).max(), 1e-9)
         )
-        rep = check_cky(chart, iwasawa_phi_field, pt)
+        rep = check_cky(cp, iwasawa_phi_field)
         out.append(_res("iwasawa", "cky_residual", "Killing-Yano 2-form", rep.residual, 1e-9))
         out.append(_res("iwasawa", "killing_yano_coclosed", "K = 0 (co-closed)", np.abs(rep.K).max(), 1e-10))
         out.append(_flag("iwasawa", "tau_nonzero", "d phi = 3 tau is nonzero", np.abs(rep.tau).max() > 1e-6, f"|tau| = {np.abs(rep.tau).max():.3f}"))
@@ -1015,7 +1011,7 @@ def _iwasawa_expect(chart, p, pts):
         resid = np.abs(A - kappa * quoted).max() / max(np.abs(A).max(), 1e-300)
         kappas.append(kappa)
         out.append(_res("iwasawa", "cotton_shape", "Cotton-York proportional to the quoted 3-tensor", resid, 1e-9))
-        phi_val = JT.stack_jets(iwasawa_phi_field(JT.jet_point(pt, 6)), 6)[..., 0].real
+        phi_val = cp.eval_covector_field(iwasawa_phi_field)[0].real
         es = eigenstructure(phi_val, cp.g)
         vecvals = sorted(es["eigenvalues"], key=lambda z: z.imag)
         expected_vec = [-3, -1, -1, 1, 1, 3]
@@ -1025,7 +1021,7 @@ def _iwasawa_expect(chart, p, pts):
         expected_spin = np.array(sorted([1.25j, -1.25j, 0.25j, -0.25j, 0.75j, -0.75j, 0.75j, -0.75j], key=lambda z: (round(z.real, 10), round(z.imag, 10))))
         out.append(_res("iwasawa", "phi_spinor_spectrum", "pure spinor spectrum {+-5i/4, +-i/4, +-3i/4 x2}", float(np.abs(spin - expected_spin).max()), 1e-10))
         for name, dist in dists.items():
-            res = integrability_residual(chart, dist, pt)
+            res = integrability_residual(cp, dist)
             integrable = max(res.values()) < 1e-9
             expected = name != "N12"
             out.append(_flag("iwasawa", f"integrable_{name}", "N0 and Nab integrable; N12 not", integrable == expected, f"residuals {res}"))
@@ -1033,32 +1029,16 @@ def _iwasawa_expect(chart, p, pts):
             out.append(
                 _flag("iwasawa", f"tau_degenerate_{name}", "tau nondegenerate exactly on N12", (deg < 1e-9) == expected, f"tau-restriction {deg:.3e}")
             )
-            span = distribution_span(chart, dist, pt)
-            worstC = _special_residual_span(cp.weyl, span)
+            span = np.array(distribution_span(cp, dist))
+            worstC = restriction_residual(cp.weyl, (span, span, span, np.eye(6)))
             out.append(_res("iwasawa", f"special_{name}", "Weyl special for every eigen-structure", worstC, 1e-9))
-            degA = _restriction_residual(A, span)
+            degA = restriction_residual(A, span)
             out.append(
                 _flag("iwasawa", f"cotton_degenerate_{name}", "Cotton-York degenerate except on N12", (degA < 1e-9) == expected, f"A-restriction {degA:.3e}")
             )
     spread = max(kappas) - min(kappas)
     out.append(_res("iwasawa", "cotton_kappa_constant", "calibration constant stable across points", spread, 1e-9 * max(abs(k) for k in kappas)))
     return out
-
-
-def _special_residual_span(C, span):
-    scale = max(float(np.abs(C).max()), 1e-300)
-    worst = 0.0
-    for x in span:
-        for y in span:
-            for z in span:
-                val = np.einsum("abcd,a,b,c->d", C.astype(complex), x, y, z)
-                worst = max(worst, float(np.abs(val).max()))
-    return worst / scale
-
-
-def _restriction_residual(T, span):
-    scale = max(float(np.abs(T).max()), 1e-300)
-    return float(np.abs(transform_slots(T, np.array(span))).max() / scale)
 
 
 IWASAWA = CatalogEntry(

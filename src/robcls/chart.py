@@ -265,20 +265,6 @@ class ChartPoint:
         comps = J.stack_jets(fn(x), n)
         return comps[..., 0], J.jet_derivatives(comps, n, 1)
 
-    def covariant_derivative_form2(self, fn) -> np.ndarray:
-        """nabla_a phi_bc for a 2-form field."""
-        n = self.n
-        x = J.jet_point(self.point, n)
-        comps = J.stack_jets(fn(x), n)
-        vals = comps[..., 0]
-        grad = J.jet_derivatives(comps, n, 1)  # (b, c, a) = d_a phi_bc
-        Gm = self.christoffel
-        return (
-            np.transpose(grad, (2, 0, 1))
-            - np.einsum("eab,ec->abc", Gm, vals)
-            - np.einsum("eac,be->abc", Gm, vals)
-        )
-
     def covariant_derivative_vector(self, fn) -> np.ndarray:
         """nabla_a X^b for a vector field."""
         vals, grad = self.eval_covector_field(fn)
@@ -286,9 +272,8 @@ class ChartPoint:
         return np.transpose(grad, (1, 0)) + np.einsum("bae,e->ab", Gm, vals)
 
 
-def frame_field_bracket(chart: MetricChart, X_fn, Y_fn, point) -> np.ndarray:
+def frame_field_bracket(cp: ChartPoint, X_fn, Y_fn) -> np.ndarray:
     """[X, Y]^a = X^b d_b Y^a - Y^b d_b X^a at the point."""
-    cp = chart.evaluate(point)
     xv, xg = cp.eval_covector_field(X_fn)
     yv, yg = cp.eval_covector_field(Y_fn)
     return np.einsum("b,ab->a", xv, yg) - np.einsum("b,ab->a", yv, xg)
@@ -318,49 +303,31 @@ class DistributionSpec:
         return checks
 
 
-def _span_from_forms(cp: ChartPoint, forms) -> np.ndarray:
-    """Orthonormal basis (columns) of ker of the stacked form values."""
-    rows = []
-    for fn in forms:
-        vals, _ = cp.eval_covector_field(fn)
-        rows.append(np.asarray(vals, dtype=complex))
-    A = np.array(rows)
-    u, s, vt = np.linalg.svd(A)
+def _kernel_rows(values) -> np.ndarray:
+    """Orthonormal basis (rows) of the common kernel of the covector values."""
+    _, s, vt = np.linalg.svd(np.array(values, dtype=complex))
     rank = int(np.sum(s > 1e-10 * max(s[0], 1e-300)))
-    return vt[rank:].conj().T
+    return vt[rank:].conj()
 
 
-def integrability_residual(chart: MetricChart, dist: DistributionSpec, point) -> dict:
+def integrability_residual(cp: ChartPoint, dist: DistributionSpec) -> dict:
     """Frobenius residuals: d(alpha)(X, Y) over X, Y in the kernel."""
-    cp = chart.evaluate(point)
     out = {}
     for label, forms in dist.all_checks():
-        span = _span_from_forms(cp, forms)
+        fields = [cp.eval_covector_field(fn) for fn in forms]
+        span = _kernel_rows([vals for vals, _ in fields])
         worst = 0.0
-        for fn in forms:
-            vals, grad = cp.eval_covector_field(fn)
+        for vals, grad in fields:
             # grad[b, a] = d_a alpha_b -> (d alpha)_{ab} = d_a alpha_b - d_b alpha_a
             dalpha = grad.T - grad
             scale = max(np.abs(dalpha).max(), np.abs(vals).max(), 1e-30)
-            M = span.T @ dalpha.astype(complex) @ span
-            worst = max(worst, float(np.abs(M).max() / scale))
+            worst = max(worst, float(np.abs(transform_slots(dalpha, span)).max() / scale))
         out[label] = worst
     return out
 
 
-def is_integrable(chart: MetricChart, dist: DistributionSpec, points, tol: float = 1e-8) -> bool:
-    """True when N and N^perp are in involution at every sampled point."""
-    for p in points:
-        res = integrability_residual(chart, dist, p)
-        if max(res.values()) > tol:
-            return False
-    return True
-
-
-def distribution_span(chart: MetricChart, dist: DistributionSpec, point) -> list:
-    cp = chart.evaluate(point)
-    span = _span_from_forms(cp, dist.forms)
-    return [span[:, i] for i in range(span.shape[1])]
+def distribution_span(cp: ChartPoint, dist: DistributionSpec) -> list:
+    return list(_kernel_rows([cp.eval_covector_field(fn)[0] for fn in dist.forms]))
 
 
 # --------------------------------------------------------------------------
@@ -376,14 +343,14 @@ class CKYReport:
     nabla_phi: np.ndarray
 
 
-def check_cky(chart: MetricChart, phi_fn, point) -> CKYReport:
+def check_cky(cp: ChartPoint, phi_fn) -> CKYReport:
     """Residual of nabla_a phi_bc = tau_abc + 2 g_{a[b} K_{c]}."""
-    cp = chart.evaluate(point)
     n = cp.n
-    nab = cp.covariant_derivative_form2(phi_fn)
-    phi_val = J.stack_jets(phi_fn(J.jet_point(cp.point, n)), n)[..., 0]
-    if np.abs(phi_val + phi_val.T).max() > 1e-9 * max(np.abs(phi_val).max(), 1e-30):
+    phi, grad = cp.eval_covector_field(phi_fn)  # grad[b, c, a] = d_a phi_bc
+    if np.abs(phi + phi.T).max() > 1e-9 * max(np.abs(phi).max(), 1e-30):
         raise ValueError("phi is not antisymmetric")
+    Gm = cp.christoffel
+    nab = np.transpose(grad, (2, 0, 1)) - np.einsum("eab,ec->abc", Gm, phi) - np.einsum("eac,be->abc", Gm, phi)
     tau = skew_arr(nab, (0, 1, 2))
     K = np.einsum("ab,abc->c", cp.g_inv, nab) / (n - 1.0)
     model = tau + np.einsum("ab,c->abc", cp.g, K) - np.einsum("ac,b->abc", cp.g, K)
@@ -391,17 +358,11 @@ def check_cky(chart: MetricChart, phi_fn, point) -> CKYReport:
     return CKYReport(resid, tau, K, nab)
 
 
-def tau_degeneracy(cp_or_chart, dist: DistributionSpec, tau: np.ndarray, point=None) -> float:
+def tau_degeneracy(cp: ChartPoint, dist: DistributionSpec, tau: np.ndarray) -> float:
     """max |tau(X, Y, Z)| over the N^perp spanning set (eq-tau condition)."""
-    if isinstance(cp_or_chart, MetricChart):
-        cp = cp_or_chart.evaluate(point)
-    else:
-        cp = cp_or_chart
     forms = dist.perp_forms if dist.perp_forms is not None else dist.forms
-    span = _span_from_forms(cp, forms)
-    t = tau.astype(complex)
-    M = np.einsum("abc,ax,by,cz->xyz", t, span, span, span)
-    return float(np.abs(M).max() / max(np.abs(tau).max(), 1e-30))
+    span = _kernel_rows([cp.eval_covector_field(fn)[0] for fn in forms])
+    return float(np.abs(transform_slots(tau, span)).max() / max(np.abs(tau).max(), 1e-30))
 
 
 def eigenstructure(phi: np.ndarray, g: np.ndarray) -> dict:

@@ -159,7 +159,7 @@ def cmd_classify(args) -> int:
                     file=sys.stderr,
                 )
                 return 2
-            N = robinson_from_span(cp.g, distribution_span(chart, dists[args.robinson], cp.point))
+            N = robinson_from_span(cp.g, distribution_span(cp, dists[args.robinson]))
         rdec = refined_flags("C", cp.weyl, N, tol, scale)
         report.robinson = N.serialise()
         report.refined_flags = rdec.summary()

@@ -90,12 +90,6 @@ class NullFrame:
         new_screen = tuple(e - z[i] * self.k for i, e in enumerate(self.screen))
         return NullFrame(self.g, self.k, new_l, new_screen)
 
-    def null_rotate_about_l(self, z: np.ndarray) -> "NullFrame":
-        zv = sum(z[i] * self.screen[i] for i in range(len(self.screen)))
-        new_k = self.k + zv - 0.5 * float(z @ z) * self.l
-        new_screen = tuple(e - z[i] * self.l for i, e in enumerate(self.screen))
-        return NullFrame(self.g, new_k, self.l, new_screen)
-
     def swap_kl(self) -> "NullFrame":
         return NullFrame(self.g, self.l, self.k, self.screen)
 
@@ -108,6 +102,8 @@ def complete_null_frame(g: np.ndarray, k: np.ndarray, tol: float = 1e-10) -> Nul
     """
     g = np.asarray(g, dtype=float)
     k = np.asarray(k, dtype=float)
+    if not (np.isfinite(g).all() and np.isfinite(k).all()):
+        raise FrameError("g and k must have finite components")
     n = g.shape[0]
     knorm = np.linalg.norm(k)
     if knorm == 0.0:
@@ -189,9 +185,8 @@ class RobinsonStructure:
         return self.frame.screen[self.u_index] if self.u_index is not None else None
 
     def m_vectors(self) -> list[np.ndarray]:
-        m, eps = self.m_eps
-        s = self.frame.screen
-        return [(s[2 * a] - 1j * s[2 * a + 1]) / np.sqrt(2.0) for a in range(m - 1)]
+        m, _ = self.m_eps
+        return list(adapted_basis(self.frame)[1:m])
 
     def span_N(self) -> list[np.ndarray]:
         return [self.frame.k.astype(complex)] + self.m_vectors()
@@ -213,13 +208,8 @@ class RobinsonStructure:
         return w
 
     def nullity_residual(self) -> float:
-        g = self.frame.g
-        span = self.span_N()
-        worst = 0.0
-        for x in span:
-            for y in span:
-                worst = max(worst, abs(x @ g.astype(complex) @ y))
-        return worst
+        """max |g(X, Y)| over X, Y in the spanning set of N."""
+        return float(np.abs(transform_slots(self.frame.g, np.array(self.span_N()))).max())
 
     def conjugate(self) -> "RobinsonStructure":
         """The complex-conjugate structure (J -> -J)."""
@@ -242,34 +232,24 @@ class RobinsonStructure:
         }
 
 
-@lru_cache(maxsize=None)
-def _reference_orientation_phase(n: int) -> complex:
-    eta = frame_metric(n)
-    frame = NullFrame(eta, np.eye(n)[0], np.eye(n)[n - 1], tuple(np.eye(n)[1 : n - 1]))
-    return _orientation_det(frame, eta)
-
-
-def _orientation_det(frame: NullFrame, g: np.ndarray) -> complex:
+def adapted_basis(frame: NullFrame) -> np.ndarray:
+    """Rows k, m_A, mbar_A, (u,) l of the adapted complex frame of a J-adapted frame."""
     n = frame.n
     m, eps = n_to_m_eps(n)
     s = frame.screen
-    mv = [(s[2 * a] - 1j * s[2 * a + 1]) / np.sqrt(2.0) for a in range(m - 1)]
-    cols = [frame.k.astype(complex)] + mv + [np.conj(v) for v in mv]
-    if eps:
-        cols.append(s[n - 3].astype(complex))
-    cols.append(frame.l.astype(complex))
-    det = np.linalg.det(np.array(cols).T)
-    return det * np.sqrt(abs(np.linalg.det(g)))
+    ms = [(s[2 * a] - 1j * s[2 * a + 1]) / np.sqrt(2.0) for a in range(m - 1)]
+    rows = [frame.k, *ms, *np.conj(ms)] + ([s[n - 3]] if eps else []) + [frame.l]
+    return np.array(rows, dtype=complex)
 
 
-def orientation_of(frame: NullFrame) -> int:
-    """+-1 orientation tag of the adapted complex structure (n even)."""
-    n = frame.n
-    m, eps = n_to_m_eps(n)
-    if eps:
-        return 0
-    q = _orientation_det(frame, frame.g) / _reference_orientation_phase(n)
-    return int(np.sign(q.real))
+def _orientation_det(frame: NullFrame) -> complex:
+    return np.linalg.det(adapted_basis(frame).T) * np.sqrt(abs(np.linalg.det(frame.g)))
+
+
+@lru_cache(maxsize=None)
+def _reference_orientation_phase(n: int) -> complex:
+    eta = frame_metric(n)
+    return _orientation_det(NullFrame(eta, np.eye(n)[0], np.eye(n)[n - 1], tuple(np.eye(n)[1 : n - 1])))
 
 
 def structure_sign(N: "RobinsonStructure") -> int:
@@ -278,8 +258,13 @@ def structure_sign(N: "RobinsonStructure") -> int:
     Equals the orientation tag for n even; for n odd it fixes the sign in
     the Hodge relation between the 3-form and the 2-form of the structure.
     """
-    q = _orientation_det(N.frame, N.frame.g) / _reference_orientation_phase(N.n)
+    q = _orientation_det(N.frame) / _reference_orientation_phase(N.n)
     return int(np.sign(q.real))
+
+
+def orientation_of(frame: NullFrame) -> int:
+    """+-1 orientation tag of the adapted complex structure (n even), 0 for n odd."""
+    return 0 if frame.n % 2 else structure_sign(RobinsonStructure(frame))
 
 
 def hodge_relation_residuals(N: "RobinsonStructure") -> dict:

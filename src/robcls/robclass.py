@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frames import NullFrame, RobinsonStructure, robinson_forms, sample_robinson_over_null_line
+from .classes import metric_wedge_part, weyl_trace_part
+from .frames import NullFrame, RobinsonStructure, adapted_basis, robinson_forms, sample_robinson_over_null_line
 from .simclass import GradedDecomposition, decompose, probe_images, probe_norms
 from .tensor import DEFAULT_TOL, Tolerance, skew_arr, transform_slots
 
@@ -40,21 +41,14 @@ SPECIAL_EXTRA_KEYS = {
 }
 
 
-def _adapted_basis(N: RobinsonStructure) -> np.ndarray:
-    """Rows k, m_A, mbar_A, (u,) l of the adapted complex frame."""
-    ms = N.m_vectors()
-    rows = [N.frame.k, *ms, *np.conj(ms)] + ([N.u] if N.u is not None else []) + [N.frame.l]
-    return np.array(rows, dtype=complex)
-
-
 def adapted_component_array(T: np.ndarray, N: RobinsonStructure) -> np.ndarray:
     """Complex frame components of T in the adapted frame {k, m_A, mbar_A, u, l}."""
-    return transform_slots(T, _adapted_basis(N))
+    return transform_slots(T, adapted_basis(N.frame))
 
 
 def adapted_reassemble(blocks_arr: np.ndarray, N: RobinsonStructure) -> np.ndarray:
     """Inverse of the adapted-frame component map (takes the full array)."""
-    return transform_slots(blocks_arr, np.linalg.inv(_adapted_basis(N)))
+    return transform_slots(blocks_arr, np.linalg.inv(adapted_basis(N.frame)))
 
 
 def adapted_blocks(T: np.ndarray, N: RobinsonStructure) -> dict:
@@ -87,41 +81,25 @@ def refined_flags(
     return decompose(space, T, N.frame, level="rob", tol=tol, scale=scale)
 
 
+def restriction_residual(T: np.ndarray, mats) -> float:
+    """max |T(X_1, X_2, ...)| with X_i over the rows of mats[i], over max |T|.
+
+    ``mats`` is one matrix per slot, or one matrix for every slot.
+    """
+    scale = max(float(np.abs(T).max()), 1e-300)
+    return float(np.abs(transform_slots(T, mats)).max()) / scale
+
+
 def aligned_residual(C: np.ndarray, N: RobinsonStructure) -> float:
     """max |C(X, Y, Z, W)| over X, Y in N^perp and Z, W in N (normalised)."""
-    perp = N.span_N_perp()
-    span = N.span_N()
-    scale = max(float(np.abs(C).max()), 1e-300)
-    worst = 0.0
-    for x in perp:
-        for y in perp:
-            for z in span:
-                for w in span:
-                    val = np.einsum("abcd,a,b,c,d->", C.astype(complex), x, y, z, w)
-                    worst = max(worst, abs(val))
-    return worst / scale
+    perp, m = np.array(N.span_N_perp()), N.m_eps[0]
+    return restriction_residual(C, (perp, perp, perp[:m], perp[:m]))
 
 
 def special_residual(C: np.ndarray, N: RobinsonStructure) -> float:
     """max |C(X, Y, Z, .)| over X, Y in N^perp and Z in N (normalised)."""
-    perp = N.span_N_perp()
-    span = N.span_N()
-    scale = max(float(np.abs(C).max()), 1e-300)
-    worst = 0.0
-    for x in perp:
-        for y in perp:
-            for z in span:
-                val = np.einsum("abcd,a,b,c->d", C.astype(complex), x, y, z)
-                worst = max(worst, float(np.abs(val).max()))
-    return worst / scale
-
-
-def is_aligned(C: np.ndarray, N: RobinsonStructure, tol: Tolerance = DEFAULT_TOL) -> bool:
-    return aligned_residual(C, N) <= tol.threshold(1.0)
-
-
-def is_algebraically_special(C: np.ndarray, N: RobinsonStructure, tol: Tolerance = DEFAULT_TOL) -> bool:
-    return special_residual(C, N) <= tol.threshold(1.0)
+    perp, m = np.array(N.span_N_perp()), N.m_eps[0]
+    return restriction_residual(C, (perp, perp, perp[:m], np.eye(N.n)))
 
 
 def aligned_flag_keys(n: int) -> list:
@@ -244,27 +222,12 @@ def parallel_structure_relations(
     """
     n = N.n
     g = N.frame.g
-    span, perp = N.span_N(), N.span_N_perp()
-    gc = g.astype(complex)
-    worst_c, worst_p = 0.0, 0.0
+    span, perp = np.array(N.span_N()), np.array(N.span_N_perp())
     scale = max(np.abs(C).max(), np.abs(Phi).max(), abs(R_scalar), 1e-300)
-    for x in span:
-        for y in perp:
-            cxy = np.einsum("abcd,c,d->ab", C.astype(complex), x, y)
-            phix = Phi.astype(complex) @ x
-            phiy = Phi.astype(complex) @ y
-            gx, gy = gc @ x, gc @ y
-            term = (
-                cxy
-                + (2.0 / (n - 2))
-                * (
-                    0.5 * (np.outer(phix, gy) - np.outer(gy, phix))
-                    - 0.5 * (np.outer(phiy, gx) - np.outer(gx, phiy))
-                )
-                + (2.0 / (n * (n - 1))) * R_scalar * 0.5 * (np.outer(gx, gy) - np.outer(gy, gx))
-            )
-            worst_c = max(worst_c, float(np.abs(term).max()))
-            worst_p = max(worst_p, abs(np.einsum("a,b,ab->", x, y, Phi.astype(complex))))
+    riemann = C + (4.0 / (n - 2)) * weyl_trace_part(Phi, g) + (2.0 / (n * (n - 1))) * R_scalar * metric_wedge_part(g)
+    eye = np.eye(n)
+    worst_c = float(np.abs(transform_slots(riemann, (eye, eye, span, perp))).max())
+    worst_p = float(np.abs(transform_slots(Phi, (span, perp))).max())
     dec = refined_flags("C", C, N, tol)
     gs = special_from_flags(dec)
     extra = {}

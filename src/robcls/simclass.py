@@ -107,9 +107,6 @@ class GradedDecomposition:
         total = np.sqrt(sum(v**2 for g, v in self.boost_weights().items() if g <= i))
         return total <= thr
 
-    def joint_norm(self, keys) -> float:
-        return float(np.sqrt(sum(self.norm(k) ** 2 for k in keys)))
-
     def norm_ij(self, i: int, j: int) -> float:
         """Aggregated norm over the (i, j) module including any +- parts."""
         tot = sum(c.norm ** 2 for k, c in self.components.items() if (k.i, k.j) == (i, j))
@@ -153,23 +150,6 @@ def decompose(
         nrm = float(np.linalg.norm(fimg))
         comps[e.key] = ModuleComponent(e.key, e.grade, img, fimg, nrm, nrm <= tol.threshold(scale))
     return GradedDecomposition(space, level, frame, comps, resid, tol, scale)
-
-
-def project_g(phi: np.ndarray, frame: NullFrame, **kw) -> GradedDecomposition:
-    """Graded decomposition of a 2-form under the null-line stabiliser."""
-    return decompose("G", phi, frame, "sim", **kw)
-
-
-def project_ricci_tf(Phi: np.ndarray, frame: NullFrame, **kw) -> GradedDecomposition:
-    return decompose("F", Phi, frame, "sim", **kw)
-
-
-def project_cotton(A: np.ndarray, frame: NullFrame, **kw) -> GradedDecomposition:
-    return decompose("A", A, frame, "sim", **kw)
-
-
-def project_weyl(C: np.ndarray, frame: NullFrame, **kw) -> GradedDecomposition:
-    return decompose("C", C, frame, "sim", **kw)
 
 
 def graded_reconstruct(dec: GradedDecomposition, frame: NullFrame) -> np.ndarray:

@@ -68,18 +68,25 @@ def levi_civita(n: int) -> np.ndarray:
     return eps
 
 
-def transform_slots(arr: np.ndarray, M: np.ndarray) -> np.ndarray:
+def transform_slots(arr: np.ndarray, M) -> np.ndarray:
     """out_{a b ...} = M_ap M_bq ... arr_{p q ...} for a (k, n) matrix M.
 
-    Each step multiplies the leading slot by M and rotates it to the back,
-    so after one step per slot the slots are back in order: one matrix
+    ``M`` may also be a sequence of matrices, one per slot:
+    out_{a b ...} = M1_ap M2_bq ... arr_{p q ...}.  With sets of vectors as
+    the rows, this is the restriction of the tensor to those vectors.
+
+    Each step multiplies the leading slot by its matrix and rotates it to the
+    back, so after one step per slot the slots are back in order: one matrix
     product per slot, several times faster than an einsum over all slots.
     """
-    k, n = M.shape
+    mats = (M,) * arr.ndim if isinstance(M, np.ndarray) else tuple(M)
+    if len(mats) != arr.ndim:
+        raise ValueError(f"{len(mats)} matrices for a rank-{arr.ndim} tensor")
     out = arr
-    for _ in range(arr.ndim):
-        out = (M @ out.reshape(n, -1)).T.reshape(k, -1)
-    return out.reshape((k,) * arr.ndim)
+    for Mi in mats:
+        k, n = Mi.shape
+        out = (Mi @ out.reshape(n, -1)).T.reshape(k, -1)
+    return out.reshape(tuple(Mi.shape[0] for Mi in mats))
 
 
 def skew_arr(a: np.ndarray, slots) -> np.ndarray:

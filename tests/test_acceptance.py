@@ -111,7 +111,7 @@ def test_ac3_kk_bubble():
             ok = False
         details.append(f"r={r}: floor {floor:.3f}")
         for name, dist in dists.items():
-            N = robinson_from_span(cp.g, distribution_span(chart, dist, pt))
+            N = robinson_from_span(cp.g, distribution_span(cp, dist))
             if aligned_residual(cp.weyl, N) > 1e-9:
                 ok = False
                 details.append(f"r={r} {name} not aligned")
@@ -156,7 +156,7 @@ def test_ac4_iwasawa_scalar_phi_cotton_tau():
     # tau nondegenerate exactly on N12
     pt = pts[0]
     cp = chart.evaluate(pt)
-    rep = check_cky(chart, iwasawa_phi_field, pt)
+    rep = check_cky(cp, iwasawa_phi_field)
     for name, dist in iwasawa_distributions().items():
         deg = tau_degeneracy(cp, dist, rep.tau)
         expected_degenerate = name != "N12"

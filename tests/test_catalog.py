@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from robcls.catalog import ENTRIES, catalog_entries, run_expectations
+from robcls.chart import MetricChart
 
 VARIANTS = [(name, extra) for name in sorted(ENTRIES) for extra in ENTRIES[name].variants]
 
@@ -15,11 +16,23 @@ def test_catalog_shape():
 
 
 @pytest.mark.parametrize("name,params", VARIANTS)
-def test_entry_expectations(name, params):
+def test_entry_expectations(name, params, monkeypatch):
+    """Every claim of the regression job holds, and the job evaluates each sample point once."""
+    evaluated = []
+    evaluate = MetricChart.evaluate
+
+    def counting_evaluate(chart, point):
+        evaluated.append(tuple(np.asarray(point, dtype=float)))
+        return evaluate(chart, point)
+
+    monkeypatch.setattr(MetricChart, "evaluate", counting_evaluate)
     results = run_expectations(ENTRIES[name], params=params)
     failures = [r for r in results if r.passed is False]
     assert not failures, [f"{r.name}: {r.residual} {r.detail}" for r in failures]
     assert results
+    entry = ENTRIES[name]
+    points = entry.sample_points({**entry.default_params, **(params or {})})
+    assert sorted(evaluated) == sorted(tuple(pt) for pt in points)
 
 
 def test_parameter_robustness_schwarzschild():
@@ -69,7 +82,7 @@ def test_kk_bubble_refined_flag_pattern():
     cp = chart.evaluate(pt)
     dists = kk_structures(entry.default_params)
     for name, dist in dists.items():
-        N = robinson_from_span(cp.g, distribution_span(chart, dist, pt))
+        N = robinson_from_span(cp.g, distribution_span(cp, dist))
         dec = refined_flags("C", cp.weyl, N)
         for key in aligned_flag_keys(5):
             if dec.has(key):
@@ -100,6 +113,6 @@ def test_iwasawa_complex_family_member():
     cp = chart.evaluate(pt)
     dists = iwasawa_distributions()
     assert "Nab3" in dists
-    span = distribution_span(chart, dists["Nab3"], pt)
+    span = distribution_span(cp, dists["Nab3"])
     g = cp.g.astype(complex)
     assert max(abs(x @ g @ y) for x in span for y in span) < 1e-10

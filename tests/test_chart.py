@@ -180,10 +180,11 @@ def test_bracket_examples():
     def Y_fn(x):
         return [0.0, 1.0, 0.0, 0.0]  # d_x
 
-    br = frame_field_bracket(mink, X_fn, Y_fn, [0.0, 1.0, 2.0, 3.0])
+    cp = mink.evaluate([0.0, 1.0, 2.0, 3.0])
+    br = frame_field_bracket(cp, X_fn, Y_fn)
     assert np.allclose(br, [0.0, 0.0, -1.0, 0.0])
     # coordinate fields commute
-    br2 = frame_field_bracket(mink, Y_fn, Y_fn, [0.0, 1.0, 2.0, 3.0])
+    br2 = frame_field_bracket(cp, Y_fn, Y_fn)
     assert np.abs(br2).max() < 1e-14
 
 
@@ -203,7 +204,7 @@ def test_kk_bubble_bracket_nonintegrable_direction():
         f = 1.0 - M / x[1]
         return [0.0, f.sqrt(), 0.0, 0.0, 0.0]
 
-    br = frame_field_bracket(chart, kprime_dual, nuprime_dual, pt)
+    br = frame_field_bracket(chart.evaluate(pt), kprime_dual, nuprime_dual)
     # [X, Y] has a time component: ker{kappa', lambda'} excludes it
     assert abs(br[0]) > 1e-6 or abs(br[2]) > 1e-6
 
@@ -223,10 +224,11 @@ def test_integrability_rescaling_invariance():
     entry = ENTRIES["kk-bubble"]
     chart = entry.chart()
     pt = np.array([0.0, 3.0, 0.3, 0.2, -0.4])
+    cp = chart.evaluate(pt)
     dists = kk_structures(entry.default_params)
     rng = np.random.default_rng(2)
     for name, dist in dists.items():
-        base = max(integrability_residual(chart, dist, pt).values()) < 1e-9
+        base = max(integrability_residual(cp, dist).values()) < 1e-9
         for _ in range(10):
             c = [float(rng.uniform(0.5, 2.0)) for _ in range(3)]
 
@@ -243,5 +245,5 @@ def test_integrability_rescaling_invariance():
                 [rescale(f, c[i]) for i, f in enumerate(dist.forms)],
                 None if dist.perp_forms is None else [rescale(f, c[i]) for i, f in enumerate(dist.perp_forms)],
             )
-            flag = max(integrability_residual(chart, scaled, pt).values()) < 1e-9
+            flag = max(integrability_residual(cp, scaled).values()) < 1e-9
             assert flag == base, name

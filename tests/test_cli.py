@@ -302,8 +302,7 @@ def test_classify_named_robinson(metric, name, tmp_path):
     basis = _orthonormal_basis(cp.g)
     assert report["frame"]["k"] == _reported(frame={"k": basis[0] + basis[1]})["frame"]["k"]
     dists = catalog.kk_structures(params) if metric == "kk-bubble" else catalog.taub_nut_structures(params)
-    chart = catalog.ENTRIES[metric].build(params)
-    N = robinson_from_span(cp.g, distribution_span(chart, dists[name], cp.point))
+    N = robinson_from_span(cp.g, distribution_span(cp, dists[name]))
     assert report["robinson"] == _reported(robinson=N.serialise())["robinson"]
 
 

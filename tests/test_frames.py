@@ -47,6 +47,9 @@ def test_frame_completion_errors():
         complete_null_frame(g, np.zeros(4))
     with pytest.raises(FrameError):
         complete_null_frame(g, np.array([1.0, 0.0, 0.0, 0.0]))  # timelike
+    for bad in (np.nan, np.inf):
+        with pytest.raises(FrameError):
+            complete_null_frame(g, np.array([bad, 1.0, 0.0, 0.0]))
 
 
 def test_frame_completion_deterministic():

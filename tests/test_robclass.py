@@ -21,11 +21,13 @@ from robcls.robclass import (
     g_refined_maps,
     integrability_map_0_3_3,
     multi_robinson_equivalences,
+    parallel_structure_relations,
     refined_flags,
     special_from_flags,
     special_residual,
 )
 from robcls.simclass import decompose
+from robcls.tensor import skew_arr
 
 
 def make_structure(n, seed=0):
@@ -111,6 +113,70 @@ def test_predicates_match_brute_force_and_flags(n):
                     for w in span:
                         worst = max(worst, abs(np.einsum("abcd,a,b,c,d->", C.astype(complex), x, y, z, w)))
         assert abs(worst / max(np.abs(C).max(), 1e-300) - resid_al) < 1e-12
+
+
+@pytest.mark.parametrize("n", range(4, 10))
+def test_restrictions_match_loop_oracles(n):
+    """Restrictions to span vectors against the nested loops over the spanning sets.
+
+    Random tensors and one supported on grades >= 1 (aligned: residual at round-off),
+    over sampled structures; the residuals agree to 1e-12 of the tensor scale.
+    """
+    from robcls.catalog import ENTRIES
+    from robcls.chart import DistributionSpec, distribution_span, tau_degeneracy
+
+    rng = np.random.default_rng(40 + n)
+    g = random_lorentzian(n, rng)
+    fr = complete_null_frame(g, random_null_vector(g, rng))
+    rows = np.vstack([e.basis for e in sim_table("C", n).entries if e.key.i >= 1])
+    tensors = [rng.standard_normal((n,) * 4), fr.from_frame((rng.standard_normal(rows.shape[0]) @ rows).reshape((n,) * 4))]
+    Phi = rng.standard_normal((n, n))
+    Phi = Phi + Phi.T
+    R = float(rng.standard_normal())
+    cp = ENTRIES["minkowski"].chart({"dim": n}).evaluate(np.zeros(n))
+
+    def close(got, ref):
+        return abs(got - ref) <= 1e-12 * max(ref, 1.0)
+
+    for N in sample_robinson_over_null_line(fr, 3, rng_seed=n):
+        span, perp = N.span_N(), N.span_N_perp()
+        assert close(N.nullity_residual(), max(abs(x @ g @ y) for x in span for y in span))
+        for C in tensors:
+            Cc = C.astype(complex)
+            top = np.abs(C).max()
+            aligned = max(
+                abs(np.einsum("abcd,a,b,c,d->", Cc, x, y, z, w)) for x in perp for y in perp for z in span for w in span
+            )
+            special = max(np.abs(np.einsum("abcd,a,b,c->d", Cc, x, y, z)).max() for x in perp for y in perp for z in span)
+            assert close(aligned_residual(C, N), aligned / top)
+            assert close(special_residual(C, N), special / top)
+            worst_c = worst_p = 0.0
+            for x in span:
+                for y in perp:
+                    gx, gy, phix, phiy = g @ x, g @ y, Phi @ x, Phi @ y
+                    term = (
+                        np.einsum("abcd,c,d->ab", Cc, x, y)
+                        + (2.0 / (n - 2)) * 0.5 * (np.outer(phix, gy) - np.outer(gy, phix) - np.outer(phiy, gx) + np.outer(gx, phiy))
+                        + (2.0 / (n * (n - 1))) * R * 0.5 * (np.outer(gx, gy) - np.outer(gy, gx))
+                    )
+                    worst_c = max(worst_c, np.abs(term).max())
+                    worst_p = max(worst_p, abs(x @ Phi @ y))
+            rel = parallel_structure_relations(C, Phi, R, N)
+            scale = max(top, np.abs(Phi).max(), abs(R))
+            assert close(rel.curvature_block_residual, worst_c / scale)
+            assert close(rel.ricci_block_residual, worst_p / scale)
+        # constant annihilators: g(x, .) for x in N^perp annihilates N, for x in N annihilates N^perp
+        dist = DistributionSpec(
+            "N", [lambda _, v=g @ x: list(v) for x in perp], [lambda _, v=g @ x: list(v) for x in span]
+        )
+        kernel = distribution_span(cp, DistributionSpec("Nperp", dist.perp_forms))
+        alpha, beta = rng.standard_normal((2, n))
+        for tau in (
+            skew_arr(rng.standard_normal((n,) * 3), (0, 1, 2)),
+            skew_arr(np.einsum("a,b,c->abc", g @ N.frame.k, alpha, beta), (0, 1, 2)),  # vanishes on N^perp
+        ):
+            ref = max(abs(np.einsum("abc,a,b,c->", tau, x, y, z)) for x in kernel for y in kernel for z in kernel)
+            assert close(tau_degeneracy(cp, dist, tau), ref / np.abs(tau).max())
 
 
 @pytest.mark.parametrize("n", (5, 6, 8))

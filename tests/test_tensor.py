@@ -82,26 +82,41 @@ def test_schwarzschild_phi_trace_by_loop():
 
 
 def _transform_slots_loop(arr, M):
-    """Reference: contract M into one slot at a time with tensordot."""
+    """Reference: contract M (or M[ax]) into one slot at a time with tensordot."""
+    mats = [M] * arr.ndim if isinstance(M, np.ndarray) else M
     out = arr
-    for ax in range(arr.ndim):
-        out = np.moveaxis(np.tensordot(M, out, axes=(1, ax)), 0, ax)
+    for ax, Mi in enumerate(mats):
+        out = np.moveaxis(np.tensordot(Mi, out, axes=(1, ax)), 0, ax)
     return out
 
 
 @pytest.mark.parametrize("rank", range(5))
-@pytest.mark.parametrize("kind", ["square", "complex", "rectangular"])
+@pytest.mark.parametrize("kind", ["square", "complex", "rectangular", "per-slot"])
 def test_transform_slots_matches_slot_loop(rank, kind):
     rng = np.random.default_rng(10 * rank + len(kind))
     n = 5
-    M = rng.standard_normal((3 if kind == "rectangular" else n, n))
-    if kind == "complex":
-        M = M + 1j * rng.standard_normal((n, n))
+    if kind == "per-slot":
+        # slot 0: (n, n) real, 1: (3, n) complex, 2: (n, n) complex, 3: (3, n) real
+        M = []
+        for ax in range(rank):
+            Mi = rng.standard_normal((3 if ax % 2 else n, n))
+            if ax % 4 in (1, 2):
+                Mi = Mi + 1j * rng.standard_normal(Mi.shape)
+            M.append(Mi)
+        shape = tuple(Mi.shape[0] for Mi in M)
+    else:
+        M = rng.standard_normal((3 if kind == "rectangular" else n, n))
+        if kind == "complex":
+            M = M + 1j * rng.standard_normal((n, n))
+        shape = (M.shape[0],) * rank
     arr = rng.standard_normal((n,) * rank)
     got = transform_slots(arr, M)
     ref = _transform_slots_loop(arr, M)
-    assert got.shape == ref.shape == (M.shape[0],) * rank
+    assert got.shape == ref.shape == shape
     assert np.abs(got - ref).max() <= 1e-14 * max(np.abs(ref).max(), 1.0)
+    if kind == "per-slot":
+        with pytest.raises(ValueError):
+            transform_slots(arr, M + [np.eye(n)])
 
 
 @pytest.mark.parametrize("n,rank", [(4, 2), (5, 3), (6, 4), (6, 6)])
