@@ -67,13 +67,22 @@ def ricci_contraction(r: np.ndarray, g_inv: np.ndarray) -> np.ndarray:
 
 
 def weyl_trace_part(phi: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Phi_{[c|[a} g_{b]|d]} assembled explicitly (leading axes of phi batch)."""
-    return 0.25 * (
-        np.einsum("...ca,bd->...abcd", phi, g)
-        - np.einsum("...da,bc->...abcd", phi, g)
-        - np.einsum("...cb,ad->...abcd", phi, g)
-        + np.einsum("...db,ac->...abcd", phi, g)
-    )
+    """Phi_{[c|[a} g_{b]|d]} assembled explicitly (leading axes of phi batch).
+
+    With t_abcd = Phi_ca g_bd the four terms are t_abcd - t_abdc - t_bacd
+    + t_badc, summed in that order.
+    """
+    b = phi.ndim - 2
+    t = np.swapaxes(phi, -1, -2)[..., :, None, :, None] * g[:, None, :]
+    # a product such as -1 * 0 is -0.0; adding 0.0 makes it 0.0, so zeros in
+    # the result are signed as in the four-einsum formula, whose sums start at 0
+    t += 0.0
+    batch = tuple(range(b))
+    out = t - t.transpose(*batch, b, b + 1, b + 3, b + 2)
+    out -= t.transpose(*batch, b + 1, b, b + 2, b + 3)
+    out += t.transpose(*batch, b + 1, b, b + 3, b + 2)
+    out *= 0.25
+    return out
 
 
 def metric_wedge_part(g: np.ndarray) -> np.ndarray:

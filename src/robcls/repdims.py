@@ -92,7 +92,8 @@ def lowering_action(T: np.ndarray, frame: NullFrame, z: np.ndarray) -> np.ndarra
 
     The generator is psi_ab = 2 l_[a z_b] (z a screen covector built from
     the coefficients ``z``); it lowers the grade by exactly one.  This is the
-    per-tensor reference that ``_lowered_basis`` reproduces for whole bases.
+    per-tensor reference that ``_lowered_on_grade`` reproduces for whole bases,
+    one grade at a time.
     """
     g = frame.g
     g_inv = np.linalg.inv(g)
@@ -107,29 +108,57 @@ def lowering_action(T: np.ndarray, frame: NullFrame, z: np.ndarray) -> np.ndarra
     return out
 
 
-def _lowered_basis(basis: np.ndarray, n: int, rank: int) -> np.ndarray:
-    """Images of every row of ``basis`` under the lowering generators of
-    ``reference_frame(n)``, one screen direction e_d at a time.
+@lru_cache(maxsize=None)
+def _lowering_maps(n: int, rank: int, q: int) -> tuple:
+    """Index pairs that lower grade-q components onto grade q-1, slot by slot.
+
+    In the reference frame the generator P_d = g^-1 psi of direction e_d has
+    the two entries P[n-1, d+1] = 1 and P[d+1, 0] = -1.  On slot s that is
+    out[.. d+1 ..] -= T[.. n-1 ..] and out[.. 0 ..] += T[.. d+1 ..].  For each
+    slot this returns ``(minus_dst, minus_src, plus_dst, plus_src)`` covering
+    all n-2 directions at once: ``src`` indexes the grade-q columns and
+    ``dst`` the flattened (direction, grade q-1 column) block.
+    """
+    cols_src = grade_columns(n, rank, q)
+    cols_dst = grade_columns(n, rank, q - 1)
+    width = cols_dst.size
+    pos = np.full(n**rank, -1)
+    pos[cols_src] = np.arange(cols_src.size)
+    digits = np.unravel_index(cols_dst, (n,) * rank)
+    j = np.arange(width)
+    d = np.arange(n - 2)[:, None]
+    maps = []
+    for s in range(rank):
+        stride = n ** (rank - 1 - s)
+        digit = digits[s]
+        # slot s of the target holds a screen index d + 1: the source has n-1 there
+        on = (digit > 0) & (digit < n - 1)
+        minus_dst = (digit[on] - 1) * width + j[on]
+        minus_src = pos[cols_dst[on] + (n - 1 - digit[on]) * stride]
+        # slot s of the target holds 0: the source has d + 1 there, for every d
+        on = digit == 0
+        plus_dst = (d * width + j[on]).ravel()
+        plus_src = pos[cols_dst[on] + (d + 1) * stride].ravel()
+        maps.append((minus_dst, minus_src, plus_dst, plus_src))
+    return tuple(maps)
+
+
+def _lowered_on_grade(rows: np.ndarray, n: int, rank: int, q: int) -> np.ndarray:
+    """Images of ``rows`` (read on grade q's columns) under the lowering
+    generators of ``reference_frame(n)``, on grade q-1's columns.
 
     Row ``r * (n - 2) + d`` equals ``lowering_action`` of row r with z = e_d,
-    bit for bit.  In the reference frame the generator P_d = g^-1 psi has the
-    two entries P[n-1, d+1] = 1 and P[d+1, 0] = -1, so its action on one slot
-    is two slice updates instead of a matrix product.
+    read on ``grade_columns(n, rank, q - 1)``, bit for bit: the updates run
+    slot by slot, in the order the per-tensor action adds them up.
+    Off grade q-1 the action of a grade-q tensor is exactly zero.
     """
-    T = basis.reshape(-1, *(n,) * rank)
-    out = np.zeros((T.shape[0], n - 2) + T.shape[1:])
-
-    def at(slot, index):
-        key = [slice(None)] * (rank + 1)
-        key[slot] = index
-        return tuple(key)
-
-    for d in range(n - 2):
-        od = out[:, d]
-        for s in range(1, rank + 1):
-            od[at(s, d + 1)] -= T[at(s, n - 1)]
-            od[at(s, 0)] += T[at(s, d + 1)]
-    return out.reshape(T.shape[0] * (n - 2), -1)
+    maps = _lowering_maps(n, rank, q)
+    width = grade_columns(n, rank, q - 1).size
+    out = np.zeros((rows.shape[0], (n - 2) * width))
+    for minus_dst, minus_src, plus_dst, plus_src in maps:
+        out[:, minus_dst] -= rows[:, minus_src]
+        out[:, plus_dst] += rows[:, plus_src]
+    return out.reshape(rows.shape[0] * (n - 2), width)
 
 
 @dataclass
@@ -164,37 +193,38 @@ def paper_arrow_set(space: str, n: int, level: str) -> set:
     return arrow_set
 
 
-_ARROW_CACHE: dict = {}
-
-
-def computed_arrow_set(space: str, n: int, level: str, tol: float = 1e-8) -> set:
+@lru_cache(maxsize=None)
+def computed_arrow_set(space: str, n: int, level: str, tol: float = 1e-8) -> frozenset:
     """Exact arrow set: (src -> dst) iff the lowering action maps the source
     module onto a nonzero piece of the target module.
 
     The action is bilinear in (screen direction, source element), so running
     over basis pairs decides each arrow exactly.  Each source module is
-    lowered as a whole basis and dropped before the next; the images are
-    paired with the targets on the target grade's columns only.
+    lowered onto the target grade's columns only; one product with all the
+    target modules' rows of that grade, stacked once, pairs it with every
+    target, whose blocks of columns are then read off one by one.
     """
-    cache_key = (space, n, level)
-    if cache_key in _ARROW_CACHE:
-        return _ARROW_CACHE[cache_key]
     table = module_table(space, n, level)
+    rank = RANK[space]
+    stacked: dict = {}
     out = set()
     for e in table.entries:
-        targets = [t for t in table.entries if t.grade == e.grade - 1]
+        q = e.grade
+        targets = [t for t in table.entries if t.grade == q - 1]
         if not targets:
             continue
-        imgs = _lowered_basis(e.basis, n, RANK[space])
+        if q not in stacked:
+            cols = grade_columns(n, rank, q - 1)
+            starts = np.cumsum([0] + [t.dim for t in targets[:-1]])
+            stacked[q] = (np.vstack([t.basis[:, cols] for t in targets]), starts)
+        target_rows, starts = stacked[q]
+        imgs = _lowered_on_grade(e.basis[:, grade_columns(n, rank, q)], n, rank, q)
         scale = max(np.abs(imgs).max(), 1e-300)
-        cols = grade_columns(n, RANK[space], e.grade - 1)
-        imgs = imgs[:, cols]
-        for t in targets:
-            comp = imgs @ t.basis[:, cols].T
-            if np.abs(comp).max() > tol * scale:
+        comp = np.abs(imgs @ target_rows.T).max(axis=0)
+        for t, m in zip(targets, np.maximum.reduceat(comp, starts)):
+            if m > tol * scale:
                 out.add((e.key, t.key))
-    _ARROW_CACHE[cache_key] = out
-    return out
+    return frozenset(out)
 
 
 def paper_arrow_delta(space: str, n: int, level: str) -> dict:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -32,20 +33,29 @@ class Tolerance:
 DEFAULT_TOL = Tolerance()
 
 
-def _perm_average(components: np.ndarray, slots, signed: bool) -> np.ndarray:
-    rank = components.ndim
-    slots = tuple(slots)
-    out = np.zeros_like(components)
-    for perm in itertools.permutations(range(len(slots))):
+@lru_cache(maxsize=None)
+def _perm_terms(rank: int, slots: tuple, signed: bool) -> tuple:
+    """(transpose axes, sign) of every non-identity permutation of ``slots``."""
+    terms = []
+    # the first permutation is the identity
+    for perm in list(itertools.permutations(range(len(slots))))[1:]:
         axes = list(range(rank))
         for pos, p in enumerate(perm):
             axes[slots[pos]] = slots[p]
-        term = np.transpose(components, axes)
-        if signed:
-            sign = _perm_sign(perm)
-            out += sign * term
+        terms.append((tuple(axes), _perm_sign(perm) if signed else 1))
+    return tuple(terms)
+
+
+def _perm_average(components: np.ndarray, slots, signed: bool) -> np.ndarray:
+    rank = components.ndim
+    slots = tuple(s % rank for s in slots)
+    # the identity term; "+ 0" turns -0.0 into 0.0, as a sum started at 0 does
+    out = components + 0
+    for axes, sign in _perm_terms(rank, slots, signed):
+        if sign > 0:
+            out += components.transpose(axes)
         else:
-            out += term
+            out -= components.transpose(axes)
     return out / math.factorial(len(slots))
 
 

@@ -115,6 +115,32 @@ def test_projectors_match_full_permutation_sums(n, kind):
     assert np.abs(project_A(t3, eta, eta_inv, n) - _project_A_ref(t3, eta, eta_inv, n)).max() <= tol3
 
 
+def _weyl_trace_part_ref(phi, g):
+    return 0.25 * (
+        np.einsum("...ca,bd->...abcd", phi, g)
+        - np.einsum("...da,bc->...abcd", phi, g)
+        - np.einsum("...cb,ad->...abcd", phi, g)
+        + np.einsum("...db,ac->...abcd", phi, g)
+    )
+
+
+@pytest.mark.parametrize("kind", ("real", "complex"))
+@pytest.mark.parametrize("batch", ((), (3,), (2, 3)))
+@pytest.mark.parametrize("n", (4, 5, 7))
+def test_weyl_trace_part_matches_four_einsums(n, batch, kind):
+    """One outer product and its transposes equal the four einsum terms bit
+    for bit, signs of zeros included (the frame metric has zero entries)."""
+    rng = np.random.default_rng(n + len(batch))
+    phi = _random(batch + (n, n), kind, rng)
+    phi[..., 0, :] = -0.0
+    for g in (frame_metric(n), -frame_metric(n), rng.standard_normal((n, n))):
+        got = weyl_trace_part(phi, g)
+        ref = _weyl_trace_part_ref(phi, g)
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)
+        for part in (np.real, np.imag):
+            assert np.array_equal(np.signbit(part(got)), np.signbit(part(ref)))
+
+
 @pytest.mark.parametrize("n", range(4, 10))
 @pytest.mark.parametrize("space", SPACES)
 def test_project_class_idempotent_and_euclidean_symmetric(space, n):

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from robcls.classes import RANK, class_dim
-from robcls.modules import ModuleKey, rob_table, sim_table
+from robcls.classes import RANK, class_dim, grade_columns
+from robcls.modules import ModuleKey, module_table, rob_table, sim_table
 from robcls.repdims import (
+    _lowered_on_grade,
     all_dim_checks,
     computed_arrow_set,
-    _lowered_basis,
     computed_module_dim,
     lowering_action,
     nilpotent_action_check,
@@ -98,16 +98,70 @@ def test_bottom_grade_action_vanishes():
 
 @pytest.mark.parametrize("n", (5, 6, 7))
 def test_lowered_basis_matches_lowering_action(n):
-    """Whole-basis lowering equals the per-tensor action bit for bit, per row and direction."""
+    """Grade-local lowering equals the per-tensor action on the target grade
+    bit for bit, per row and direction, and the action vanishes off that grade."""
     frame = reference_frame(n)
     eye = np.eye(n - 2)
     for space in ("A", "C"):
-        shape = (n,) * RANK[space]
+        rank = RANK[space]
+        shape = (n,) * rank
         for table in (sim_table(space, n), rob_table(space, n)):
             for e in table.entries:
-                imgs = _lowered_basis(e.basis, n, RANK[space])
-                assert imgs.shape == (e.dim * (n - 2), n ** RANK[space])
+                q = e.grade
+                cols = grade_columns(n, rank, q - 1)
+                off = np.ones(n**rank, dtype=bool)
+                off[cols] = False
+                imgs = _lowered_on_grade(e.basis[:, grade_columns(n, rank, q)], n, rank, q)
+                assert imgs.shape == (e.dim * (n - 2), cols.size)
                 for r, row in enumerate(e.basis):
                     for d in range(n - 2):
                         ref = lowering_action(row.reshape(shape), frame, eye[d]).ravel()
-                        assert np.array_equal(imgs[r * (n - 2) + d], ref), (str(e.key), r, d)
+                        assert np.array_equal(imgs[r * (n - 2) + d], ref[cols]), (str(e.key), r, d)
+                        assert np.array_equal(ref[off], np.zeros(off.sum())), (str(e.key), r, d)
+
+
+def _full_width_arrow_set(space, n, level, tol=1e-8):
+    """The arrow set from full-width images of each whole basis, gathered
+    onto the target grade and paired with one target module at a time."""
+    table = module_table(space, n, level)
+    rank = RANK[space]
+    out = set()
+    for e in table.entries:
+        targets = [t for t in table.entries if t.grade == e.grade - 1]
+        if not targets:
+            continue
+        T = e.basis.reshape(-1, *(n,) * rank)
+        imgs = np.zeros((T.shape[0], n - 2) + T.shape[1:])
+
+        def at(slot, index):
+            key = [slice(None)] * (rank + 1)
+            key[slot] = index
+            return tuple(key)
+
+        for d in range(n - 2):
+            od = imgs[:, d]
+            for s in range(1, rank + 1):
+                od[at(s, d + 1)] -= T[at(s, n - 1)]
+                od[at(s, 0)] += T[at(s, d + 1)]
+        imgs = imgs.reshape(T.shape[0] * (n - 2), -1)
+        scale = max(np.abs(imgs).max(), 1e-300)
+        cols = grade_columns(n, rank, e.grade - 1)
+        imgs = imgs[:, cols]
+        for t in targets:
+            if np.abs(imgs @ t.basis[:, cols].T).max() > tol * scale:
+                out.add((e.key, t.key))
+    return out
+
+
+@pytest.mark.parametrize("n", (4, 5, 6, 7))
+def test_arrow_set_matches_full_width_images(n):
+    for space in SPACES:
+        for level in ("sim", "rob"):
+            assert computed_arrow_set(space, n, level) == _full_width_arrow_set(space, n, level), (space, n, level)
+
+
+def test_arrow_set_depends_on_tol():
+    """A looser tolerance is not answered from the cache of a tighter one."""
+    assert len(computed_arrow_set("C", 5, "sim")) == 14
+    assert computed_arrow_set("C", 5, "sim", tol=1e3) == set()
+    assert computed_arrow_set("C", 5, "sim", tol=1e3) == _full_width_arrow_set("C", 5, "sim", tol=1e3)

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -128,3 +129,66 @@ def test_swap_kl_rows_matches_per_row(n, rank):
     per_row = np.array([swap_kl(r.reshape((n,) * rank), n).ravel() for r in rows])
     assert np.array_equal(swap_kl_rows(rows, n, rank), per_row)
     assert np.array_equal(swap_kl(swap_kl(rows[0].reshape((n,) * rank), n), n), rows[0].reshape((n,) * rank))
+
+
+def _perm_average_ref(components, slots, signed):
+    """Zero-filled sum of sign * transpose over every permutation of ``slots``, over k!."""
+    rank = components.ndim
+    slots = tuple(slots)
+    out = np.zeros_like(components)
+    for perm in itertools.permutations(range(len(slots))):
+        axes = list(range(rank))
+        for pos, p in enumerate(perm):
+            axes[slots[pos]] = slots[p]
+        term = np.transpose(components, axes)
+        if signed:
+            inversions = sum(perm[a] > perm[b] for a in range(len(perm)) for b in range(a + 1, len(perm)))
+            out += (-1) ** inversions * term
+        else:
+            out += term
+    return out / math.factorial(len(slots))
+
+
+def _assert_same_bits(got, ref):
+    assert got.dtype == ref.dtype and got.shape == ref.shape
+    assert np.array_equal(got, ref)
+    for part in (np.real, np.imag):
+        assert np.array_equal(np.signbit(part(got)), np.signbit(part(ref)))
+
+
+def _with_signed_zeros(shape, complex_, rng):
+    """Random entries with every third one -0.0 and every fifth +0.0, in each real part."""
+    def part():
+        t = rng.standard_normal(shape)
+        t.reshape(-1)[::3] = -0.0
+        t.reshape(-1)[1::5] = 0.0
+        return t
+
+    if not complex_:
+        return part()
+    t = np.empty(shape, dtype=complex)
+    t.real, t.imag = part(), part()
+    return t
+
+
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize(
+    "shape,slots",
+    [
+        ((4, 4), (0, 1)),
+        ((4, 4), (-1, -2)),
+        ((5, 5, 5), (0, 2)),
+        ((5, 5, 5), (0, 1, 2)),
+        ((2, 3, 4, 4, 4), (-3, -2, -1)),
+        ((3, 4, 4, 4, 4), (-2, -1)),
+        ((4, 4, 4, 4, 4, 4), (3, 4, 5)),
+    ],
+)
+def test_skew_sym_match_zero_filled_permutation_sum(shape, slots, complex_):
+    """skew_arr and sym_arr equal the zero-filled permutation sum bit for bit,
+    signs of zeros included, with negative slots and leading batch axes."""
+    arr = _with_signed_zeros(shape, complex_, np.random.default_rng(len(shape) + len(slots)))
+    for part in (np.real, np.imag) if complex_ else (np.real,):
+        assert ((part(arr) == 0) & np.signbit(part(arr))).any()
+    _assert_same_bits(skew_arr(arr, slots), _perm_average_ref(arr, slots, True))
+    _assert_same_bits(sym_arr(arr, slots), _perm_average_ref(arr, slots, False))
