@@ -962,18 +962,17 @@ def iwasawa_quoted_weyl(pt):
     """The Weyl tensor assembled from the quoted block combination."""
     combos = iwasawa_quoted_combos(pt)
     NU, BE, MU, AL = combos["nu"], combos["beta"], combos["mu"], combos["alpha"]
-    skewp = lambda x: skew_arr(skew_arr(x, (0, 1)), (2, 3))
     return (
-        -0.5 * (np.einsum("ab,cd->abcd", MU, MU) - skewp(np.einsum("ac,db->abcd", MU, MU)))
+        -0.5 * (np.einsum("ab,cd->abcd", MU, MU) - skew_arr(np.einsum("ac,db->abcd", MU, MU), (0, 1), (2, 3)))
         + 0.5
         * (
             np.einsum("ab,cd->abcd", MU, AL)
             + np.einsum("ab,cd->abcd", AL, MU)
-            - 2.0 * skewp(np.einsum("ac,db->abcd", MU, AL))
+            - 2.0 * skew_arr(np.einsum("ac,db->abcd", MU, AL), (0, 1), (2, 3))
         )
-        + 0.7 * skewp(np.einsum("ac,db->abcd", NU, NU))
+        + 0.7 * skew_arr(np.einsum("ac,db->abcd", NU, NU), (0, 1), (2, 3))
         + 0.6 * np.einsum("ab,cd->abcd", AL, AL)
-        - 0.6 * skewp(np.einsum("ac,db->abcd", NU, BE))
+        - 0.6 * skew_arr(np.einsum("ac,db->abcd", NU, BE), (0, 1), (2, 3))
     )
 
 

@@ -98,6 +98,7 @@ class ChartPoint:
             raise DomainError(f"metric singular at {point.tolist()}")
         self.g_inv = np.linalg.inv(self.g)
         self.dg, self.d2g, self.d3g = (J.jet_derivatives(G, n, k) for k in (1, 2, 3))
+        self._fields: dict = {}  # field function -> (values, gradient)
 
     # --- metric and connection derivative arrays -------------------------
 
@@ -259,11 +260,18 @@ class ChartPoint:
     # --- fields ---------------------------------------------------------
 
     def eval_covector_field(self, fn) -> tuple:
-        """(values, gradient) of a vector or covector field; gradient[b, a] = d_a v_b."""
-        n = self.n
-        x = J.jet_point(self.point, n)
-        comps = J.stack_jets(fn(x), n)
-        return comps[..., 0], J.jet_derivatives(comps, n, 1)
+        """(values, gradient) of a vector or covector field; gradient[b, a] = d_a v_b.
+
+        Each field function is evaluated once per point; the read-only arrays
+        are kept under the function object, which the cache holds alive.
+        """
+        if fn not in self._fields:
+            n = self.n
+            comps = J.stack_jets(fn(J.jet_point(self.point, n)), n)
+            vals, grad = comps[..., 0], J.jet_derivatives(comps, n, 1)
+            vals.flags.writeable = grad.flags.writeable = False
+            self._fields[fn] = (vals, grad)
+        return self._fields[fn]
 
     def covariant_derivative_vector(self, fn) -> np.ndarray:
         """nabla_a X^b for a vector field."""

@@ -52,7 +52,7 @@ def project_A(t: np.ndarray, g: np.ndarray, g_inv: np.ndarray, dim: int) -> np.n
 
 def project_riemann(t: np.ndarray) -> np.ndarray:
     b = t.ndim - 4
-    r = skew_arr(skew_arr(t, (b, b + 1)), (b + 2, b + 3))
+    r = skew_arr(t, (b, b + 1), (b + 2, b + 3))
     r = 0.5 * (r + np.transpose(r, (*range(b), b + 2, b + 3, b, b + 1)))
     # r is skew in each pair and pair-symmetric, so r_[abcd] is the cyclic sum
     # (r_abcd + r_acdb + r_adbc) / 3 over the last three slots

@@ -105,6 +105,8 @@ def cmd_classify(args) -> int:
             return 2
         report.weyl_type = label.as_dict()
         frame = complete_null_frame(cp.g, label.direction)
+        # the search label is scaled by |C|; the report uses the Riemann scale
+        dec = decompose("C", cp.weyl, frame, "sim", tol, scale)
     else:
         lines = entry.null_lines(cp, params)
         if args.k:
@@ -138,8 +140,8 @@ def cmd_classify(args) -> int:
             return 2
         label = weyl_type_at_frame(cp.weyl, frame, tol, scale)
         report.weyl_type = label.as_dict()
+        dec = label.decomposition
     report.frame = frame_dict(frame)
-    dec = decompose("C", cp.weyl, frame, "sim", tol, scale)
     report.sim_decomposition = decomposition_dict(dec)
     indeterminate += indeterminate_flags(dec)
     if args.robinson:

@@ -503,7 +503,7 @@ def robinson_form_residuals(N: RobinsonStructure) -> dict:
     lhs = np.einsum("ef,eab,fcd->abcd", g_inv, _raise2(rho, g_inv), rho)
     k_up = N.frame.k
     kdelta = np.einsum("a,c,bd->abcd", k_up, kb, np.eye(N.n))
-    rhs = 4.0 * skew_arr(skew_arr(kdelta, (0, 1)), (2, 3))
+    rhs = 4.0 * skew_arr(kdelta, (0, 1), (2, 3))
     if eps:
         mu = forms.mu
         mu_up = g_inv @ mu @ g_inv.T

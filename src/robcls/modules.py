@@ -43,7 +43,7 @@ from .classes import (
     project_rows,
     screen_class_basis,
 )
-from .tensor import levi_civita, skew_arr
+from .tensor import levi_civita, skew_arr, swap_pairs
 
 
 # --------------------------------------------------------------------------
@@ -342,29 +342,6 @@ def _cplx_31_tf_basis(p):
 # --------------------------------------------------------------------------
 
 
-def _skew01(a):
-    return skew_arr(a, (0, 1))
-
-
-def _skew12(a):
-    return skew_arr(a, (1, 2))
-
-
-# The rank-4 helpers below count slots from the end, so leading axes batch.
-
-
-def _skew23(a):
-    return skew_arr(a, (-2, -1))
-
-
-def _skew_pairs(a):
-    return skew_arr(skew_arr(a, (-4, -3)), (-2, -1))
-
-
-def _pairswap(a):
-    return a.swapaxes(-4, -2).swapaxes(-3, -1)
-
-
 def _emb_G_1_0(n, v):
     k = _kb(n)
     return np.outer(k, v) - np.outer(v, k)
@@ -391,45 +368,46 @@ def _emb_A_2_0(n, v):
 
 def _emb_A_1_0(n, _):
     k, E, h = _kb(n), _E(n), _h(n)
-    return np.einsum("a,bc->abc", k, E) - (2.0 / (n - 2)) * _skew12(np.einsum("ab,c->abc", h, k))
+    return np.einsum("a,bc->abc", k, E) - (2.0 / (n - 2)) * skew_arr(np.einsum("ab,c->abc", h, k), (1, 2))
 
 
 def _emb_A_1_1(n, w):
     k = _kb(n)
-    return np.einsum("a,bc->abc", k, w) - _skew12(np.einsum("ab,c->abc", w, k))
+    return np.einsum("a,bc->abc", k, w) - skew_arr(np.einsum("ab,c->abc", w, k), (1, 2))
 
 
 def _emb_A_1_2(n, s):
     k = _kb(n)
-    return 2.0 * _skew12(np.einsum("ab,c->abc", s, k))
+    return 2.0 * skew_arr(np.einsum("ab,c->abc", s, k), (1, 2))
 
 
 def _emb_A_0_0(n, v):
     E = _E(n)
-    return np.einsum("a,bc->abc", v, E) - _skew12(np.einsum("ab,c->abc", E, v))
+    return np.einsum("a,bc->abc", v, E) - skew_arr(np.einsum("ab,c->abc", E, v), (1, 2))
 
 
 def _emb_A_0_1(n, v):
     S, h = _S(n), _h(n)
-    return _skew12(np.einsum("ab,c->abc", S, v)) - (2.0 / (n - 3)) * _skew12(np.einsum("ab,c->abc", h, v))
+    t1 = skew_arr(np.einsum("ab,c->abc", S, v), (1, 2))
+    return t1 - (2.0 / (n - 3)) * skew_arr(np.einsum("ab,c->abc", h, v), (1, 2))
 
 
 def _emb_C_2_0(n, s):
     k = _kb(n)
-    return _skew_pairs(np.einsum("a,bc,d->abcd", k, s, k))
+    return skew_arr(np.einsum("a,bc,d->abcd", k, s, k), (0, 1), (2, 3))
 
 
 def _emb_C_1_0(n, v):
     k, E, h = _kb(n), _E(n), _h(n)
-    t1 = 2.0 * _skew01(np.einsum("a,b,cd->abcd", k, v, E))
-    t3 = _skew_pairs(np.einsum("ac,d,b->abcd", h, v, k))
-    return t1 + _pairswap(t1) - (4.0 / (n - 3)) * (t3 + _pairswap(t3))
+    t1 = 2.0 * skew_arr(np.einsum("a,b,cd->abcd", k, v, E), (0, 1))
+    t3 = skew_arr(np.einsum("ac,d,b->abcd", h, v, k), (0, 1), (2, 3))
+    return t1 + swap_pairs(t1) - (4.0 / (n - 3)) * (t3 + swap_pairs(t3))
 
 
 def _emb_C_1_1(n, psi):
     k = _kb(n)
-    t = _skew01(np.einsum("a,bcd->abcd", k, psi))
-    return t + _pairswap(t)
+    t = skew_arr(np.einsum("a,bcd->abcd", k, psi), (0, 1))
+    return t + swap_pairs(t)
 
 
 def _emb_C_0_0(n, _):
@@ -445,15 +423,15 @@ def _emb_C_0_1(n, psi):
     return (
         2.0 * np.einsum("ab,cd->abcd", E, psi)
         + 2.0 * np.einsum("ab,cd->abcd", psi, E)
-        - 4.0 * _skew_pairs(np.einsum("ac,db->abcd", E, psi))
+        - 4.0 * skew_arr(np.einsum("ac,db->abcd", E, psi), (0, 1), (2, 3))
     )
 
 
 def _emb_C_0_2(n, psi):
     S, h = _S(n), _h(n)
-    return 2.0 * _skew_pairs(np.einsum("ac,db->abcd", S, psi)) - (4.0 / (n - 4)) * _skew_pairs(
-        np.einsum("ac,db->abcd", h, psi)
-    )
+    t1 = skew_arr(np.einsum("ac,db->abcd", S, psi), (0, 1), (2, 3))
+    t2 = skew_arr(np.einsum("ac,db->abcd", h, psi), (0, 1), (2, 3))
+    return 2.0 * t1 - (4.0 / (n - 4)) * t2
 
 
 # ---- refined screen representatives (B.2.2 patterns) ----------------------
@@ -470,8 +448,8 @@ def _emb_A02_0(n, v):
     jv = w @ v  # (J A)_c = J_c^d A_d, J being omega with screen indices raised
     return (
         np.einsum("a,bc->abc", v, w)
-        - _skew12(np.einsum("b,ca->abc", v, w))
-        + (3.0 / (2 * m - 3)) * _skew12(np.einsum("ab,c->abc", H, jv))
+        - skew_arr(np.einsum("b,ca->abc", v, w), (1, 2))
+        + (3.0 / (2 * m - 3)) * skew_arr(np.einsum("ab,c->abc", H, jv), (1, 2))
     )
 
 
@@ -485,7 +463,7 @@ def _emb_A02_2(n, z):
     mv = np.array(_m_vectors(n))
     mb = np.conj(mv)
     x1 = np.einsum("ABC,Aa,Bb,Cc->abc", z, mv, mb, mb)
-    x2 = _skew12(np.einsum("ABC,Ab,Bc,Ca->abc", z, mv, mb, mb))
+    x2 = skew_arr(np.einsum("ABC,Ab,Bc,Ca->abc", z, mv, mb, mb), (1, 2))
     t = x1 - x2
     return t + np.conj(t)
 
@@ -493,31 +471,31 @@ def _emb_A02_2(n, z):
 def _emb_A02_3(n, z):
     mv = np.array(_m_vectors(n))
     mb = np.conj(mv)
-    t = 2.0 * _skew12(np.einsum("ABC,Aa,Bb,Cc->abc", z, mb, mb, mv))
+    t = 2.0 * skew_arr(np.einsum("ABC,Aa,Bb,Cc->abc", z, mb, mb, mv), (1, 2))
     return t + np.conj(t)
 
 
 def _emb_A02_4(n, _):
     u, w = _u(n), _omega0(n)
-    return np.einsum("a,bc->abc", u, w) - _skew12(np.einsum("b,ca->abc", u, w))
+    return np.einsum("a,bc->abc", u, w) - skew_arr(np.einsum("b,ca->abc", u, w), (1, 2))
 
 
 def _emb_A02_5(n, v):
     u, H = _u(n), _H(n)
     m = n // 2
-    return 2.0 * _skew12(np.einsum("a,b,c->abc", u, u, v)) - (2.0 / (2 * m - 3)) * _skew12(
-        np.einsum("ab,c->abc", H, v)
-    )
+    t1 = skew_arr(np.einsum("a,b,c->abc", u, u, v), (1, 2))
+    t2 = skew_arr(np.einsum("ab,c->abc", H, v), (1, 2))
+    return 2.0 * t1 - (2.0 / (2 * m - 3)) * t2
 
 
 def _emb_A02_67(n, w):
     u = _u(n)
-    return np.einsum("a,bc->abc", u, w) - _skew12(np.einsum("b,ca->abc", u, w))
+    return np.einsum("a,bc->abc", u, w) - skew_arr(np.einsum("b,ca->abc", u, w), (1, 2))
 
 
 def _emb_A02_89(n, s):
     u = _u(n)
-    return 2.0 * _skew12(np.einsum("ab,c->abc", s, u))
+    return 2.0 * skew_arr(np.einsum("ab,c->abc", s, u), (1, 2))
 
 
 def _emb_C03_0(n, _):
@@ -525,8 +503,8 @@ def _emb_C03_0(n, _):
     m = n // 2
     return (
         2.0 * np.einsum("ab,cd->abcd", w, w)
-        - 2.0 * _skew23(np.einsum("ac,db->abcd", w, w))
-        - (6.0 / (2 * m - 3)) * _skew23(np.einsum("ac,db->abcd", H, H))
+        - 2.0 * skew_arr(np.einsum("ac,db->abcd", w, w), (2, 3))
+        - (6.0 / (2 * m - 3)) * skew_arr(np.einsum("ac,db->abcd", H, H), (2, 3))
     )
 
 
@@ -534,17 +512,18 @@ def _emb_C03_12(n, psi):
     w, H = _omega0(n), _H(n)
     m = n // 2
     jpsi = np.einsum("de,be->db", w, psi)  # J_d^e Psi_be
-    t3 = _skew_pairs(np.einsum("ac,db->abcd", H, jpsi))
+    t3 = skew_arr(np.einsum("ac,db->abcd", H, jpsi), (0, 1), (2, 3))
     return (
         np.einsum("ab,cd->abcd", w, psi)
         + np.einsum("ab,cd->abcd", psi, w)
-        - 2.0 * _skew_pairs(np.einsum("ac,db->abcd", w, psi))
-        - (6.0 / (2 * m - 4)) * (t3 + _pairswap(t3))
+        - 2.0 * skew_arr(np.einsum("ac,db->abcd", w, psi), (0, 1), (2, 3))
+        - (6.0 / (2 * m - 4)) * (t3 + swap_pairs(t3))
     )
 
 
 # _emb_C03_3 .. _emb_C03_6 take the whole stack of complex parameters z
-# (leading axis) and return the stack of embedded tensors.
+# (leading axis) and return the stack of embedded tensors; their slots count
+# from the end, so the leading axis batches.
 
 
 def _emb_C03_3(n, z):
@@ -558,23 +537,23 @@ def _emb_C03_4(n, z):
     mb = np.conj(mv)
     x1 = np.einsum("NABCD,Aa,Bb,Cc,Dd->Nabcd", z, mb, mb, mv, mv, optimize=True)
     # z_ACDB mb_A^a mv_B^b mb_C^c mv_D^d is x1 with its slots read as (a, c, d, b)
-    x3 = _skew_pairs(np.transpose(x1, (0, 1, 4, 2, 3)))
-    t = x1 + _pairswap(x1) - 2.0 * x3
+    x3 = skew_arr(np.transpose(x1, (0, 1, 4, 2, 3)), (-4, -3), (-2, -1))
+    t = x1 + swap_pairs(x1) - 2.0 * x3
     return t + np.conj(t)
 
 
 def _emb_C03_5(n, z):
     mv = np.array(_m_vectors(n))
     mb = np.conj(mv)
-    t = _skew_pairs(np.einsum("NACDB,Aa,Bb,Cc,Dd->Nabcd", z, mb, mv, mb, mv, optimize=True))
+    t = skew_arr(np.einsum("NACDB,Aa,Bb,Cc,Dd->Nabcd", z, mb, mv, mb, mv, optimize=True), (-4, -3), (-2, -1))
     return t + np.conj(t)
 
 
 def _emb_C03_6(n, z):
     mv = np.array(_m_vectors(n))
     mb = np.conj(mv)
-    x = _skew23(np.einsum("NABCD,Aa,Bb,Cc,Dd->Nabcd", z, mb, mb, mb, mv, optimize=True))
-    t = x + _pairswap(x)
+    x = skew_arr(np.einsum("NABCD,Aa,Bb,Cc,Dd->Nabcd", z, mb, mb, mb, mv, optimize=True), (-2, -1))
+    t = x + swap_pairs(x)
     return t + np.conj(t)
 
 
@@ -582,27 +561,27 @@ def _emb_C03_7(n, v):
     w, H, u = _omega0(n), _H(n), _u(n)
     m = n // 2
     jv = w @ v
-    t1 = _skew23(np.einsum("ab,c,d->abcd", w, v, u))
-    t2 = _skew01(np.einsum("a,b,cd->abcd", v, u, w))
-    t3 = _skew_pairs(np.einsum("ac,d,b->abcd", w, v, u))
-    t4 = _skew_pairs(np.einsum("ca,b,d->abcd", w, v, u))
-    t5 = _skew_pairs(np.einsum("ac,d,b->abcd", H, u, jv))
-    t6 = _skew_pairs(np.einsum("ca,b,d->abcd", H, u, jv))
+    t1 = skew_arr(np.einsum("ab,c,d->abcd", w, v, u), (2, 3))
+    t2 = skew_arr(np.einsum("a,b,cd->abcd", v, u, w), (0, 1))
+    t3 = skew_arr(np.einsum("ac,d,b->abcd", w, v, u), (0, 1), (2, 3))
+    t4 = skew_arr(np.einsum("ca,b,d->abcd", w, v, u), (0, 1), (2, 3))
+    t5 = skew_arr(np.einsum("ac,d,b->abcd", H, u, jv), (0, 1), (2, 3))
+    t6 = skew_arr(np.einsum("ca,b,d->abcd", H, u, jv), (0, 1), (2, 3))
     return t1 + t2 - t3 - t4 + (3.0 / (2 * m - 3)) * (t5 + t6)
 
 
 def _emb_C03_89(n, psi):
     u, H = _u(n), _H(n)
     m = n // 2
-    return _skew_pairs(np.einsum("a,bc,d->abcd", u, psi, u)) + (1.0 / (2 * m - 4)) * _skew_pairs(
-        np.einsum("ac,db->abcd", H, psi)
-    )
+    t1 = skew_arr(np.einsum("a,bc,d->abcd", u, psi, u), (0, 1), (2, 3))
+    t2 = skew_arr(np.einsum("ac,db->abcd", H, psi), (0, 1), (2, 3))
+    return t1 + (1.0 / (2 * m - 4)) * t2
 
 
 def _emb_C03_10_12(n, psi):
     u = _u(n)
-    t = _skew01(np.einsum("a,bcd->abcd", u, psi))
-    return t + _pairswap(t)
+    t = skew_arr(np.einsum("a,bcd->abcd", u, psi), (0, 1))
+    return t + swap_pairs(t)
 
 
 # --------------------------------------------------------------------------

@@ -334,8 +334,8 @@ def g_refined_maps(phi: np.ndarray, N: RobinsonStructure) -> dict:
     t1 = skew_arr(np.einsum("abc,d->abcd", X, kb), (2, 3))
     t2 = np.transpose(t1, (2, 3, 0, 1))
     tr = np.einsum("bxy,xf,yg,fg->b", rho, g_inv, g_inv, phi)
-    q1 = skew_arr(skew_arr(np.einsum("c,da,b->abcd", kb, g, tr), (2, 3)), (0, 1))
-    q2 = skew_arr(skew_arr(np.einsum("a,bc,d->abcd", kb, g, tr), (0, 1)), (2, 3))
+    q1 = skew_arr(np.einsum("c,da,b->abcd", kb, g, tr), (2, 3), (0, 1))
+    q2 = skew_arr(np.einsum("a,bc,d->abcd", kb, g, tr), (0, 1), (2, 3))
     t = t1 + t2 + (2.0 / (n - 3)) * (q1 + q2)
     if eps:
         mu = forms.mu
@@ -348,7 +348,7 @@ def g_refined_maps(phi: np.ndarray, N: RobinsonStructure) -> dict:
     else:
         out["0,1,1"] = t
     rr = np.einsum("abe,ef,fcd->abcd", rho_up, phi, np.einsum("xf,fcd->xcd", g_inv, rho))
-    t4 = 4.0 * skew_arr(skew_arr(np.einsum("a,bc,d->abcd", kb, phi, kb), (0, 1)), (2, 3))
+    t4 = 4.0 * skew_arr(np.einsum("a,bc,d->abcd", kb, phi, kb), (0, 1), (2, 3))
     out["0,1,2"] = rr + t4
     if eps:
         mu = forms.mu
@@ -379,9 +379,6 @@ def integrability_map_0_3_3(C: np.ndarray, N: RobinsonStructure) -> float:
     kb = g @ N.frame.k
     n = N.n
 
-    def sp(arr, p1, p2):
-        return skew_arr(skew_arr(arr, p1), p2)
-
     t1 = np.einsum("abi,cdj,efk,ghl,ijkl->abcdefgh", rho_up, rho_up, rho_up, rho_up, C, optimize=True)
     X = np.einsum("abi,cdj,ijeg->abcdeg", rho_up, rho_up, C, optimize=True)
     t2 = np.moveaxis(
@@ -389,32 +386,32 @@ def integrability_map_0_3_3(C: np.ndarray, N: RobinsonStructure) -> float:
         (0, 1, 2, 3, 4, 5, 6, 7),
         (0, 1, 2, 3, 4, 6, 7, 5),
     )
-    t2 = -4.0 * sp(t2, (4, 5), (6, 7))
+    t2 = -4.0 * skew_arr(t2, (4, 5), (6, 7))
     Y = np.einsum("dbkl,efk,ghl->dbefgh", C, rho_up, rho_up, optimize=True)
     t3 = np.moveaxis(
         np.multiply.outer(np.multiply.outer(Y, kb), kb),
         (0, 1, 2, 3, 4, 5, 6, 7),
         (3, 1, 4, 5, 6, 7, 0, 2),
     )
-    t3 = 4.0 * sp(t3, (0, 1), (2, 3))
+    t3 = 4.0 * skew_arr(t3, (0, 1), (2, 3))
     t4 = np.multiply.outer(np.multiply.outer(np.multiply.outer(np.multiply.outer(C, kb), kb), kb), kb)
     # C_{dbeg} k_a k_c k_h k_f -> axes: C(0..3) = (d,b,e,g); attach (a,c,h,f)
     t4 = np.moveaxis(t4, (0, 1, 2, 3, 4, 5, 6, 7), (3, 1, 4, 6, 0, 2, 7, 5))
-    t4 = -16.0 * sp(sp(t4, (0, 1), (2, 3)), (4, 5), (6, 7))
+    t4 = -16.0 * skew_arr(t4, (0, 1), (2, 3), (4, 5), (6, 7))
     M1 = np.einsum("abj,djke,ghk->abdegh", rho_up, C, rho_up, optimize=True)
     t5 = np.moveaxis(
         np.multiply.outer(np.multiply.outer(M1, kb), kb),
         (0, 1, 2, 3, 4, 5, 6, 7),
         (0, 1, 3, 4, 6, 7, 2, 5),
     )
-    t5 = 4.0 * sp(t5, (2, 3), (4, 5))
+    t5 = 4.0 * skew_arr(t5, (2, 3), (4, 5))
     M2 = np.einsum("cdj,bjke,ghk->cdbegh", rho_up, C, rho_up, optimize=True)
     t6 = np.moveaxis(
         np.multiply.outer(np.multiply.outer(M2, kb), kb),
         (0, 1, 2, 3, 4, 5, 6, 7),
         (2, 3, 1, 4, 6, 7, 0, 5),
     )
-    t6 = -4.0 * sp(t6, (0, 1), (4, 5))
+    t6 = -4.0 * skew_arr(t6, (0, 1), (4, 5))
     M3 = np.einsum("abj,djkg,efk->abdgef", rho_up, C, rho_up, optimize=True)
     # M3 axes (a,b,d,g,e,f); attach c at 2 and h at 7; reorder g to slot 6
     t7 = np.moveaxis(
@@ -422,13 +419,13 @@ def integrability_map_0_3_3(C: np.ndarray, N: RobinsonStructure) -> float:
         (0, 1, 2, 3, 4, 5, 6, 7),
         (0, 1, 3, 6, 4, 5, 2, 7),
     )
-    t7 = -4.0 * sp(t7, (2, 3), (6, 7))
+    t7 = -4.0 * skew_arr(t7, (2, 3), (6, 7))
     M4 = np.einsum("cdj,bjkg,efk->cdbgef", rho_up, C, rho_up, optimize=True)
     t8 = np.moveaxis(
         np.multiply.outer(np.multiply.outer(M4, kb), kb),
         (0, 1, 2, 3, 4, 5, 6, 7),
         (2, 3, 1, 6, 4, 5, 0, 7),
     )
-    t8 = 4.0 * sp(t8, (0, 1), (6, 7))
+    t8 = 4.0 * skew_arr(t8, (0, 1), (6, 7))
     total = t1 + t2 + t3 + t4 + t5 + t6 + t7 + t8
     return float(np.linalg.norm(total.ravel()))

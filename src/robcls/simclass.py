@@ -27,7 +27,7 @@ from .classes import RANK
 from .frames import FrameError, NullFrame, complete_null_frame, volume_form
 from .graphs import graph_arrows
 from .modules import ModuleKey, module_table, sim_table
-from .tensor import DEFAULT_TOL, Tolerance, skew_arr, transform_slots
+from .tensor import DEFAULT_TOL, Tolerance, skew_arr, swap_pairs, transform_slots
 
 
 # --------------------------------------------------------------------------
@@ -39,8 +39,7 @@ from .tensor import DEFAULT_TOL, Tolerance, skew_arr, transform_slots
 class ModuleComponent:
     key: ModuleKey
     grade: int
-    image: np.ndarray  # coordinate components
-    frame_image: np.ndarray
+    frame_image: np.ndarray  # frame components; `GradedDecomposition.image` maps them back
     norm: float
     vanishing: bool
 
@@ -90,7 +89,8 @@ class GradedDecomposition:
         return self.components[self._key(key)].vanishing
 
     def image(self, key) -> np.ndarray:
-        return self.components[self._key(key)].image
+        """Coordinate components of one module's image."""
+        return self.frame.from_frame(self.components[self._key(key)].frame_image)
 
     def boost_weights(self) -> dict:
         out: dict[int, float] = {}
@@ -115,7 +115,7 @@ class GradedDecomposition:
     def reconstruct(self) -> np.ndarray:
         out = 0.0
         for c in self.components.values():
-            out = out + c.image
+            out = out + self.frame.from_frame(c.frame_image)
         return out
 
     def summary(self) -> dict:
@@ -146,9 +146,8 @@ def decompose(
     for e in table.entries:
         sl = table.slices[e.key]
         fimg = (e.basis.T @ coeff[sl]).reshape((n,) * RANK[space])
-        img = frame.from_frame(fimg)
         nrm = float(np.linalg.norm(fimg))
-        comps[e.key] = ModuleComponent(e.key, e.grade, img, fimg, nrm, nrm <= tol.threshold(scale))
+        comps[e.key] = ModuleComponent(e.key, e.grade, fimg, nrm, nrm <= tol.threshold(scale))
     return GradedDecomposition(space, level, frame, comps, resid, tol, scale)
 
 
@@ -227,10 +226,9 @@ def probe_F(Phi: np.ndarray, frame: NullFrame) -> dict:
     out = {(-2, 0): np.array(k @ Phi @ k)}
     w = k @ Phi
     out[(-1, 0)] = 0.5 * (np.outer(w, kb) - np.outer(kb, w))
-    core = skew_arr(skew_arr(np.einsum("a,bc,d->abcd", kb, Phi, kb), (0, 1)), (2, 3))
-    tr1 = skew_arr(skew_arr(np.einsum("a,bc,d->abcd", kb, g, Phi @ k), (0, 1)), (2, 3))
-    tr2 = skew_arr(skew_arr(np.einsum("c,da,b->abcd", kb, g, Phi @ k), (2, 3)), (0, 1))
-    out[(0, 1)] = core + (1.0 / (n - 2)) * (tr1 + tr2)
+    tr = np.einsum("a,bc,d->abcd", kb, g, Phi @ k)
+    raw = np.einsum("a,bc,d->abcd", kb, Phi, kb) + (1.0 / (n - 2)) * (tr + swap_pairs(tr))
+    out[(0, 1)] = skew_arr(raw, (0, 1), (2, 3))
     out[(0, 0)] = Phi @ k
     out[(1, 0)] = 0.5 * (np.einsum("a,bc->abc", kb, Phi) - np.einsum("b,ac->abc", kb, Phi))
     out[(2, 0)] = np.array(l @ Phi @ l)
@@ -246,11 +244,10 @@ def probe_A(A: np.ndarray, frame: NullFrame) -> dict:
     out[(-2, 0)] = 0.5 * (np.outer(Akk, kb) - np.outer(kb, Akk))
     out[(-1, 0)] = Akk
     X = np.einsum("bec,e->bc", A, k)  # A_{bec} k^e
-    core = skew_arr(skew_arr(np.einsum("a,bc,d->abcd", kb, X, kb), (0, 1)), (2, 3))
-    trc = skew_arr(skew_arr(np.einsum("a,bc,d->abcd", kb, g, Akk), (0, 1)), (2, 3))
-    pair = lambda t: np.transpose(t, (2, 3, 0, 1))
-    out[(-1, 1)] = (core - pair(core)) + (1.0 / (n - 2)) * (trc - pair(trc))
-    out[(-1, 2)] = (core + pair(core)) + (1.0 / (n - 2)) * (trc + pair(trc))
+    raw = np.einsum("a,bc,d->abcd", kb, X, kb) + (1.0 / (n - 2)) * np.einsum("a,bc,d->abcd", kb, g, Akk)
+    D = skew_arr(raw, (0, 1), (2, 3))
+    out[(-1, 1)] = D - swap_pairs(D)
+    out[(-1, 2)] = D + swap_pairs(D)
     Y = np.einsum("adb,d->ab", A, k)
     t1 = np.einsum("ab,c->abc", Y, kb) - np.einsum("ac,b->abc", Y, kb)
     t2 = np.einsum("a,dbc,d->abc", kb, A, k)
@@ -258,20 +255,18 @@ def probe_A(A: np.ndarray, frame: NullFrame) -> dict:
     # pair; kernels fix the labelling
     out[(0, 0)] = t1 + t2
     out[(0, 1)] = t1 - t2
-    core = skew_arr(skew_arr(np.einsum("a,bcd,e->abcde", kb, A, kb), (0, 1)), (2, 3, 4))
     W = 2.0 * np.einsum("bfd,f->bd", A, k)
     Z = np.einsum("fde,f->de", A, k)
     q1 = np.einsum("ca,bd,e->abcde", g, W, kb) - np.einsum("ca,b,de->abcde", g, kb, Z)
-    q1 = skew_arr(skew_arr(q1, (0, 1)), (2, 3, 4))
-    q2 = skew_arr(skew_arr(np.einsum("ca,bd,e->abcde", g, g, Akk), (0, 1)), (2, 3, 4))
-    out[(0, 2)] = core - (1.0 / (n - 3)) * q1 - (2.0 / ((n - 2) * (n - 3))) * q2
+    q2 = np.einsum("ca,bd,e->abcde", g, g, Akk)
+    raw = np.einsum("a,bcd,e->abcde", kb, A, kb) - (1.0 / (n - 3)) * q1 - (2.0 / ((n - 2) * (n - 3))) * q2
+    out[(0, 2)] = skew_arr(raw, (0, 1), (2, 3, 4))
     out[(1, 0)] = np.einsum("abc,c->ab", A, k)
-    P = skew_arr(np.einsum("a,bcd->abcd", kb, A), (0, 1))
-    Q = skew_arr(np.einsum("c,dab->abcd", kb, A), (2, 3))
-    R1 = skew_arr(skew_arr(np.einsum("ac,dbe,e->abcd", g, A, k), (0, 1)), (2, 3))
-    R2 = skew_arr(skew_arr(np.einsum("ca,bde,e->abcd", g, A, k), (0, 1)), (2, 3))
-    out[(1, 1)] = P - Q + (2.0 / (n - 2)) * (R1 - R2)
-    out[(1, 2)] = P + Q + (2.0 / (n - 2)) * (R1 + R2)
+    # k_[a A_b]cd is already skew in (c, d)
+    raw = np.einsum("a,bcd->abcd", kb, A) + (2.0 / (n - 2)) * np.einsum("ac,dbe,e->abcd", g, A, k)
+    D = skew_arr(raw, (0, 1), (2, 3))
+    out[(1, 1)] = D - swap_pairs(D)
+    out[(1, 2)] = D + swap_pairs(D)
     All = np.einsum("c,d,cda->a", l, l, A)
     out[(2, 0)] = 0.5 * (np.outer(All, lb) - np.outer(lb, All))
     return out
@@ -283,27 +278,27 @@ def probe_C(C: np.ndarray, frame: NullFrame) -> dict:
     n = frame.n
     out = {}
     M = np.einsum("befc,e,f->bc", C, k, k)
-    out[(-2, 0)] = skew_arr(skew_arr(np.einsum("a,bc,d->abcd", kb, M, kb), (0, 1)), (2, 3))
+    out[(-2, 0)] = skew_arr(np.einsum("a,bc,d->abcd", kb, M, kb), (0, 1), (2, 3))
     out[(-1, 0)] = skew_arr(np.einsum("adeb,d,e,c->abc", C, k, k, kb), (1, 2))
     X = np.einsum("bcfd,f->bcd", C, k)
-    T = skew_arr(skew_arr(np.einsum("a,bcd,e->abcde", kb, X, kb), (0, 1, 2)), (3, 4))
     W = np.einsum("efgb,f,g->eb", C, k, k)
-    q = skew_arr(skew_arr(np.einsum("ad,eb,c->abcde", g, W, kb), (0, 1, 2)), (3, 4))
-    out[(-1, 1)] = T - (2.0 / (n - 3)) * q
+    raw = np.einsum("a,bcd,e->abcde", kb, X, kb) - (2.0 / (n - 3)) * np.einsum("ad,eb,c->abcde", g, W, kb)
+    out[(-1, 1)] = skew_arr(raw, (0, 1, 2), (3, 4))
     out[(0, 0)] = np.einsum("acdb,c,d->ab", C, k, k)
     out[(0, 1)] = skew_arr(np.einsum("a,bcde,e->abcd", kb, C, k), (0, 1, 2))
+    # C_abek^e is skew in (a, b), and the trace term is pair-symmetric
     Xk = np.einsum("abec,e->abc", C, k)
-    t = skew_arr(np.einsum("abc,d->abcd", Xk, kb), (2, 3))
     Ckk = np.einsum("befd,e,f->bd", C, k, k)
-    q = skew_arr(skew_arr(np.einsum("ca,bd->abcd", g, Ckk), (2, 3)), (0, 1))
-    out[(0, 2)] = t + np.transpose(t, (2, 3, 0, 1)) - (4.0 / (n - 2)) * q
+    raw = np.einsum("abc,d->abcd", Xk, kb) - (2.0 / (n - 2)) * np.einsum("ca,bd->abcd", g, Ckk)
+    D = skew_arr(raw, (0, 1), (2, 3))
+    out[(0, 2)] = D + swap_pairs(D)
     if n > 4:
         out[(0, 3)] = _probe_C_0_3(C, frame)
     out[(1, 0)] = np.einsum("abcd,d->abc", C, k)
-    t = skew_arr(np.einsum("a,bcde->abcde", kb, C), (0, 1, 2))
+    # k_[a C_bc]de is already skew in (d, e)
     Y = np.einsum("exbc,x->ebc", C, k)
-    q = skew_arr(skew_arr(np.einsum("ad,ebc->abcde", g, Y), (0, 1, 2)), (3, 4))
-    out[(1, 1)] = t + (2.0 / (n - 3)) * q
+    raw = np.einsum("a,bcde->abcde", kb, C) + (2.0 / (n - 3)) * np.einsum("ad,ebc->abcde", g, Y)
+    out[(1, 1)] = skew_arr(raw, (0, 1, 2), (3, 4))
     out[(2, 0)] = C
     return out
 
@@ -312,28 +307,18 @@ def _probe_C_0_3(C: np.ndarray, frame: NullFrame) -> np.ndarray:
     g, k = frame.g, frame.k
     kb = g @ k
     n = frame.n
-    t1 = skew_arr(skew_arr(np.einsum("a,bcde,f->abcdef", kb, C, kb), (0, 1, 2)), (3, 4, 5))
     X = np.einsum("efgb,g->efb", C, k)
-    t2a = skew_arr(skew_arr(np.einsum("ad,efb,c->abcdef", g, X, kb), (0, 1, 2)), (3, 4, 5))
     Y = np.einsum("bcge,g->bce", C, k)
-    t2b = skew_arr(skew_arr(np.einsum("da,bce,f->abcdef", g, Y, kb), (0, 1, 2)), (3, 4, 5))
     W = np.einsum("xghy,g,h->xy", C, k, k)
-    pieces = [
-        ("da,be,fc", (0, 1), (4, 5)),
-        ("db,ce,fa", (1, 2), (4, 5)),
-        ("dc,ae,fb", (0, 2), (4, 5)),
-        ("ea,bf,dc", (0, 1), (3, 5)),
-        ("eb,cf,da", (1, 2), (3, 5)),
-        ("ec,af,db", (0, 2), (3, 5)),
-        ("fa,bd,ec", (0, 1), (3, 4)),
-        ("fb,cd,ea", (1, 2), (3, 4)),
-        ("fc,ad,eb", (0, 2), (3, 4)),
-    ]
-    t3 = 0.0
-    for spec, br1, br2 in pieces:
-        arr = np.einsum(spec + "->abcdef", g, W, g)
-        t3 = t3 + skew_arr(skew_arr(arr, br1), br2)
-    return t1 - (2.0 / (n - 4)) * (t2a + t2b) + (4.0 / (9.0 * (n - 3) * (n - 4))) * t3
+    # the trace term is a sum of nine placements of g W g, each skew over two
+    # pairs; as W is symmetric they add up to nine times the placement below
+    # antisymmetrised over (a, b, c) and (d, e, f)
+    raw = (
+        np.einsum("a,bcde,f->abcdef", kb, C, kb)
+        - (2.0 / (n - 4)) * (np.einsum("ad,efb,c->abcdef", g, X, kb) + np.einsum("da,bce,f->abcdef", g, Y, kb))
+        + (4.0 / ((n - 3) * (n - 4))) * np.einsum("da,be,fc->abcdef", g, W, g)
+    )
+    return skew_arr(raw, (0, 1, 2), (3, 4, 5))
 
 
 PROBES = {"G": probe_G, "F": probe_F, "A": probe_A, "C": probe_C}
@@ -372,6 +357,7 @@ class WeylTypeLabel:
     residuals: dict
     direction: np.ndarray | None = None
     search: dict | None = None
+    decomposition: GradedDecomposition | None = None  # the sim decomposition that set `type`; not reported
 
     def as_dict(self) -> dict:
         return {
@@ -397,7 +383,7 @@ def weyl_type_at_frame(C: np.ndarray, frame: NullFrame, tol: Tolerance = DEFAULT
     norms = probe_norms("C", C, frame)
     thr = tol.threshold(scale)
     flags = tuple(name for name, key in SUBTYPE_PROBES.items() if key in norms and norms[key] <= thr)
-    return WeylTypeLabel(label, flags, norms, direction=frame.k)
+    return WeylTypeLabel(label, flags, norms, direction=frame.k, decomposition=dec)
 
 
 def _orthonormal_basis(g: np.ndarray) -> np.ndarray:
@@ -415,7 +401,7 @@ def wand_residual(C: np.ndarray, frame_basis: np.ndarray, omega: np.ndarray, g: 
     k = frame_basis[0] + omega @ frame_basis[1:]
     M = np.einsum("befc,e,f->bc", C, k, k)
     kb = g @ k
-    img = skew_arr(skew_arr(np.einsum("a,bc,d->abcd", kb, M, kb), (0, 1)), (2, 3))
+    img = skew_arr(np.einsum("a,bc,d->abcd", kb, M, kb), (0, 1), (2, 3))
     return float(np.linalg.norm(img) / Cnorm)
 
 

@@ -99,10 +99,23 @@ def transform_slots(arr: np.ndarray, M) -> np.ndarray:
     return out.reshape(tuple(Mi.shape[0] for Mi in mats))
 
 
-def skew_arr(a: np.ndarray, slots) -> np.ndarray:
-    return _perm_average(a, slots, signed=True)
+def skew_arr(a: np.ndarray, *slot_groups) -> np.ndarray:
+    """Antisymmetrise over each group of slots in turn.
+
+    The groups are applied in the order given, so ``skew_arr(a, (0, 1), (2, 3))``
+    equals, bit for bit, one call over (0, 1) followed by one over (2, 3).
+    """
+    if not slot_groups:
+        raise TypeError("skew_arr needs at least one group of slots")
+    for slots in slot_groups:
+        a = _perm_average(a, slots, signed=True)
+    return a
 
 
 def sym_arr(a: np.ndarray, slots) -> np.ndarray:
     return _perm_average(a, slots, signed=False)
 
+
+def swap_pairs(a: np.ndarray) -> np.ndarray:
+    """t_cdab from t_abcd on the last four slots (a view; leading axes batch)."""
+    return a.swapaxes(-4, -2).swapaxes(-3, -1)

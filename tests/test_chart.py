@@ -247,3 +247,38 @@ def test_integrability_rescaling_invariance():
             )
             flag = max(integrability_residual(cp, scaled).values()) < 1e-9
             assert flag == base, name
+
+
+def test_each_form_is_evaluated_once_per_point():
+    """integrability_residual, tau_degeneracy and distribution_span share one
+    evaluation of each annihilator form per point, with unchanged results."""
+    from collections import Counter
+
+    from robcls.catalog import iwasawa_distributions, iwasawa_phi_field
+    from robcls.chart import DistributionSpec, distribution_span, integrability_residual, tau_degeneracy
+
+    calls = Counter()
+
+    def counted(fn):
+        def out(x):
+            calls[out] += 1
+            return fn(x)
+
+        return out
+
+    chart = ENTRIES["iwasawa"].chart()
+    pt = np.array([0.3, -0.2, 0.5, 0.1, -0.4, 0.7])
+    cp = chart.evaluate(pt)
+    tau = check_cky(cp, iwasawa_phi_field).tau
+    for name, dist in iwasawa_distributions().items():
+        dist = DistributionSpec(name, [counted(f) for f in dist.forms])
+        res = integrability_residual(cp, dist)
+        deg = tau_degeneracy(cp, dist, tau)
+        span = distribution_span(cp, dist)
+        assert list(calls.values()) == [1] * len(dist.forms), name
+        calls.clear()
+        # each on a new point, so nothing is shared
+        assert res == integrability_residual(chart.evaluate(pt), dist)
+        assert deg == tau_degeneracy(chart.evaluate(pt), dist, tau)
+        assert np.array_equal(span, distribution_span(chart.evaluate(pt), dist))
+        calls.clear()

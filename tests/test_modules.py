@@ -173,10 +173,8 @@ def test_batched_C03_embeddings_match_per_parameter_formulas():
         _emb_C03_5,
         _emb_C03_6,
         _m_vectors,
-        _pairswap,
-        _skew23,
-        _skew_pairs,
     )
+    from robcls.tensor import skew_arr, swap_pairs
 
     n, p = 9, 3
     rng = np.random.default_rng(29)
@@ -192,15 +190,15 @@ def test_batched_C03_embeddings_match_per_parameter_formulas():
 
     def emb4(w):
         x1 = np.einsum("ABCD,Aa,Bb,Cc,Dd->abcd", w, mb, mb, mv, mv)
-        x3 = _skew_pairs(np.einsum("ACDB,Aa,Bb,Cc,Dd->abcd", w, mb, mv, mb, mv))
-        return real(x1 + _pairswap(x1) - 2.0 * x3)
+        x3 = skew_arr(np.einsum("ACDB,Aa,Bb,Cc,Dd->abcd", w, mb, mv, mb, mv), (0, 1), (2, 3))
+        return real(x1 + swap_pairs(x1) - 2.0 * x3)
 
     def emb5(w):
-        return real(_skew_pairs(np.einsum("ACDB,Aa,Bb,Cc,Dd->abcd", w, mb, mv, mb, mv)))
+        return real(skew_arr(np.einsum("ACDB,Aa,Bb,Cc,Dd->abcd", w, mb, mv, mb, mv), (0, 1), (2, 3)))
 
     def emb6(w):
-        x = _skew23(np.einsum("ABCD,Aa,Bb,Cc,Dd->abcd", w, mb, mb, mb, mv))
-        return real(x + _pairswap(x))
+        x = skew_arr(np.einsum("ABCD,Aa,Bb,Cc,Dd->abcd", w, mb, mb, mb, mv), (2, 3))
+        return real(x + swap_pairs(x))
 
     for batched, one in ((_emb_C03_3, emb3), (_emb_C03_4, emb4), (_emb_C03_5, emb5), (_emb_C03_6, emb6)):
         ref = np.array([one(w) for w in z])

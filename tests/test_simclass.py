@@ -18,7 +18,7 @@ from robcls.simclass import (
     weyl_type_at_frame,
     weyl_type_search,
 )
-from robcls.tensor import transform_slots
+from robcls.tensor import skew_arr, transform_slots
 
 SPACES = ("G", "F", "A", "C")
 
@@ -314,3 +314,127 @@ def test_grading_element_probe_pattern():
     norms = probe_norms("G", ke, fr)
     assert norms[(-1, 0)] < 1e-14 and norms[(0, 0)] < 1e-14 and norms[(0, 1)] < 1e-14
     assert norms[(1, 0)] > 0.5
+
+
+# The probes as first written: every term antisymmetrised on its own, and the
+# C_0^3 trace term as nine two-pair placements of g W g.
+
+_C03_PIECES = [
+    ("da,be,fc", (0, 1), (4, 5)),
+    ("db,ce,fa", (1, 2), (4, 5)),
+    ("dc,ae,fb", (0, 2), (4, 5)),
+    ("ea,bf,dc", (0, 1), (3, 5)),
+    ("eb,cf,da", (1, 2), (3, 5)),
+    ("ec,af,db", (0, 2), (3, 5)),
+    ("fa,bd,ec", (0, 1), (3, 4)),
+    ("fb,cd,ea", (1, 2), (3, 4)),
+    ("fc,ad,eb", (0, 2), (3, 4)),
+]
+
+
+def _skew2(a, s1, s2):
+    return skew_arr(skew_arr(a, s1), s2)
+
+
+def _pair(t):
+    return np.transpose(t, (2, 3, 0, 1))
+
+
+def _ref_probe_F(Phi, fr):
+    g, k, n = fr.g, fr.k, fr.n
+    kb = g @ k
+    core = _skew2(np.einsum("a,bc,d->abcd", kb, Phi, kb), (0, 1), (2, 3))
+    tr1 = _skew2(np.einsum("a,bc,d->abcd", kb, g, Phi @ k), (0, 1), (2, 3))
+    tr2 = _skew2(np.einsum("c,da,b->abcd", kb, g, Phi @ k), (2, 3), (0, 1))
+    return {(0, 1): core + (1.0 / (n - 2)) * (tr1 + tr2)}
+
+
+def _ref_probe_A(A, fr):
+    g, k, n = fr.g, fr.k, fr.n
+    kb = g @ k
+    out = {}
+    Akk = np.einsum("c,d,cda->a", k, k, A)
+    X = np.einsum("bec,e->bc", A, k)
+    core = _skew2(np.einsum("a,bc,d->abcd", kb, X, kb), (0, 1), (2, 3))
+    trc = _skew2(np.einsum("a,bc,d->abcd", kb, g, Akk), (0, 1), (2, 3))
+    out[(-1, 1)] = (core - _pair(core)) + (1.0 / (n - 2)) * (trc - _pair(trc))
+    out[(-1, 2)] = (core + _pair(core)) + (1.0 / (n - 2)) * (trc + _pair(trc))
+    core = _skew2(np.einsum("a,bcd,e->abcde", kb, A, kb), (0, 1), (2, 3, 4))
+    W = 2.0 * np.einsum("bfd,f->bd", A, k)
+    Z = np.einsum("fde,f->de", A, k)
+    q1 = np.einsum("ca,bd,e->abcde", g, W, kb) - np.einsum("ca,b,de->abcde", g, kb, Z)
+    q1 = _skew2(q1, (0, 1), (2, 3, 4))
+    q2 = _skew2(np.einsum("ca,bd,e->abcde", g, g, Akk), (0, 1), (2, 3, 4))
+    out[(0, 2)] = core - (1.0 / (n - 3)) * q1 - (2.0 / ((n - 2) * (n - 3))) * q2
+    P = skew_arr(np.einsum("a,bcd->abcd", kb, A), (0, 1))
+    Q = skew_arr(np.einsum("c,dab->abcd", kb, A), (2, 3))
+    R1 = _skew2(np.einsum("ac,dbe,e->abcd", g, A, k), (0, 1), (2, 3))
+    R2 = _skew2(np.einsum("ca,bde,e->abcd", g, A, k), (0, 1), (2, 3))
+    out[(1, 1)] = P - Q + (2.0 / (n - 2)) * (R1 - R2)
+    out[(1, 2)] = P + Q + (2.0 / (n - 2)) * (R1 + R2)
+    return out
+
+
+def _ref_C03_trace(g, W):
+    t3 = 0.0
+    for spec, br1, br2 in _C03_PIECES:
+        t3 = t3 + _skew2(np.einsum(spec + "->abcdef", g, W, g), br1, br2)
+    return t3
+
+
+def _ref_probe_C(C, fr):
+    g, k, n = fr.g, fr.k, fr.n
+    kb = g @ k
+    out = {}
+    X = np.einsum("bcfd,f->bcd", C, k)
+    T = _skew2(np.einsum("a,bcd,e->abcde", kb, X, kb), (0, 1, 2), (3, 4))
+    W = np.einsum("efgb,f,g->eb", C, k, k)
+    q = _skew2(np.einsum("ad,eb,c->abcde", g, W, kb), (0, 1, 2), (3, 4))
+    out[(-1, 1)] = T - (2.0 / (n - 3)) * q
+    Xk = np.einsum("abec,e->abc", C, k)
+    t = skew_arr(np.einsum("abc,d->abcd", Xk, kb), (2, 3))
+    Ckk = np.einsum("befd,e,f->bd", C, k, k)
+    q = _skew2(np.einsum("ca,bd->abcd", g, Ckk), (2, 3), (0, 1))
+    out[(0, 2)] = t + np.transpose(t, (2, 3, 0, 1)) - (4.0 / (n - 2)) * q
+    if n > 4:
+        t1 = _skew2(np.einsum("a,bcde,f->abcdef", kb, C, kb), (0, 1, 2), (3, 4, 5))
+        X = np.einsum("efgb,g->efb", C, k)
+        t2a = _skew2(np.einsum("ad,efb,c->abcdef", g, X, kb), (0, 1, 2), (3, 4, 5))
+        Y = np.einsum("bcge,g->bce", C, k)
+        t2b = _skew2(np.einsum("da,bce,f->abcdef", g, Y, kb), (0, 1, 2), (3, 4, 5))
+        W = np.einsum("xghy,g,h->xy", C, k, k)
+        t3 = _ref_C03_trace(g, W)
+        out[(0, 3)] = t1 - (2.0 / (n - 4)) * (t2a + t2b) + (4.0 / (9.0 * (n - 3) * (n - 4))) * t3
+    t = skew_arr(np.einsum("a,bcde->abcde", kb, C), (0, 1, 2))
+    Y = np.einsum("exbc,x->ebc", C, k)
+    q = _skew2(np.einsum("ad,ebc->abcde", g, Y), (0, 1, 2), (3, 4))
+    out[(1, 1)] = t + (2.0 / (n - 3)) * q
+    return out
+
+
+@pytest.mark.parametrize("n", (4, 5, 6, 7, 8, 9))
+def test_probes_match_termwise_antisymmetrisation(n):
+    """Antisymmetrising each probe's summed terms once agrees with
+    antisymmetrising every term on its own, in random Lorentzian frames."""
+    rng = np.random.default_rng(41 + n)
+    g = random_lorentzian(n, rng)
+    fr = complete_null_frame(g, random_null_vector(g, rng))
+    for space, ref_probe in (("F", _ref_probe_F), ("A", _ref_probe_A), ("C", _ref_probe_C)):
+        T = fr.from_frame(random_class_tensor(space, n, rng))
+        new = simclass.probe_images(space, T, fr)
+        ref = ref_probe(T, fr)
+        assert ref.keys() <= new.keys()
+        for key, img in ref.items():
+            assert np.abs(new[key] - img).max() <= 1e-13 * np.linalg.norm(T), (space, key)
+
+
+def test_C03_trace_is_nine_times_one_placement():
+    """The nine two-pair placements of g W g sum to 9 Skew_abc Skew_def (g_da W_be g_fc) for symmetric W."""
+    rng = np.random.default_rng(43)
+    n = 6
+    W = rng.standard_normal((n, n))
+    W = W + W.T
+    for g in (random_lorentzian(n, rng), rng.standard_normal((n, n))):
+        one = skew_arr(np.einsum("da,be,fc->abcdef", g, W, g), (0, 1, 2), (3, 4, 5))
+        nine = _ref_C03_trace(g, W)
+        assert np.abs(nine - 9.0 * one).max() <= 1e-14 * np.abs(nine).max()

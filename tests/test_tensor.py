@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from robcls.classes import ricci_contraction
-from robcls.tensor import Tolerance, levi_civita, skew_arr, sym_arr, transform_slots
+from robcls.tensor import Tolerance, levi_civita, skew_arr, swap_pairs, sym_arr, transform_slots
 
 
 def test_contract_matches_loop_oracle():
@@ -192,3 +192,37 @@ def test_skew_sym_match_zero_filled_permutation_sum(shape, slots, complex_):
         assert ((part(arr) == 0) & np.signbit(part(arr))).any()
     _assert_same_bits(skew_arr(arr, slots), _perm_average_ref(arr, slots, True))
     _assert_same_bits(sym_arr(arr, slots), _perm_average_ref(arr, slots, False))
+
+
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize(
+    "shape,groups",
+    [
+        ((4, 4, 4, 4), ((0, 1), (2, 3))),
+        ((4, 4, 4, 4), ((2, 3), (0, 1))),
+        ((3, 4, 4, 4, 4), ((-4, -3), (-2, -1))),
+        ((4, 4, 4, 4, 4), ((0, 1, 2), (3, 4))),
+        ((4, 4, 4, 4, 4, 4), ((0, 1, 2), (-3, -2, -1))),
+        ((3, 3, 3, 3, 3, 3, 3, 3), ((0, 1), (2, 3), (4, 5), (6, 7))),
+    ],
+)
+def test_skew_groups_match_nested_calls(shape, groups, complex_):
+    """skew_arr over several groups equals one call per group in turn, bit for
+    bit and with the same signs of zeros."""
+    arr = _with_signed_zeros(shape, complex_, np.random.default_rng(len(shape) + len(groups)))
+    ref = arr
+    for slots in groups:
+        ref = skew_arr(ref, slots)
+    _assert_same_bits(skew_arr(arr, *groups), ref)
+    with pytest.raises(TypeError):
+        skew_arr(arr)
+
+
+def test_swap_pairs():
+    """swap_pairs gives t_cdab on the last four slots, leading axes batching."""
+    rng = np.random.default_rng(5)
+    t = rng.standard_normal((4, 5, 6, 7))
+    assert np.array_equal(swap_pairs(t), np.einsum("abcd->cdab", t))
+    batch = rng.standard_normal((2, 3, 4, 4, 4, 4))
+    assert np.array_equal(swap_pairs(batch), np.einsum("...abcd->...cdab", batch))
+    assert np.array_equal(swap_pairs(swap_pairs(t)), t)
