@@ -218,9 +218,9 @@ class ChartPoint:
         nab = dP - np.einsum("eda,eb->dab", Gm, P) - np.einsum("edb,ae->dab", Gm, P)
         return np.einsum("bca->abc", nab) - np.einsum("cba->abc", nab)
 
-    def cotton_york(self, kappa: float = 1.0) -> np.ndarray:
-        """A_abc = kappa * 2 nabla_[b P_c]a with P the Schouten tensor."""
-        return kappa * self._cotton
+    def cotton_york(self) -> np.ndarray:
+        """A_abc = 2 nabla_[b P_c]a with P the Schouten tensor, a fresh copy."""
+        return self._cotton.copy()
 
     @property
     def kretschmann(self) -> float:

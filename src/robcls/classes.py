@@ -170,18 +170,22 @@ def grade_columns(n: int, rank: int, grade: int) -> np.ndarray:
     return out
 
 
-def orthonormal_rows(mat: np.ndarray, cols: np.ndarray | None = None, tol: float = 1e-10) -> np.ndarray:
-    """Orthonormal basis of the row space of ``mat`` (real or complex).
+def orthonormal_rows(mat: np.ndarray, cols: np.ndarray | None = None, tol: float = 1e-10) -> tuple[np.ndarray, float]:
+    """Orthonormal basis of the row space of ``mat`` (real or complex), and the gap of its rank.
 
     With ``cols`` only those columns are read, and the basis is scattered back
     into rows of full width that vanish elsewhere: pass a grade's columns for
     rows supported on that grade.  The rank counts eigenvalues of the Gram
     matrix P P^H above ``tol`` times the largest; one Cholesky pass then
     re-orthonormalises the rows (CholeskyQR2), which an eigen-basis alone
-    leaves off by eps times the condition number squared.
+    leaves off by eps times the condition number squared.  The gap is the
+    ratio of the smallest kept singular value to the largest dropped one,
+    sqrt of the eigenvalue ratio, and infinite when nothing is dropped or
+    nothing kept: a gap near 1 means the rank was cut at a marginal value.
     """
     block = mat if cols is None else mat[:, cols]
     q = block[:0]
+    gap = np.inf
     if block.size:
         w, v = np.linalg.eigh(block @ block.conj().T)
         keep = w > tol * max(w[-1], 0.0)
@@ -189,11 +193,14 @@ def orthonormal_rows(mat: np.ndarray, cols: np.ndarray | None = None, tol: float
             q = (v[:, keep].conj().T @ block) / np.sqrt(w[keep])[:, None]
             # the Cholesky factor is within round-off of the identity here
             q = np.linalg.inv(np.linalg.cholesky(q @ q.conj().T)) @ q
+            kept, dropped = w[keep], w[~keep]  # both ascending
+            if dropped.size and dropped[-1] > 0.0:
+                gap = float(np.sqrt(kept[0] / dropped[-1]))
     if cols is None:
-        return q
+        return q, gap
     out = np.zeros((q.shape[0], mat.shape[-1]), dtype=q.dtype)
     out[:, cols] = q
-    return out
+    return out, gap
 
 
 def _spanning_seeds(space: str, idx: list[int], n: int):
@@ -246,7 +253,7 @@ def class_basis(space: str, g: np.ndarray, g_inv: np.ndarray, idx: list[int] | N
     # every seed is one frame component, and the projection keeps its grade
     seed_grades = component_grades(n, rank)[seeds.argmax(axis=1)]
     basis = np.vstack(
-        [orthonormal_rows(projected[seed_grades == q], grade_columns(n, rank, q)) for q in np.unique(seed_grades)]
+        [orthonormal_rows(projected[seed_grades == q], grade_columns(n, rank, q))[0] for q in np.unique(seed_grades)]
     )
     if basis.shape[0] != target:
         raise RuntimeError(

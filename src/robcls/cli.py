@@ -3,7 +3,8 @@
 Exit codes separate "mathematically false" from "numerically
 indeterminate": 0 success, 2 domain/usage error, 3 indeterminate flags
 (residual within a factor 10 of the tolerance threshold), 4 rank
-instability in the dimension sweep, 1 regression/table mismatch.
+instability in the dimension sweep (a module whose representatives were
+cut at a marginal Gram eigenvalue), 1 regression/table mismatch.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 import numpy as np
 
@@ -254,7 +256,8 @@ def cmd_regress(args) -> int:
     return 0 if failures == 0 else 1
 
 
-def main(argv=None) -> int:
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="robcls", description="curvature classification under null-line and Robinson stabilisers")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -292,8 +295,11 @@ def main(argv=None) -> int:
     r.add_argument("--verbose", action="store_true")
     r.add_argument("--out", default=None)
     r.set_defaults(func=cmd_regress)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     return args.func(args)
 
 

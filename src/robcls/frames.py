@@ -94,7 +94,7 @@ class NullFrame:
         return NullFrame(self.g, self.l, self.k, self.screen)
 
 
-def complete_null_frame(g: np.ndarray, k: np.ndarray, tol: float = 1e-10) -> NullFrame:
+def complete_null_frame(g: np.ndarray, k: np.ndarray) -> NullFrame:
     """Deterministic completion of a null vector to an adapted frame.
 
     Gram-Schmidt over the coordinate basis in fixed order; degenerate
@@ -379,7 +379,7 @@ def sample_robinson_over_null_line(frame: NullFrame, count: int, rng_seed: int =
     return out
 
 
-def robinson_from_span(g: np.ndarray, span: list[np.ndarray], tol: float = 1e-9) -> RobinsonStructure:
+def robinson_from_span(g: np.ndarray, span: list[np.ndarray]) -> RobinsonStructure:
     """Robinson structure from a spanning set of the complex null m-plane."""
     g = np.asarray(g, dtype=float)
     n = g.shape[0]
@@ -407,7 +407,7 @@ def robinson_from_span(g: np.ndarray, span: list[np.ndarray], tol: float = 1e-9)
     if not reals:
         raise FrameError("span has real index 0: no real null line")
     k = reals[0] / np.linalg.norm(reals[0])
-    if abs(k @ g @ k) > tol * max(1.0, np.abs(g).max()):
+    if abs(k @ g @ k) > 1e-9 * max(1.0, np.abs(g).max()):
         raise FrameError("real intersection is not null")
     frame = complete_null_frame(g, k)
     # project the plane onto the screen to extract J

@@ -245,7 +245,7 @@ def _cplx_hook_basis(p):
                 z[a, c, b] = -1.0
                 seeds.append(z)
     proj = [s - skew_arr(s, (0, 1, 2)) for s in seeds]
-    flat = orthonormal_rows(np.array([x.ravel() for x in proj]))
+    flat, _ = orthonormal_rows(np.array([x.ravel() for x in proj]))
     return [f.reshape((p, p, p)) for f in flat]
 
 
@@ -284,7 +284,7 @@ def _cplx_riem_basis(p):
             z = np.zeros((p, p, p, p), dtype=complex)
             z[a, b, c, d] = 1.0
             seeds.append(project_riemann(z))
-    flat = orthonormal_rows(np.array([x.ravel() for x in seeds]))
+    flat, _ = orthonormal_rows(np.array([x.ravel() for x in seeds]))
     return [f.reshape((p,) * 4) for f in flat]
 
 
@@ -611,6 +611,7 @@ class ModuleEntry:
     key: ModuleKey
     grade: int
     basis: np.ndarray  # orthonormal rows, flattened frame components
+    gap: float  # of the rank decision that kept these rows (``orthonormal_rows``)
 
     @property
     def dim(self) -> int:
@@ -686,7 +687,7 @@ def _pm_split_A2(n, psis, sign):
 
 def _pm_split_C3(n, psis, sign):
     rows = [_pm_project_pair(n, _pm_project_pair(n, c, sign, (0, 1)), sign, (2, 3)).ravel() for c in psis]
-    return list(orthonormal_rows(np.array(rows), grade_columns(n, 4, 0)).reshape((-1,) + (n,) * 4))
+    return list(orthonormal_rows(np.array(rows), grade_columns(n, 4, 0))[0].reshape((-1,) + (n,) * 4))
 
 
 def _screen_class_params(space):
@@ -1040,11 +1041,11 @@ def _build_table(space: str, n: int, level: str) -> ModuleTable:
     for key in keys:
         rows = module_rows(space, n, key)
         _validate_rows(space, n, rows, expect_grade=key.i)
-        basis = orthonormal_rows(rows, grade_columns(n, RANK[space], key.i))
+        basis, gap = orthonormal_rows(rows, grade_columns(n, RANK[space], key.i))
         expected = module_dim(space, n, key)
         if basis.shape[0] != expected:
             raise RuntimeError(f"{level} module {key} (n={n}): dim {basis.shape[0]} != expected {expected}")
-        entries.append(ModuleEntry(key, key.i, basis))
+        entries.append(ModuleEntry(key, key.i, basis, gap))
     table = ModuleTable(space, n, level, entries)
     if table.total_dim != class_dim(space, n):
         raise RuntimeError(f"{level} table {space} n={n}: total {table.total_dim} != {class_dim(space, n)}")

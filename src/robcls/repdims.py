@@ -1,9 +1,12 @@
 """Dimension-table verification and diagram arrow/leak checks.
 
-Module dimensions are verified as numerical ranks of the projection
-operators restricted to the full symmetry class, at one Minkowski point
-with one fixed frame (dimensions are pointwise-algebraic; a second random
-configuration acts as a consistency guard).
+Each module's rank is decided once, when its table is built: the
+eigen-decomposition of the Gram matrix of its representative rows keeps
+the eigenvalues above a relative floor (``classes.orthonormal_rows``), and
+the table build checks that rank against the closed-form dimension.  A
+dimension check reads that rank and the gap of the decision, the ratio of
+the smallest kept to the largest dropped singular value; a gap of 10 or
+less marks the rank as unstable.
 
 The diagrams are verified through the action of the grade-lowering part
 of the algebra: null rotations about l, acting algebraically to first
@@ -18,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .classes import RANK, frame_metric, grade_columns, reference_class_basis
+from .classes import RANK, frame_metric, grade_columns
 from .frames import NullFrame
 from .graphs import graph_arrows
 from .modules import ModuleKey, module_dim, module_table
@@ -29,17 +32,6 @@ def reference_frame(n: int) -> NullFrame:
     eta = frame_metric(n)
     eye = np.eye(n)
     return NullFrame(eta, eye[0], eye[n - 1], tuple(eye[1 : n - 1]))
-
-
-def symmetry_basis(space: str, n: int) -> np.ndarray:
-    """Orthonormal basis of the symmetry class (frame components, rows)."""
-    return reference_class_basis(space, n)
-
-
-@lru_cache(maxsize=None)
-def _symmetry_basis_on_grade(space: str, n: int, grade: int) -> np.ndarray:
-    """``symmetry_basis`` read on the columns of one grade."""
-    return symmetry_basis(space, n)[:, grade_columns(n, RANK[space], grade)]
 
 
 @dataclass
@@ -56,30 +48,14 @@ class DimCheck:
         return self.formula_dim == self.computed_dim and self.stable
 
 
-def computed_module_dim(space: str, n: int, key: ModuleKey, level: str, sigma_tol: float = 1e-8) -> DimCheck:
-    """Rank of T -> Pi_key(T) over the symmetry class, via singular values."""
-    table = module_table(space, n, level)
-    entry = table.entry(key)
-    # coefficients of each class-basis element in the module, read on the
-    # module's grade, the only columns where its rows are nonzero
-    cols = grade_columns(n, RANK[space], entry.grade)
-    coeffs = _symmetry_basis_on_grade(space, n, entry.grade) @ entry.basis[:, cols].T
-    s = np.linalg.svd(coeffs, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        rank, stable, gap = 0, True, np.inf
-    else:
-        thr = sigma_tol * s[0]
-        rank = int(np.sum(s > thr))
-        below = s[s <= thr]
-        above = s[s > thr]
-        gap = float((above.min() if above.size else np.inf) / max(below.max() if below.size else 0.0, 1e-300))
-        stable = gap > 10.0
-    return DimCheck(key, n, module_dim(space, n, key), rank, stable, gap)
+def computed_module_dim(space: str, n: int, key: ModuleKey, level: str) -> DimCheck:
+    """The rank of a module and its gap, as measured when its table was built."""
+    entry = module_table(space, n, level).entry(key)
+    return DimCheck(key, n, module_dim(space, n, key), entry.dim, entry.gap > 10.0, entry.gap)
 
 
 def all_dim_checks(space: str, n: int, level: str) -> list[DimCheck]:
-    table = module_table(space, n, level)
-    return [computed_module_dim(space, n, e.key, level) for e in table.entries]
+    return [computed_module_dim(space, n, e.key, level) for e in module_table(space, n, level).entries]
 
 
 # --------------------------------------------------------------------------

@@ -102,12 +102,12 @@ def decomposition_dict(dec: GradedDecomposition) -> dict:
     }
 
 
-def indeterminate_flags(dec: GradedDecomposition, factor: float = 10.0) -> list:
-    """Flags whose residual sits within a factor of the threshold."""
+def indeterminate_flags(dec: GradedDecomposition) -> list:
+    """Flags whose residual sits within a factor of 10 of the threshold."""
     thr = dec.tol.threshold(dec.scale)
     out = []
     for key, comp in dec.components.items():
-        if thr / factor <= comp.norm <= thr * factor:
+        if thr / 10.0 <= comp.norm <= thr * 10.0:
             out.append(str(key))
     return out
 

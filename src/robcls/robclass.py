@@ -258,12 +258,12 @@ def recurrent_line_relations(C: np.ndarray, Phi: np.ndarray, R_scalar: float, ri
     rke = np.einsum("abce,e->abc", riemann, k)
     t = skew_arr(np.einsum("abc,d->abcd", rke, kb), (2, 3))
     out = {"recurrent_curvature": float(np.abs(t).max() / scale)}
-    pn = probe_norms("C", C, frame)
-    pf = probe_norms("F", Phi, frame)
+    imC = probe_images("C", C, frame)
+    imF = probe_images("F", Phi, frame)
     cs = max(float(np.linalg.norm(frame.to_frame(C))), 1e-300)
     fs = max(float(np.linalg.norm(frame.to_frame(Phi))), 1e-300, abs(R_scalar))
-    out["Pi_0^1(C)"] = pn[(0, 1)] / cs
-    out["Pi_-1^0(F)"] = pf[(-1, 0)] / fs
+    out["Pi_0^1(C)"] = float(np.linalg.norm(imC[(0, 1)])) / cs
+    out["Pi_-1^0(F)"] = float(np.linalg.norm(imF[(-1, 0)])) / fs
     # Pi_0^0(C)_ab = (n-4)/(n-2) k_(a Phi_b)c k^c + (n-2)/(n(n-1)) R k_a k_b
     lhs = np.einsum("acdb,c,d->ab", C, k, k)
     phik = Phi @ k
@@ -272,8 +272,6 @@ def recurrent_line_relations(C: np.ndarray, Phi: np.ndarray, R_scalar: float, ri
     ) * R_scalar * np.outer(kb, kb)
     out["Pi_0^0_relation"] = float(np.abs(lhs - rhs).max() / max(scale, 1e-300))
     # Pi_0^2(C) = -4/(n-2) Pi_0^1(F)
-    imC = probe_images("C", C, frame)
-    imF = probe_images("F", Phi, frame)
     out["Pi_0^2_relation"] = float(
         np.abs(imC[(0, 2)] + (4.0 / (n - 2.0)) * imF[(0, 1)]).max() / max(scale, 1e-300)
     )
@@ -289,12 +287,11 @@ def parallel_vector_relations(C: np.ndarray, Phi: np.ndarray, R_scalar: float, r
     out = {"riemann_k": float(np.abs(np.einsum("abce,e->abc", riemann, k)).max() / scale)}
     phik = Phi @ k
     out["phi_k_relation"] = float(np.abs(phik + (R_scalar / n) * kb).max() / max(np.abs(Phi).max(), abs(R_scalar), 1e-300))
-    pn = probe_norms("C", C, frame)
-    cs = max(float(np.linalg.norm(frame.to_frame(C))), 1e-300)
-    out["Pi_0^1(C)"] = pn[(0, 1)] / cs
-    # biconditional chains evaluated as residual pairs
     imC = probe_images("C", C, frame)
     imF = probe_images("F", Phi, frame)
+    cs = max(float(np.linalg.norm(frame.to_frame(C))), 1e-300)
+    out["Pi_0^1(C)"] = float(np.linalg.norm(imC[(0, 1)])) / cs
+    # biconditional chains evaluated as residual pairs
     out["Pi_0^0_relation"] = float(
         np.abs(imC[(0, 0)] - (1.0 / ((n - 1.0) * (n - 2.0))) * R_scalar * np.outer(kb, kb)).max()
         / max(scale, 1e-300)

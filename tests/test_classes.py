@@ -50,7 +50,7 @@ def test_reference_class_basis_matches_per_seed_loop(space, n):
     seeds = _spanning_seeds(space, list(range(n)), n)
     rows = np.array([project_class(space, s, eta, eta_inv, n).ravel() for s in seeds])
     seed_grades = np.array([component_grades(n, rank)[s.argmax()] for s in seeds])
-    per_grade = [orthonormal_rows(rows[seed_grades == q], grade_columns(n, rank, q)) for q in sorted(set(seed_grades))]
+    per_grade = [orthonormal_rows(rows[seed_grades == q], grade_columns(n, rank, q))[0] for q in sorted(set(seed_grades))]
     assert np.array_equal(reference_class_basis(space, n), np.vstack(per_grade))
 
 
@@ -194,16 +194,19 @@ def test_orthonormal_rows_complex_rank_deficient():
     rng = np.random.default_rng(11)
     base = rng.standard_normal((4, 9)) + 1j * rng.standard_normal((4, 9))
     rows = np.vstack([base, (1 - 2j) * base[:2], base[1] + 1j * base[3]])
-    basis = orthonormal_rows(rows)
+    basis, gap = orthonormal_rows(rows)
     assert basis.dtype == complex
     assert_orthonormal_basis_of(basis, rows, 4)
+    assert gap > 1e5
+    assert orthonormal_rows(base)[1] == np.inf  # nothing dropped
     cols = np.array([0, 2, 3, 5, 6, 8])
     sub = np.zeros_like(rows)
     sub[:, cols] = rows[:, cols]
-    basis = orthonormal_rows(sub, cols)
+    basis, _ = orthonormal_rows(sub, cols)
     assert np.abs(basis[:, [1, 4, 7]]).max() == 0.0
     assert_orthonormal_basis_of(basis, sub, 4)
-    assert orthonormal_rows(np.zeros((3, 5))).shape == (0, 5)
+    basis, gap = orthonormal_rows(np.zeros((3, 5)))
+    assert basis.shape == (0, 5) and gap == np.inf
 
 
 @pytest.mark.parametrize("n", range(4, 10))

@@ -174,6 +174,59 @@ def test_verify_dims_n6_includes_pm_rows(tmp_path):
     assert all(r["match"] for r in rows)
 
 
+def test_verify_dims_exits_4_on_marginal_rank(monkeypatch, tmp_path):
+    """Representatives of G.0.1 (sim, n = 5) whose Gram spectrum holds a kept
+    eigenvalue only 10^1.2 above a dropped one: the rank still matches the
+    closed form, but the rank decision is marginal, so verify-dims exits 4."""
+    from robcls import modules
+    from robcls.repdims import computed_module_dim
+
+    n, key = 5, modules.ModuleKey("G", 0, 1)
+    real_rows = modules.module_rows
+    extra = real_rows("G", n, modules.ModuleKey("G", 0, 0))[0]
+
+    def rows(space, nn, k):
+        r = real_rows(space, nn, k)
+        if (space, nn, k) != ("G", n, key):
+            return r
+        return np.vstack([r[0], r[1], 10**-4.6 * r[2], 10**-5.2 * extra])
+
+    monkeypatch.setattr(modules, "module_rows", rows)
+    modules.sim_table.cache_clear()
+    try:
+        chk = computed_module_dim("G", n, key, "sim")
+        assert chk.computed_dim == chk.formula_dim == 3
+        assert not chk.stable and abs(chk.gap - 10**0.6) < 0.05
+        out = tmp_path / "dims.md"
+        assert main(["verify-dims", "--n", "5", "--space", "G", "--level", "sim", "--out", str(out)]) == 4
+    finally:
+        monkeypatch.undo()
+        modules.sim_table.cache_clear()
+
+
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    import argparse
+
+    from robcls import cli
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    cli._parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    try:
+        for _ in range(2):
+            assert main(["verify-dims", "--n", "3", "--space", "G", "--level", "sim"]) == 2
+    finally:
+        cli._parser.cache_clear()
+    assert built.count("robcls") == 1
+    assert capsys.readouterr().err.count("--n must be") == 2
+
+
 def test_regress_single_entry(tmp_path):
     out = tmp_path / "regress.md"
     code = main(["regress", "--only", "pp-wave", "--out", str(out)])

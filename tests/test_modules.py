@@ -47,7 +47,7 @@ def test_table_rejects_non_orthonormal_bases():
     from robcls.modules import ModuleEntry, ModuleTable
 
     e = sim_table("G", 4).entries[0]
-    skewed = ModuleEntry(e.key, e.grade, 2.0 * e.basis)
+    skewed = ModuleEntry(e.key, e.grade, 2.0 * e.basis, e.gap)
     with pytest.raises(RuntimeError, match="not orthonormal"):
         ModuleTable("G", 4, "sim", [skewed])
 

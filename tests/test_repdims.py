@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from robcls.classes import RANK, class_dim, grade_columns
+from robcls.classes import RANK, class_dim, grade_columns, reference_class_basis
 from robcls.modules import ModuleKey, module_table, rob_table, sim_table
 from robcls.repdims import (
     _lowered_on_grade,
@@ -13,16 +13,15 @@ from robcls.repdims import (
     paper_arrow_delta,
     paper_arrow_set,
     reference_frame,
-    symmetry_basis,
 )
 
 SPACES = ("G", "F", "A", "C")
 
 
 def test_symmetry_basis_counts():
-    assert symmetry_basis("F", 7).shape[0] == 27
-    assert symmetry_basis("C", 6).shape[0] == 84
-    assert symmetry_basis("A", 4).shape[0] == 16
+    assert reference_class_basis("F", 7).shape[0] == 27
+    assert reference_class_basis("C", 6).shape[0] == 84
+    assert reference_class_basis("A", 4).shape[0] == 16
 
 
 @pytest.mark.parametrize("n", (4, 6, 9))
@@ -41,6 +40,13 @@ def test_specific_rank_examples():
     assert chk.computed_dim == 27
     chk = computed_module_dim("C", 8, ModuleKey("C", 0, 3, 5), "rob")
     assert chk.computed_dim == 27
+
+
+def test_dim_checks_build_no_class_basis():
+    """The dimension checks read the rank measured by the table build."""
+    reference_class_basis.cache_clear()
+    all_dim_checks("C", 6, "rob")
+    assert reference_class_basis.cache_info().misses == 0
 
 
 @pytest.mark.parametrize("n", (4, 5, 6, 7))

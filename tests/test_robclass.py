@@ -398,3 +398,28 @@ def test_integrability_map_0_3_3(n=6):
     t2 = (rng.standard_normal(rows.shape[0]) @ rows).reshape((n,) * 4)
     C2 = N.frame.from_frame(t2 / np.linalg.norm(t2))
     assert integrability_map_0_3_3(C2, N) < 1e-9
+
+
+def test_relations_compute_each_probe_once(monkeypatch):
+    """Each relation set probes C and Phi once, and reads the norms off those images."""
+    from robcls import simclass
+    from robcls.robclass import parallel_vector_relations, recurrent_line_relations
+
+    calls = []
+    for space in ("C", "F"):
+
+        def counted(arr, frame, space=space, probe=simclass.PROBES[space]):
+            calls.append(space)
+            return probe(arr, frame)
+
+        monkeypatch.setitem(simclass.PROBES, space, counted)
+    n = 6
+    rng = np.random.default_rng(3)
+    g = random_lorentzian(n, rng)
+    fr = complete_null_frame(g, random_null_vector(g, rng))
+    C, riemann = rng.standard_normal((2,) + (n,) * 4)
+    Phi = rng.standard_normal((n, n))
+    for relations in (recurrent_line_relations, parallel_vector_relations):
+        calls.clear()
+        relations(C, Phi + Phi.T, 0.3, riemann, fr)
+        assert sorted(calls) == ["C", "F"], relations.__name__
