@@ -329,7 +329,6 @@ def schwarzschild_null_lines(cp) -> dict:
 
 def _schw_expect(chart, p, pts):
     out = []
-    rng = np.random.default_rng(12)
     for pt in pts:
         cp = chart.evaluate(pt)
         scale = cp.curvature_scale()

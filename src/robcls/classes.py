@@ -282,7 +282,6 @@ def reference_class_basis(space: str, n: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def screen_class_basis(space: str, n: int) -> np.ndarray:
     """Class basis supported on the screen slots 1..n-2 of the null frame."""
-    eta = frame_metric(n)
     h = np.diag([0.0] + [1.0] * (n - 2) + [0.0])
     return class_basis(space, h, h, idx=list(range(1, n - 1)))
 

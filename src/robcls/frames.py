@@ -21,12 +21,16 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .classes import frame_metric
-from .modules import n_to_m_eps
 from .tensor import levi_civita, skew_arr, transform_slots
 
 
 class FrameError(ValueError):
     pass
+
+
+def n_to_m_eps(n: int) -> tuple[int, int]:
+    """(m, eps) with n = 2m + eps: m - 1 complex screen vectors m_A, and u when eps = 1."""
+    return n // 2, n % 2
 
 
 @dataclass(frozen=True)
@@ -90,8 +94,13 @@ class NullFrame:
         new_screen = tuple(e - z[i] * self.k for i, e in enumerate(self.screen))
         return NullFrame(self.g, self.k, new_l, new_screen)
 
-    def swap_kl(self) -> "NullFrame":
-        return NullFrame(self.g, self.l, self.k, self.screen)
+
+@lru_cache(maxsize=None)
+def reference_frame(n: int) -> NullFrame:
+    """The frame (k, e_1..e_{n-2}, l) = coordinate basis of `frame_metric(n)`; cached per n, read-only vectors."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return NullFrame(frame_metric(n), eye[0], eye[n - 1], tuple(eye[1 : n - 1]))
 
 
 def complete_null_frame(g: np.ndarray, k: np.ndarray) -> NullFrame:
@@ -248,8 +257,7 @@ def _orientation_det(frame: NullFrame) -> complex:
 
 @lru_cache(maxsize=None)
 def _reference_orientation_phase(n: int) -> complex:
-    eta = frame_metric(n)
-    return _orientation_det(NullFrame(eta, np.eye(n)[0], np.eye(n)[n - 1], tuple(np.eye(n)[1 : n - 1])))
+    return _orientation_det(reference_frame(n))
 
 
 def structure_sign(N: "RobinsonStructure") -> int:

@@ -19,6 +19,8 @@ Conventions (fixed throughout the package):
   grade of a frame component = #(l-slots) - #(k-slots); k has grade +1
   adapted complex frame  m_A = (e_{2A-1} - i e_{2A})/sqrt(2), A = 1..m-1,
   u = e_{n-2} in odd dimension; J m_A = +i m_A, omega(m_A, mbar_B) = i d_AB.
+The screen vectors, m_A, omega and u are read from `frames` on its
+`reference_frame(n)`; they are not re-derived here.
 
 Negative-grade modules are the k <-> l swap of the positive-grade ones.
 """
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -43,6 +45,7 @@ from .classes import (
     project_rows,
     screen_class_basis,
 )
+from .frames import RobinsonStructure, n_to_m_eps, reference_frame
 from .tensor import levi_civita, skew_arr, swap_pairs
 
 
@@ -77,44 +80,19 @@ def _E(n):
     return -(np.outer(k, l) - np.outer(l, k))
 
 
-def _screen_vecs(n):
-    out = []
-    for i in range(1, n - 1):
-        v = np.zeros(n)
-        v[i] = 1.0
-        out.append(v)
-    return out
+class _Adapted(NamedTuple):
+    mv: np.ndarray  # rows m_A
+    omega: np.ndarray
+    u: np.ndarray | None  # None when n is even
 
 
-def n_to_m_eps(n: int) -> tuple[int, int]:
-    return n // 2, n % 2
-
-
-def _m_vectors(n):
-    """Complex (1,0) screen vectors m_A in frame components."""
-    m, eps = n_to_m_eps(n)
-    out = []
-    for a in range(m - 1):
-        v = np.zeros(n, dtype=complex)
-        v[1 + 2 * a] = 1.0 / np.sqrt(2.0)
-        v[2 + 2 * a] = -1.0j / np.sqrt(2.0)
-        out.append(v)
-    return out
-
-
-def _u(n):
-    v = np.zeros(n)
-    v[n - 2] = 1.0
-    return v
-
-
-def _omega0(n):
-    m, eps = n_to_m_eps(n)
-    w = np.zeros((n, n))
-    for a in range(m - 1):
-        w[1 + 2 * a, 2 + 2 * a] = 1.0
-        w[2 + 2 * a, 1 + 2 * a] = -1.0
-    return w
+@lru_cache(maxsize=None)
+def _adapted(n: int) -> _Adapted:
+    """The m_A, omega and u of `RobinsonStructure(reference_frame(n))`, built once per n, read-only."""
+    N = RobinsonStructure(reference_frame(n))
+    mv, omega = np.array(N.m_vectors()), N.omega()
+    mv.flags.writeable = omega.flags.writeable = False
+    return _Adapted(mv, omega, N.u)
 
 
 def _H(n):
@@ -149,11 +127,11 @@ def grade_mask(n: int, rank: int, grade: int) -> np.ndarray:
 
 def _vecJ_basis(n):
     m, eps = n_to_m_eps(n)
-    return _screen_vecs(n)[: 2 * (m - 1)]
+    return reference_frame(n).screen[: 2 * (m - 1)]
 
 
 def _form2_basis(n):
-    vs = _screen_vecs(n)
+    vs = reference_frame(n).screen
     out = []
     for p in range(len(vs)):
         for q in range(p + 1, len(vs)):
@@ -162,7 +140,7 @@ def _form2_basis(n):
 
 
 def _sym2tf_basis(n):
-    vs = _screen_vecs(n)
+    vs = reference_frame(n).screen
     d = len(vs)
     out = []
     for p in range(d):
@@ -443,7 +421,7 @@ def _real_pair(x):
 
 
 def _emb_A02_0(n, v):
-    w, H = _omega0(n), _H(n)
+    w, H = _adapted(n).omega, _H(n)
     m = n // 2
     jv = w @ v  # (J A)_c = J_c^d A_d, J being omega with screen indices raised
     return (
@@ -454,13 +432,13 @@ def _emb_A02_0(n, v):
 
 
 def _emb_A02_1(n, z):
-    mb = np.conj(np.array(_m_vectors(n)))  # xi-slot realisation
+    mb = np.conj(_adapted(n).mv)  # xi-slot realisation
     t = np.einsum("ABC,Aa,Bb,Cc->abc", z, mb, mb, mb)
     return t + np.conj(t)
 
 
 def _emb_A02_2(n, z):
-    mv = np.array(_m_vectors(n))
+    mv = _adapted(n).mv
     mb = np.conj(mv)
     x1 = np.einsum("ABC,Aa,Bb,Cc->abc", z, mv, mb, mb)
     x2 = skew_arr(np.einsum("ABC,Ab,Bc,Ca->abc", z, mv, mb, mb), (1, 2))
@@ -469,19 +447,19 @@ def _emb_A02_2(n, z):
 
 
 def _emb_A02_3(n, z):
-    mv = np.array(_m_vectors(n))
+    mv = _adapted(n).mv
     mb = np.conj(mv)
     t = 2.0 * skew_arr(np.einsum("ABC,Aa,Bb,Cc->abc", z, mb, mb, mv), (1, 2))
     return t + np.conj(t)
 
 
 def _emb_A02_4(n, _):
-    u, w = _u(n), _omega0(n)
+    _, w, u = _adapted(n)
     return np.einsum("a,bc->abc", u, w) - skew_arr(np.einsum("b,ca->abc", u, w), (1, 2))
 
 
 def _emb_A02_5(n, v):
-    u, H = _u(n), _H(n)
+    u, H = _adapted(n).u, _H(n)
     m = n // 2
     t1 = skew_arr(np.einsum("a,b,c->abc", u, u, v), (1, 2))
     t2 = skew_arr(np.einsum("ab,c->abc", H, v), (1, 2))
@@ -489,17 +467,17 @@ def _emb_A02_5(n, v):
 
 
 def _emb_A02_67(n, w):
-    u = _u(n)
+    u = _adapted(n).u
     return np.einsum("a,bc->abc", u, w) - skew_arr(np.einsum("b,ca->abc", u, w), (1, 2))
 
 
 def _emb_A02_89(n, s):
-    u = _u(n)
+    u = _adapted(n).u
     return 2.0 * skew_arr(np.einsum("ab,c->abc", s, u), (1, 2))
 
 
 def _emb_C03_0(n, _):
-    w, H = _omega0(n), _H(n)
+    w, H = _adapted(n).omega, _H(n)
     m = n // 2
     return (
         2.0 * np.einsum("ab,cd->abcd", w, w)
@@ -509,7 +487,7 @@ def _emb_C03_0(n, _):
 
 
 def _emb_C03_12(n, psi):
-    w, H = _omega0(n), _H(n)
+    w, H = _adapted(n).omega, _H(n)
     m = n // 2
     jpsi = np.einsum("de,be->db", w, psi)  # J_d^e Psi_be
     t3 = skew_arr(np.einsum("ac,db->abcd", H, jpsi), (0, 1), (2, 3))
@@ -527,13 +505,13 @@ def _emb_C03_12(n, psi):
 
 
 def _emb_C03_3(n, z):
-    mb = np.conj(np.array(_m_vectors(n)))
+    mb = np.conj(_adapted(n).mv)
     t = np.einsum("NABCD,Aa,Bb,Cc,Dd->Nabcd", z, mb, mb, mb, mb, optimize=True)
     return t + np.conj(t)
 
 
 def _emb_C03_4(n, z):
-    mv = np.array(_m_vectors(n))
+    mv = _adapted(n).mv
     mb = np.conj(mv)
     x1 = np.einsum("NABCD,Aa,Bb,Cc,Dd->Nabcd", z, mb, mb, mv, mv, optimize=True)
     # z_ACDB mb_A^a mv_B^b mb_C^c mv_D^d is x1 with its slots read as (a, c, d, b)
@@ -543,14 +521,14 @@ def _emb_C03_4(n, z):
 
 
 def _emb_C03_5(n, z):
-    mv = np.array(_m_vectors(n))
+    mv = _adapted(n).mv
     mb = np.conj(mv)
     t = skew_arr(np.einsum("NACDB,Aa,Bb,Cc,Dd->Nabcd", z, mb, mv, mb, mv, optimize=True), (-4, -3), (-2, -1))
     return t + np.conj(t)
 
 
 def _emb_C03_6(n, z):
-    mv = np.array(_m_vectors(n))
+    mv = _adapted(n).mv
     mb = np.conj(mv)
     x = skew_arr(np.einsum("NABCD,Aa,Bb,Cc,Dd->Nabcd", z, mb, mb, mb, mv, optimize=True), (-2, -1))
     t = x + swap_pairs(x)
@@ -558,7 +536,7 @@ def _emb_C03_6(n, z):
 
 
 def _emb_C03_7(n, v):
-    w, H, u = _omega0(n), _H(n), _u(n)
+    (_, w, u), H = _adapted(n), _H(n)
     m = n // 2
     jv = w @ v
     t1 = skew_arr(np.einsum("ab,c,d->abcd", w, v, u), (2, 3))
@@ -571,7 +549,7 @@ def _emb_C03_7(n, v):
 
 
 def _emb_C03_89(n, psi):
-    u, H = _u(n), _H(n)
+    u, H = _adapted(n).u, _H(n)
     m = n // 2
     t1 = skew_arr(np.einsum("a,bc,d->abcd", u, psi, u), (0, 1), (2, 3))
     t2 = skew_arr(np.einsum("ac,db->abcd", H, psi), (0, 1), (2, 3))
@@ -579,7 +557,7 @@ def _emb_C03_89(n, psi):
 
 
 def _emb_C03_10_12(n, psi):
-    u = _u(n)
+    u = _adapted(n).u
     t = skew_arr(np.einsum("a,bcd->abcd", u, psi), (0, 1))
     return t + swap_pairs(t)
 
@@ -596,6 +574,15 @@ class ModuleKey:
     j: int
     k: int | None = None
     pm: str | None = None
+
+    @classmethod
+    def of(cls, space: str, label) -> "ModuleKey":
+        """The key of a label (i, j), (i, j, k) or (i, j, '+'/'-'); a key is returned as it is."""
+        if isinstance(label, ModuleKey):
+            return label
+        i, j, *rest = label
+        tail = rest[0] if rest else None
+        return cls(space, i, j, None, tail) if isinstance(tail, str) else cls(space, i, j, tail)
 
     def __str__(self):
         s = f"{self.space}.{self.i}.{self.j}"
@@ -626,10 +613,17 @@ class ModuleTable:
     entries: list[ModuleEntry]
     stacked: np.ndarray = field(init=False, repr=False)
     slices: dict = field(init=False, repr=False)
+    rank_error: str | None = field(init=False, repr=False)  # the first module whose rank is not its closed form
     _by_key: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         self._by_key = {e.key: e for e in self.entries}
+        self.rank_error = None
+        for e in self.entries:
+            expected = module_dim(self.space, self.n, e.key)
+            if e.dim != expected:
+                self.rank_error = f"{self.level} module {e.key} (n={self.n}): dim {e.dim} != expected {expected}"
+                break
         rows, self.slices, pos = [], {}, 0
         for e in self.entries:
             rows.append(e.basis)
@@ -644,6 +638,8 @@ class ModuleTable:
 
     def coefficients(self, frame_flat: np.ndarray) -> np.ndarray:
         """Coordinates of the orthogonal projection onto the module bases (rows of ``stacked``)."""
+        if self.rank_error:
+            raise RuntimeError(self.rank_error)
         return self.stacked @ frame_flat
 
     def entry(self, key: ModuleKey) -> ModuleEntry:
@@ -709,9 +705,9 @@ def _refined_form2_params(n):
     """Refined screen 2-form parameter spaces g^{1,k}, k = 0..3."""
     m, eps = n_to_m_eps(n)
     p = m - 1
-    mv = np.array(_m_vectors(n))
+    mv = _adapted(n).mv
     mb = np.conj(mv)
-    out = {0: [_omega0(n)], 1: [], 2: [], 3: []}
+    out = {0: [_adapted(n).omega], 1: [], 2: [], 3: []}
     for z in _cplx_pair_basis(p):
         x = 1.0j * np.einsum("BC,Ba,Cb->ab", z, mb, mb)
         out[1].extend(_real_pair(x))
@@ -719,7 +715,7 @@ def _refined_form2_params(n):
         x = 1.0j * np.einsum("BD,Ba,Db->ab", hmat, mb, mv)
         out[2].append(np.real(x - x.T) / 1.0)
     if eps:
-        u = _u(n)
+        u = _adapted(n).u
         for v in _vecJ_basis(n):
             out[3].append(np.outer(u, v) - np.outer(v, u))
     return out
@@ -730,7 +726,7 @@ def _refined_sym2_params(n):
     """Refined screen symmetric tracefree parameter spaces F^{1,k}, k = 0..3."""
     m, eps = n_to_m_eps(n)
     p = m - 1
-    mv = np.array(_m_vectors(n))
+    mv = _adapted(n).mv
     mb = np.conj(mv)
     out = {0: [], 1: [], 2: [], 3: []}
     for hmat in _hermitian_tf_basis(p):
@@ -741,7 +737,7 @@ def _refined_sym2_params(n):
         for y in _real_pair(x):
             out[1].append(0.5 * (y + y.T))
     if eps:
-        u = _u(n)
+        u = _adapted(n).u
         out[2].append(np.outer(u, u) - _H(n) / (2 * m - 2))
         for v in _vecJ_basis(n):
             out[3].append(np.outer(u, v) + np.outer(v, u))
@@ -817,7 +813,7 @@ def _refined_C03_params(n):
 def _refined_vec_params(n):
     out = {0: _vecJ_basis(n)}
     if n % 2:
-        out[1] = [_u(n)]
+        out[1] = [_adapted(n).u]
     return out
 
 
@@ -891,7 +887,7 @@ class _ParamSpace:
 
 
 _NONE = _ParamSpace(lambda n: [None], lambda d: 1, lambda n: {0: [None]}, lambda m, eps: {0: 1})
-_VEC = _ParamSpace(_screen_vecs, lambda d: d, _refined_vec_params, _vec_dims)
+_VEC = _ParamSpace(lambda n: reference_frame(n).screen, lambda d: d, _refined_vec_params, _vec_dims)
 _FORM2 = _ParamSpace(_form2_basis, lambda d: d * (d - 1) // 2, _refined_form2_params, _form2_dims, _pm_split_form2)
 _SYM2 = _ParamSpace(_sym2tf_basis, lambda d: d * (d + 1) // 2 - 1, _refined_sym2_params, _sym2_dims)
 _A2 = _ParamSpace(_screen_class_params("A"), lambda d: class_dim("A", d), _refined_A02_params, _A2_dims, _pm_split_A2)
@@ -1035,19 +1031,21 @@ def _build_rows(n, embed_fn, params):
 
 
 def _build_table(space: str, n: int, level: str) -> ModuleTable:
-    """Validate, orthonormalise on the module's grade and rank-check every module of a level."""
+    """Validate and orthonormalise every module of a level on its grade.
+
+    A module whose rank differs from its closed form is kept, and recorded in
+    ``rank_error``: the dimension checks report it and the table refuses to
+    decompose.
+    """
     keys = sim_module_keys(space, n) if level == "sim" else rob_module_keys(space, n)
     entries = []
     for key in keys:
         rows = module_rows(space, n, key)
         _validate_rows(space, n, rows, expect_grade=key.i)
         basis, gap = orthonormal_rows(rows, grade_columns(n, RANK[space], key.i))
-        expected = module_dim(space, n, key)
-        if basis.shape[0] != expected:
-            raise RuntimeError(f"{level} module {key} (n={n}): dim {basis.shape[0]} != expected {expected}")
         entries.append(ModuleEntry(key, key.i, basis, gap))
     table = ModuleTable(space, n, level, entries)
-    if table.total_dim != class_dim(space, n):
+    if table.rank_error is None and table.total_dim != class_dim(space, n):
         raise RuntimeError(f"{level} table {space} n={n}: total {table.total_dim} != {class_dim(space, n)}")
     return table
 

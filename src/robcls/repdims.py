@@ -2,16 +2,17 @@
 
 Each module's rank is decided once, when its table is built: the
 eigen-decomposition of the Gram matrix of its representative rows keeps
-the eigenvalues above a relative floor (``classes.orthonormal_rows``), and
-the table build checks that rank against the closed-form dimension.  A
-dimension check reads that rank and the gap of the decision, the ratio of
-the smallest kept to the largest dropped singular value; a gap of 10 or
-less marks the rank as unstable.
+the eigenvalues above a relative floor (``classes.orthonormal_rows``).  A
+dimension check reads that rank, its closed form and the gap of the
+decision, the ratio of the smallest kept to the largest dropped singular
+value; a gap of 10 or less marks the rank as unstable.  A rank that
+differs from its closed form is a failed check, not a build error.
 
 The diagrams are verified through the action of the grade-lowering part
 of the algebra: null rotations about l, acting algebraically to first
 order on tensors.  A representative of a module may only produce
 components in its arrow targets; any other nonzero component is a leak.
+The published arrows are read as ``graphs.paper_arrow_set`` expands them.
 """
 
 from __future__ import annotations
@@ -21,17 +22,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .classes import RANK, frame_metric, grade_columns
-from .frames import NullFrame
-from .graphs import graph_arrows
+from .classes import RANK, grade_columns
+from .frames import NullFrame, reference_frame
+from .graphs import paper_arrow_set
 from .modules import ModuleKey, module_dim, module_table
 from .simclass import decompose
-
-
-def reference_frame(n: int) -> NullFrame:
-    eta = frame_metric(n)
-    eye = np.eye(n)
-    return NullFrame(eta, eye[0], eye[n - 1], tuple(eye[1 : n - 1]))
 
 
 @dataclass
@@ -149,24 +144,6 @@ class ArrowCheck:
         if self.is_arrow:
             return self.max_component > 1e-7
         return self.max_component < 1e-10
-
-
-def paper_arrow_set(space: str, n: int, level: str) -> set:
-    """Arrows transcribed from the published diagrams (n = 6 splits expanded)."""
-    table = module_table(space, n, level)
-    present = {e.key for e in table.entries}
-
-    def expand(key: ModuleKey):
-        if level == "sim" and key.pm is None:
-            return [k for k in present if (k.i, k.j) == (key.i, key.j)]
-        return [key] if key in present else []
-
-    arrow_set = set()
-    for a, b in graph_arrows(space, n, level):
-        for src in expand(a):
-            for dst in expand(b):
-                arrow_set.add((src, dst))
-    return arrow_set
 
 
 @lru_cache(maxsize=None)

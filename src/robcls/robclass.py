@@ -17,6 +17,7 @@ import numpy as np
 
 from .classes import metric_wedge_part, weyl_trace_part
 from .frames import NullFrame, RobinsonStructure, adapted_basis, robinson_forms, sample_robinson_over_null_line
+from .modules import ModuleKey
 from .simclass import GradedDecomposition, decompose, probe_images, probe_norms
 from .tensor import DEFAULT_TOL, Tolerance, skew_arr, transform_slots
 
@@ -230,16 +231,12 @@ def parallel_structure_relations(
     worst_p = float(np.abs(transform_slots(Phi, (span, perp))).max())
     dec = refined_flags("C", C, N, tol)
     gs = special_from_flags(dec)
-    extra = {}
-    for key in ((0, 1), (0, 3, 4), (1, 1, 2)):
-        if len(key) == 2:
-            extra["Pi_0^1(C)"] = probe_norms("C", C, N.frame)[(0, 1)] <= tol.threshold(dec.scale)
-        elif dec.has(key):
-            extra[f"C.{key[0]}.{key[1]}.{key[2]}"] = dec.flag(key)
+    extra = {"Pi_0^1(C)": probe_norms("C", C, N.frame)[(0, 1)] <= tol.threshold(dec.scale)}
     decF = refined_flags("F", Phi, N, tol)
-    for key in ((0, 1, 1), (0, 1, 3)):
-        if decF.has(key):
-            extra[f"F.{key[0]}.{key[1]}.{key[2]}"] = decF.flag(key)
+    for d, label in ((dec, (0, 3, 4)), (dec, (1, 1, 2)), (decF, (0, 1, 1)), (decF, (0, 1, 3))):
+        key = ModuleKey.of(d.space, label)
+        if d.has(key):
+            extra[str(key)] = d.flag(key)
     rec = {
         "curvature_blocks": worst_c / scale,
         "ricci_blocks": worst_p / scale,

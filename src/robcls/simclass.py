@@ -25,7 +25,7 @@ from scipy.special import ndtri
 
 from .classes import RANK
 from .frames import FrameError, NullFrame, complete_null_frame, volume_form
-from .graphs import graph_arrows
+from .graphs import paper_arrow_set
 from .modules import ModuleKey, module_table, sim_table
 from .tensor import DEFAULT_TOL, Tolerance, skew_arr, swap_pairs, transform_slots
 
@@ -54,43 +54,23 @@ class GradedDecomposition:
     tol: Tolerance
     scale: float
 
-    def _key(self, key) -> ModuleKey:
-        if isinstance(key, ModuleKey):
-            return key
-        padded = self._pad(key)
-        for k in self.components:
-            if (k.i, k.j, k.k, k.pm) == padded:
-                return k
-        raise KeyError(str(key))
-
-    @staticmethod
-    def _pad(key):
-        key = tuple(key)
-        if len(key) == 2:
-            return (key[0], key[1], None, None)
-        if len(key) == 3:
-            if isinstance(key[2], str):
-                return (key[0], key[1], None, key[2])
-            return (key[0], key[1], key[2], None)
-        return key
+    def _component(self, key) -> ModuleComponent:
+        """The component of a ModuleKey or of a label that `ModuleKey.of` reads."""
+        return self.components[ModuleKey.of(self.space, key)]
 
     def has(self, key) -> bool:
-        try:
-            self._key(key)
-            return True
-        except KeyError:
-            return False
+        return ModuleKey.of(self.space, key) in self.components
 
     def norm(self, key) -> float:
-        return self.components[self._key(key)].norm
+        return self._component(key).norm
 
     def flag(self, key) -> bool:
         """True when the module component vanishes (within tolerance)."""
-        return self.components[self._key(key)].vanishing
+        return self._component(key).vanishing
 
     def image(self, key) -> np.ndarray:
         """Coordinate components of one module's image."""
-        return self.frame.from_frame(self.components[self._key(key)].frame_image)
+        return self.frame.from_frame(self._component(key).frame_image)
 
     def boost_weights(self) -> dict:
         out: dict[int, float] = {}
@@ -162,31 +142,17 @@ def graded_reconstruct(dec: GradedDecomposition, frame: NullFrame) -> np.ndarray
 
 def down_closure(space: str, n: int, i: int, j: int) -> list[ModuleKey]:
     """Modules reachable from (i, j) (all +- parts) along diagram arrows."""
-    arrows = graph_arrows(space, n, "sim")
-    table = sim_table(space, n)
-    present = {(e.key.i, e.key.j, e.key.pm) for e in table.entries}
-
-    def expand(lbl):
-        i_, j_, pm_ = lbl
-        if pm_ is None:
-            return [p for p in present if (p[0], p[1]) == (i_, j_)]
-        return [p for p in present if p == lbl]
-
     adj: dict = {}
-    for a, b in arrows:
-        for src in expand((a.i, a.j, a.pm)):
-            for dst in expand((b.i, b.j, b.pm)):
-                adj.setdefault(src, set()).add(dst)
-    start = [p for p in present if (p[0], p[1]) == (i, j)]
-    seen = set(start)
-    frontier = list(start)
+    for src, dst in paper_arrow_set(space, n, "sim"):
+        adj.setdefault(src, set()).add(dst)
+    seen = {e.key for e in sim_table(space, n).entries if (e.key.i, e.key.j) == (i, j)}
+    frontier = list(seen)
     while frontier:
-        cur = frontier.pop()
-        for nxt in adj.get(cur, ()):  # noqa: B905
+        for nxt in adj.get(frontier.pop(), ()):
             if nxt not in seen:
                 seen.add(nxt)
                 frontier.append(nxt)
-    return [ModuleKey(space, a, b, None, c) for (a, b, c) in sorted(seen)]
+    return sorted(seen, key=lambda k: (k.i, k.j, k.pm))
 
 
 # --------------------------------------------------------------------------
@@ -585,6 +551,8 @@ def sphere_grid(dim_sphere: int, count: int) -> np.ndarray:
     """Deterministic low-discrepancy grid on S^{dim_sphere}."""
     d = dim_sphere + 1
     primes = [2, 3, 5, 7, 11, 13, 17, 19, 23][:d]
+    if len(primes) < d:
+        raise ValueError(f"sphere_grid has no prime for coordinate {len(primes)} of S^{dim_sphere}")
     idx = np.arange(1, count + 1)
     pts = np.empty((count, d))
     for c, p in enumerate(primes):

@@ -92,6 +92,8 @@ SCHW5 = ["classify", "--metric", "schwarzschild", "--params", '{"M": 1, "dim": 5
         ["classify", "--metric", "schwarzschild", "--point", "0,3,1,0.5,0.2", "--k=1,1,0,0,0,0"],
         ["classify", "--metric", "schwarzschild", "--point", "0,3,1,0.5,0.2", "--k=nan,1,0,0,0"],
         ["classify", "--metric", "schwarzschild", "--point", "0,3,1,0.5,0.2", "--k=inf,inf,0,0,0"],
+        ["classify", "--metric", "minkowski", "--dim", "11", "--point", ",".join(["0"] * 11), "--search"],
+        ["classify", "--metric", "minkowski", "--params", '{"dim": 11}', "--point", ",".join(["0"] * 11), "--search"],
     ],
     ids=[
         "params-json",
@@ -113,6 +115,8 @@ SCHW5 = ["classify", "--metric", "schwarzschild", "--params", '{"M": 1, "dim": 5
         "k-long",
         "k-nan",
         "k-inf",
+        "dim-11",
+        "params-dim-11",
     ],
 )
 def test_classify_bad_input_one_line_exit_2(argv, capsys):
@@ -199,6 +203,33 @@ def test_verify_dims_exits_4_on_marginal_rank(monkeypatch, tmp_path):
         assert not chk.stable and abs(chk.gap - 10**0.6) < 0.05
         out = tmp_path / "dims.md"
         assert main(["verify-dims", "--n", "5", "--space", "G", "--level", "sim", "--out", str(out)]) == 4
+    finally:
+        monkeypatch.undo()
+        modules.sim_table.cache_clear()
+
+
+def test_verify_dims_exits_1_on_rank_mismatch(monkeypatch, capsys):
+    """G.0.1 (sim, n = 5) given two of its three representatives: verify-dims
+    reports the module as a NO row and exits 1, with no traceback, and the
+    table refuses to decompose a tensor."""
+    from robcls import frames, modules
+    from robcls.simclass import decompose
+
+    n, key = 5, modules.ModuleKey("G", 0, 1)
+    real_rows = modules.module_rows
+
+    def rows(space, nn, k):
+        r = real_rows(space, nn, k)
+        return r[:2] if (space, nn, k) == ("G", n, key) else r
+
+    monkeypatch.setattr(modules, "module_rows", rows)
+    modules.sim_table.cache_clear()
+    try:
+        assert main(["verify-dims", "--n", "5", "--space", "G", "--level", "sim"]) == 1
+        out = capsys.readouterr().out
+        assert "| 5 | sim | G.0.1 | 3 | 2 | NO |" in out.splitlines()
+        with pytest.raises(RuntimeError, match=r"sim module G\.0\.1 \(n=5\): dim 2 != expected 3"):
+            decompose("G", np.zeros((n, n)), frames.reference_frame(n))
     finally:
         monkeypatch.undo()
         modules.sim_table.cache_clear()

@@ -7,6 +7,7 @@ from robcls.frames import (
     complete_null_frame,
     hodge_relation_residuals,
     levi_civita,
+    n_to_m_eps,
     orientation_of,
     random_lorentzian,
     random_null_vector,
@@ -16,7 +17,6 @@ from robcls.frames import (
     sample_robinson_over_null_line,
     volume_form,
 )
-from robcls.modules import n_to_m_eps
 
 
 def test_minkowski_lightcone_frame():

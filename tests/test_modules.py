@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from robcls.classes import RANK, class_dim, random_class_tensor, reference_class_basis
+from robcls.frames import n_to_m_eps
 from robcls.modules import (
     ModuleKey,
-    n_to_m_eps,
     rob_module_dim,
     rob_module_keys,
     rob_table,
@@ -167,19 +167,19 @@ def test_grade_support():
 
 def test_batched_C03_embeddings_match_per_parameter_formulas():
     """The stacked C_0^{3,k} embeddings equal the one-parameter formulas (k = 4 has no module below n = 10)."""
+    from robcls.frames import RobinsonStructure, reference_frame
     from robcls.modules import (
         _emb_C03_3,
         _emb_C03_4,
         _emb_C03_5,
         _emb_C03_6,
-        _m_vectors,
     )
     from robcls.tensor import skew_arr, swap_pairs
 
     n, p = 9, 3
     rng = np.random.default_rng(29)
     z = rng.standard_normal((5,) + (p,) * 4) + 1j * rng.standard_normal((5,) + (p,) * 4)
-    mv = np.array(_m_vectors(n))
+    mv = np.array(RobinsonStructure(reference_frame(n)).m_vectors())
     mb = np.conj(mv)
 
     def real(t):

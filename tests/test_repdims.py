@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from robcls.classes import RANK, class_dim, grade_columns, reference_class_basis
+from robcls.frames import reference_frame
+from robcls.graphs import paper_arrow_set
 from robcls.modules import ModuleKey, module_table, rob_table, sim_table
 from robcls.repdims import (
     _lowered_on_grade,
@@ -11,8 +13,6 @@ from robcls.repdims import (
     lowering_action,
     nilpotent_action_check,
     paper_arrow_delta,
-    paper_arrow_set,
-    reference_frame,
 )
 
 SPACES = ("G", "F", "A", "C")
@@ -85,7 +85,8 @@ def test_sim_diagrams_published_exactly(n=6):
 
 def test_bottom_grade_action_vanishes():
     """Lowering a bottom-grade representative gives exactly zero."""
-    from robcls.repdims import lowering_action, reference_frame
+    from robcls.frames import reference_frame
+    from robcls.repdims import lowering_action
 
     for n in (5, 6):
         fr = reference_frame(n)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from robcls.classes import RANK, frame_metric, random_class_tensor
-from robcls.frames import NullFrame, complete_null_frame, random_lorentzian, random_null_vector
+from robcls.classes import RANK, random_class_tensor
+from robcls.frames import complete_null_frame, random_lorentzian, random_null_vector, reference_frame
 from robcls.modules import sim_table
 import robcls.simclass as simclass
 from robcls.catalog import ENTRIES
@@ -21,12 +21,6 @@ from robcls.simclass import (
 from robcls.tensor import skew_arr, transform_slots
 
 SPACES = ("G", "F", "A", "C")
-
-
-def reference_frame(n):
-    eta = frame_metric(n)
-    eye = np.eye(n)
-    return NullFrame(eta, eye[0], eye[n - 1], tuple(eye[1 : n - 1]))
 
 
 @pytest.mark.parametrize("n", (4, 5, 6, 7))
@@ -273,6 +267,13 @@ def test_sphere_grid_deterministic_unit():
     b = sphere_grid(3, 500)
     assert np.array_equal(a, b)
     assert np.abs(np.linalg.norm(a, axis=1) - 1).max() < 1e-12
+
+
+def test_sphere_grid_rejects_spheres_beyond_its_primes():
+    """Nine primes cover S^8 (n = 10); S^9 would leave a column unset."""
+    assert np.isfinite(sphere_grid(8, 50)).all()
+    with pytest.raises(ValueError, match="no prime"):
+        sphere_grid(9, 10)
 
 
 def test_probe_g6_pm_matches_module_split():
