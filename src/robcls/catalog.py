@@ -81,6 +81,8 @@ class CatalogEntry:
     structures: Callable[[dict], dict] = lambda p: {}
     # parameter overrides the regression runs (None: the defaults)
     variants: tuple = (None,)
+    # the dimensions the entry builds; `classify` rejects any other `dim`
+    dims: range = range(4, 10)
 
     def chart(self, params: dict | None = None) -> MetricChart:
         p = dict(self.default_params)
@@ -540,6 +542,7 @@ MYERS_PERRY = CatalogEntry(
     lambda p: [np.array([0.0, 2.2, 0.5, 1.2, -0.6]), np.array([0.3, -1.5, 1.8, 0.4, 1.1])],
     _mp_expect,
     null_lines=mp_null_lines,
+    dims=range(5, 6),
 )
 
 
@@ -641,6 +644,7 @@ KK_BUBBLE = CatalogEntry(
     lambda p: [np.array([0.0, r, 0.3, 0.2, -0.4]) for r in (2.5, 3.0, 5.0)],
     _kk_expect,
     structures=kk_structures,
+    dims=range(5, 6),
 )
 
 
@@ -757,6 +761,7 @@ ROBINSON_TRAUTMAN = CatalogEntry(
     _rt_expect,
     null_lines=lambda cp, p: rt_null_lines(cp),
     variants=(None, {"screen": "spheres"}),
+    dims=range(6, 7),
 )
 
 
@@ -875,6 +880,7 @@ TAUB_NUT = CatalogEntry(
     lambda p: [np.array([0.0, 2.0, 0.3, -0.2, 0.5, 0.1]), np.array([0.4, 3.0, -0.6, 0.2, 0.1, 0.4])],
     _tn_expect,
     structures=taub_nut_structures,
+    dims=range(6, 7),
 )
 
 
@@ -1047,6 +1053,7 @@ IWASAWA = CatalogEntry(
     lambda p: [np.array([0.3, -0.2, 0.5, 0.1, -0.4, 0.7]), np.array([-0.1, 0.4, 0.2, -0.3, 0.6, 0.2])],
     _iwasawa_expect,
     structures=lambda p: iwasawa_distributions(),
+    dims=range(6, 7),
 )
 
 

@@ -19,16 +19,23 @@ import numpy as np
 from . import __version__
 from .catalog import ENTRIES, run_expectations
 from .chart import distribution_span
-from .frames import FrameError, build_robinson, complete_null_frame, robinson_from_span, sample_robinson_over_null_line
+from .frames import (
+    FrameError,
+    build_robinson,
+    complete_null_frame,
+    orthonormal_basis,
+    robinson_from_span,
+    sample_robinson_over_null_line,
+)
 from .repdims import all_dim_checks, paper_arrow_delta
 from .report import ClassificationReport, decomposition_dict, frame_dict, indeterminate_flags
-from .robclass import (
-    aligned_residual,
-    refined_flags,
-    special_residual,
-)
-from .simclass import _orthonormal_basis, decompose, weyl_type_at_frame, weyl_type_search
+from .robclass import aligned_residual, refined_flags, special_residual
+from .simclass import weyl_type_at_frame, weyl_type_search
 from .tensor import Tolerance
+
+
+class UsageError(Exception):
+    """A domain or usage error: `main` prints the message on one line and exits 2."""
 
 
 def _write(text: str, out: str | None):
@@ -39,10 +46,45 @@ def _write(text: str, out: str | None):
         sys.stdout.write(text)
 
 
+def _null_direction(spec: str | None, lines: dict, g: np.ndarray) -> np.ndarray:
+    """The --k direction: a named null line, comma-separated components, or the default."""
+    if not spec:
+        if "K" in lines:
+            return lines["K"]
+        basis = orthonormal_basis(g)  # generic: first coordinate null direction of the orthonormal frame
+        return basis[0] + basis[1]
+    name = {"ingoing": "K", "outgoing": "L", "k": "K", "l": "L"}.get(spec.lower(), spec)
+    if name in lines:
+        return lines[name]
+    try:
+        kvec = np.array([float(v) for v in spec.split(",")])
+    except ValueError:
+        raise UsageError("malformed k") from None
+    if kvec.shape != (g.shape[0],):
+        raise UsageError(f"--k must have {g.shape[0]} components, got {kvec.size} in '{spec}'")
+    if not np.isfinite(kvec).all():
+        raise UsageError(f"--k components must be finite, got '{spec}'")
+    return kvec
+
+
+def _robinson_structure(spec: str, frame, entry, params: dict, cp):
+    """The --robinson structure: 'standard', 'random:SEED' or a named structure of the entry."""
+    if spec.startswith("random:"):
+        seed = spec.split(":", 1)[1]
+        if not (seed.isascii() and seed.isdigit()):
+            raise UsageError(f"malformed robinson seed in '{spec}' (SEED must be a nonnegative integer)")
+        return sample_robinson_over_null_line(frame, 1, int(seed))[0]
+    if spec == "standard":
+        return build_robinson(frame, "standard")
+    dists = entry.structures(params)
+    if spec not in dists:
+        raise UsageError(f"unknown robinson spec '{spec}' (use 'standard', 'random:SEED', or a named structure)")
+    return robinson_from_span(cp.g, distribution_span(cp, dists[spec]))
+
+
 def cmd_classify(args) -> int:
     if args.metric not in ENTRIES:
-        print(f"unknown metric '{args.metric}'; available: {', '.join(sorted(ENTRIES))}", file=sys.stderr)
-        return 2
+        raise UsageError(f"unknown metric '{args.metric}'; available: {', '.join(sorted(ENTRIES))}")
     entry = ENTRIES[args.metric]
     params = dict(entry.default_params)
     try:
@@ -50,32 +92,29 @@ def cmd_classify(args) -> int:
     except json.JSONDecodeError:
         extra = None
     if not isinstance(extra, dict):
-        print(f"--params must be a JSON object, got {args.params!r}", file=sys.stderr)
-        return 2
+        raise UsageError(f"--params must be a JSON object, got {args.params!r}")
     params.update(extra)
     if args.dim is not None:
         params["dim"] = args.dim
     try:
         chart = entry.build(params)
-    except (TypeError, ValueError) as exc:
-        print(f"invalid parameters for '{args.metric}': {exc}", file=sys.stderr)
-        return 2
-    if not 4 <= chart.dim <= 9:
-        print(f"the dimension must be in the supported range 4..9, got {chart.dim}", file=sys.stderr)
-        return 2
+        dim = chart.dim if params.get("dim") is None else int(params["dim"])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise UsageError(f"invalid parameters for '{args.metric}': {exc}") from None
+    if dim not in entry.dims:
+        lo, hi = entry.dims[0], entry.dims[-1]
+        supported = f"in the supported range {lo}..{hi}" if hi > lo else str(lo)
+        raise UsageError(f"the dimension must be {supported}, got {dim}")
     try:
         point = np.array([float(v) for v in args.point.split(",")])
     except ValueError:
-        print("malformed point", file=sys.stderr)
-        return 2
+        raise UsageError("malformed point") from None
     if not np.isfinite(point).all():
-        print(f"point coordinates must be finite, got '{args.point}'", file=sys.stderr)
-        return 2
+        raise UsageError(f"point coordinates must be finite, got '{args.point}'")
     try:
         tol = Tolerance(args.tol, args.tol)
     except ValueError as exc:
-        print(f"invalid --tol: {exc}", file=sys.stderr)
-        return 2
+        raise UsageError(f"invalid --tol: {exc}") from None
     try:
         cp = chart.evaluate(point)
         scale = cp.curvature_scale()
@@ -87,8 +126,7 @@ def cmd_classify(args) -> int:
             "phi_norm": float(np.linalg.norm(cp.phi.ravel())),
         }
     except ValueError as exc:  # DomainError, or no Weyl tensor for n <= 3
-        print(f"domain error: {exc}", file=sys.stderr)
-        return 2
+        raise UsageError(f"domain error: {exc}") from None
     report = ClassificationReport(
         tool_version=__version__,
         chart=chart.name,
@@ -98,74 +136,31 @@ def cmd_classify(args) -> int:
         curvature=curvature,
         seeds={"robinson": args.robinson or ""},
     )
-    indeterminate = []
+    # --search, --k, a named line or the default only choose the direction
     if args.search:
         try:
-            label = weyl_type_search(cp.weyl, cp.g, tol)
+            label = weyl_type_search(cp.weyl, cp.g, tol, scale=scale)
         except ValueError as exc:  # FrameError on a metric that is not Lorentzian
-            print(f"cannot search: {exc}", file=sys.stderr)
-            return 2
-        report.weyl_type = label.as_dict()
-        frame = complete_null_frame(cp.g, label.direction)
-        # the search label is scaled by |C|; the report uses the Riemann scale
-        dec = decompose("C", cp.weyl, frame, "sim", tol, scale)
+            raise UsageError(f"cannot search: {exc}") from None
     else:
-        lines = entry.null_lines(cp, params)
-        if args.k:
-            name = {"ingoing": "K", "outgoing": "L", "k": "K", "l": "L"}.get(args.k.lower(), args.k)
-            if name in lines:
-                kvec = lines[name]
-            else:
-                try:
-                    kvec = np.array([float(v) for v in args.k.split(",")])
-                except ValueError:
-                    print("malformed k", file=sys.stderr)
-                    return 2
-                if kvec.shape != (cp.g.shape[0],):
-                    print(f"--k must have {cp.g.shape[0]} components, got {kvec.size} in '{args.k}'", file=sys.stderr)
-                    return 2
-                if not np.isfinite(kvec).all():
-                    print(f"--k components must be finite, got '{args.k}'", file=sys.stderr)
-                    return 2
-        elif "K" in lines:
-            kvec = lines["K"]
-        else:  # generic: first coordinate null direction from the orthonormal frame
-            basis = _orthonormal_basis(cp.g)
-            kvec = basis[0] + basis[1]
+        kvec = _null_direction(args.k, entry.null_lines(cp, params), cp.g)
         try:
             frame = complete_null_frame(cp.g, kvec)
         except FrameError as exc:
-            print(f"frame error: {exc}", file=sys.stderr)
-            return 2
+            raise UsageError(f"frame error: {exc}") from None
         label = weyl_type_at_frame(cp.weyl, frame, tol, scale)
-        report.weyl_type = label.as_dict()
-        dec = label.decomposition
-    report.frame = frame_dict(frame)
+    dec = label.decomposition
+    report.weyl_type = label.as_dict()
+    report.frame = frame_dict(dec.frame)
     report.sim_decomposition = decomposition_dict(dec)
-    indeterminate += indeterminate_flags(dec)
+    indeterminate = indeterminate_flags(dec)
     if args.robinson:
-        if args.robinson.startswith("random:"):
-            seed = args.robinson.split(":", 1)[1]
-            if not (seed.isascii() and seed.isdigit()):
-                print(f"malformed robinson seed in '{args.robinson}' (SEED must be a nonnegative integer)", file=sys.stderr)
-                return 2
-            N = sample_robinson_over_null_line(frame, 1, int(seed))[0]
-        elif args.robinson == "standard":
-            N = build_robinson(frame, "standard")
-        else:
-            dists = entry.structures(params)
-            if args.robinson not in dists:
-                print(
-                    f"unknown robinson spec '{args.robinson}' (use 'standard', 'random:SEED', or a named structure)",
-                    file=sys.stderr,
-                )
-                return 2
-            N = robinson_from_span(cp.g, distribution_span(cp, dists[args.robinson]))
+        N = _robinson_structure(args.robinson, dec.frame, entry, params, cp)
         rdec = refined_flags("C", cp.weyl, N, tol, scale)
         report.robinson = N.serialise()
         report.refined_flags = rdec.summary()
-        report.predicates["aligned"] = bool(aligned_residual(cp.weyl, N) * scale <= tol.threshold(scale))
-        report.predicates["algebraically_special"] = bool(special_residual(cp.weyl, N) * scale <= tol.threshold(scale))
+        report.predicates["aligned"] = bool(tol.vanishes(aligned_residual(cp.weyl, N) * scale, scale))
+        report.predicates["algebraically_special"] = bool(tol.vanishes(special_residual(cp.weyl, N) * scale, scale))
         indeterminate += indeterminate_flags(rdec)
     report.indeterminate = sorted(set(indeterminate))
     _write(report.to_json(), args.out)
@@ -178,8 +173,7 @@ def cmd_verify_dims(args) -> int:
     except ValueError:
         lo = hi = None
     if lo is None or not 4 <= lo <= hi:
-        print(f"--n must be N or LO..HI with 4 <= LO <= HI, got {args.n!r}", file=sys.stderr)
-        return 2
+        raise UsageError(f"--n must be N or LO..HI with 4 <= LO <= HI, got {args.n!r}")
     spaces = ["G", "F", "A", "C"] if args.space == "all" else [args.space]
     levels = ["sim", "rob"] if args.level == "all" else [args.level]
     rows = []
@@ -230,8 +224,7 @@ def cmd_regress(args) -> int:
     names = sorted(ENTRIES)
     if args.only:
         if args.only not in ENTRIES:
-            print(f"unknown entry '{args.only}'", file=sys.stderr)
-            return 2
+            raise UsageError(f"unknown entry '{args.only}'")
         names = [args.only]
     jobs = [(name, extra) for name in names for extra in ENTRIES[name].variants]
     results = [(name, extra, run_expectations(ENTRIES[name], params=extra)) for name, extra in jobs]
@@ -297,7 +290,11 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except UsageError as exc:
+        print(exc, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -103,6 +103,17 @@ def reference_frame(n: int) -> NullFrame:
     return NullFrame(frame_metric(n), eye[0], eye[n - 1], tuple(eye[1 : n - 1]))
 
 
+def orthonormal_basis(g: np.ndarray) -> np.ndarray:
+    """Rows: timelike unit then spacelike units, diagonalising g."""
+    w, v = np.linalg.eigh(g)
+    order = np.argsort(w)
+    cols = []
+    for idx in order:
+        val = w[idx]
+        cols.append(v[:, idx] / np.sqrt(abs(val)))
+    return np.array(cols)
+
+
 def complete_null_frame(g: np.ndarray, k: np.ndarray) -> NullFrame:
     """Deterministic completion of a null vector to an adapted frame.
 

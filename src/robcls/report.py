@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from importlib import resources
 
 import numpy as np
@@ -60,25 +60,7 @@ class ClassificationReport:
                 return obj
             return str(obj)
 
-        return conv(
-            {
-                "tool_version": self.tool_version,
-                "chart": self.chart,
-                "params": self.params,
-                "point": self.point,
-                "tolerances": self.tolerances,
-                "frame": self.frame,
-                "robinson": self.robinson,
-                "sim_decomposition": self.sim_decomposition,
-                "refined_flags": self.refined_flags,
-                "weyl_type": self.weyl_type,
-                "predicates": self.predicates,
-                "curvature": self.curvature,
-                "seeds": self.seeds,
-                "claims": self.claims,
-                "indeterminate": self.indeterminate,
-            }
-        )
+        return conv({f.name: getattr(self, f.name) for f in fields(self)})
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
@@ -103,13 +85,8 @@ def decomposition_dict(dec: GradedDecomposition) -> dict:
 
 
 def indeterminate_flags(dec: GradedDecomposition) -> list:
-    """Flags whose residual sits within a factor of 10 of the threshold."""
-    thr = dec.tol.threshold(dec.scale)
-    out = []
-    for key, comp in dec.components.items():
-        if thr / 10.0 <= comp.norm <= thr * 10.0:
-            out.append(str(key))
-    return out
+    """Flags whose residual sits in the indeterminate band of the tolerance."""
+    return [str(key) for key, comp in dec.components.items() if dec.tol.indeterminate(comp.norm, dec.scale)]
 
 
 def report_schema() -> dict:

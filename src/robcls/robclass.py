@@ -172,7 +172,7 @@ def multi_robinson_equivalences(
     """
     Cn = float(np.linalg.norm(frame.to_frame(C)))
     pi11 = probe_norms("C", C, frame)[(1, 1)]
-    vanishes = pi11 <= tol.threshold(Cn)
+    vanishes = tol.vanishes(pi11, Cn)
     structures = sample_robinson_over_null_line(frame, samples, rng_seed)
     if orientation is not None:
         structures = [N for N in structures if N.orientation == orientation]
@@ -231,7 +231,7 @@ def parallel_structure_relations(
     worst_p = float(np.abs(transform_slots(Phi, (span, perp))).max())
     dec = refined_flags("C", C, N, tol)
     gs = special_from_flags(dec)
-    extra = {"Pi_0^1(C)": probe_norms("C", C, N.frame)[(0, 1)] <= tol.threshold(dec.scale)}
+    extra = {"Pi_0^1(C)": tol.vanishes(probe_norms("C", C, N.frame)[(0, 1)], dec.scale)}
     decF = refined_flags("F", Phi, N, tol)
     for d, label in ((dec, (0, 3, 4)), (dec, (1, 1, 2)), (decF, (0, 1, 1)), (decF, (0, 1, 3))):
         key = ModuleKey.of(d.space, label)

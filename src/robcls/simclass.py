@@ -24,7 +24,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .classes import RANK
-from .frames import FrameError, NullFrame, complete_null_frame, volume_form
+from .frames import FrameError, NullFrame, complete_null_frame, orthonormal_basis, volume_form
 from .graphs import paper_arrow_set
 from .modules import ModuleKey, module_table, sim_table
 from .tensor import DEFAULT_TOL, Tolerance, skew_arr, swap_pairs, transform_slots
@@ -83,9 +83,8 @@ class GradedDecomposition:
 
     def filtration_vanishing(self, i: int) -> bool:
         """Pi_i(T) = 0: every component at grade <= i vanishes."""
-        thr = self.tol.threshold(self.scale)
         total = np.sqrt(sum(v**2 for g, v in self.boost_weights().items() if g <= i))
-        return total <= thr
+        return self.tol.vanishes(total, self.scale)
 
     def norm_ij(self, i: int, j: int) -> float:
         """Aggregated norm over the (i, j) module including any +- parts."""
@@ -127,7 +126,7 @@ def decompose(
         sl = table.slices[e.key]
         fimg = (e.basis.T @ coeff[sl]).reshape((n,) * RANK[space])
         nrm = float(np.linalg.norm(fimg))
-        comps[e.key] = ModuleComponent(e.key, e.grade, fimg, nrm, nrm <= tol.threshold(scale))
+        comps[e.key] = ModuleComponent(e.key, e.grade, fimg, nrm, tol.vanishes(nrm, scale))
     return GradedDecomposition(space, level, frame, comps, resid, tol, scale)
 
 
@@ -347,20 +346,8 @@ def weyl_type_at_frame(C: np.ndarray, frame: NullFrame, tol: Tolerance = DEFAULT
         else:
             break
     norms = probe_norms("C", C, frame)
-    thr = tol.threshold(scale)
-    flags = tuple(name for name, key in SUBTYPE_PROBES.items() if key in norms and norms[key] <= thr)
+    flags = tuple(name for name, key in SUBTYPE_PROBES.items() if key in norms and tol.vanishes(norms[key], scale))
     return WeylTypeLabel(label, flags, norms, direction=frame.k, decomposition=dec)
-
-
-def _orthonormal_basis(g: np.ndarray) -> np.ndarray:
-    """Rows: timelike unit then spacelike units, diagonalising g."""
-    w, v = np.linalg.eigh(g)
-    order = np.argsort(w)
-    cols = []
-    for idx in order:
-        val = w[idx]
-        cols.append(v[:, idx] / np.sqrt(abs(val)))
-    return np.array(cols)
 
 
 def wand_residual(C: np.ndarray, frame_basis: np.ndarray, omega: np.ndarray, g: np.ndarray, Cnorm: float) -> float:
@@ -463,19 +450,22 @@ def weyl_type_search(
     tol: Tolerance = DEFAULT_TOL,
     grid_count: int = 10000,
     refine_steps: int = 50,
+    scale: float | None = None,
 ) -> WeylTypeLabel:
     """Search the null sphere for the direction minimising the WAND residual.
 
     Deterministic low-discrepancy grid followed by a local pattern descent;
     the type at the best direction is reported together with the residual
-    landscape (a declared type G is evidence-bounded by the floor).
+    landscape (a declared type G is evidence-bounded by the floor).  The
+    best direction is labelled by `weyl_type_at_frame` at ``scale`` (None:
+    the norm of C in that direction's frame).
     """
     n = g.shape[0]
     if not np.isfinite(C).all():
         raise ValueError("the Weyl tensor has non-finite components")
     if np.count_nonzero(np.linalg.eigvalsh(g) < 0) != 1:
         raise FrameError("the metric is not Lorentzian: no null sphere to search")
-    basis = _orthonormal_basis(g)
+    basis = orthonormal_basis(g)
     Cnorm = max(float(np.linalg.norm(transform_slots(C, basis))), 1e-300)
     grid = sphere_grid(n - 2, grid_count)
     best, grid_floor, grid_median = _grid_stage(C, basis, grid, g, Cnorm)
@@ -498,8 +488,6 @@ def weyl_type_search(
     # hierarchical polish: the WAND residual is quartic around deeply
     # degenerate directions, so refine through the filtration ladder where
     # each deeper level residual is better conditioned (the last is linear)
-    from scipy.optimize import minimize
-
     table = sim_table("C", n)
 
     def level_residual(w, level):
@@ -517,6 +505,8 @@ def weyl_type_search(
         return np.sqrt(tot) / Cnorm
 
     def polish(level, w0):
+        from scipy.optimize import minimize  # imported here: most runs never polish
+
         def objective(w):
             nw = np.linalg.norm(w)
             if nw < 1e-12:
@@ -536,7 +526,7 @@ def weyl_type_search(
     cur = min(cur, wand_residual(C, basis, omega, g, Cnorm))
     k_best = basis[0] + omega @ basis[1:]
     frame = complete_null_frame(g, k_best)
-    label = weyl_type_at_frame(C, frame, tol)
+    label = weyl_type_at_frame(C, frame, tol, scale)
     label.search = {
         "grid_count": int(grid_count),
         "grid_floor": float(grid_floor),

@@ -1,8 +1,9 @@
 """Dense tensor helpers on plain arrays.
 
 All classification code works with all-lower components at a single
-point.  This module holds the tolerance pair, slot transforms into a frame,
-the (anti)symmetrisation over chosen slots and the permutation symbol.
+point.  This module holds the tolerance pair and the one rule that decides
+when a norm vanishes, slot transforms into a frame, the
+(anti)symmetrisation over chosen slots and the permutation symbol.
 """
 
 from __future__ import annotations
@@ -28,6 +29,15 @@ class Tolerance:
 
     def threshold(self, scale: float = 0.0) -> float:
         return self.abs_eps + self.rel_eps * abs(scale)
+
+    def vanishes(self, norm: float, scale: float = 0.0) -> bool:
+        """The vanishing rule of every flag: the norm is at most the threshold."""
+        return norm <= self.threshold(scale)
+
+    def indeterminate(self, norm: float, scale: float = 0.0) -> bool:
+        """The norm lies within a factor of 10 of the threshold, either side."""
+        thr = self.threshold(scale)
+        return thr / 10.0 <= norm <= thr * 10.0
 
 
 DEFAULT_TOL = Tolerance()

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
+import robcls
 from robcls.cli import main
 from robcls.report import report_schema
 
@@ -94,6 +99,9 @@ SCHW5 = ["classify", "--metric", "schwarzschild", "--params", '{"M": 1, "dim": 5
         ["classify", "--metric", "schwarzschild", "--point", "0,3,1,0.5,0.2", "--k=inf,inf,0,0,0"],
         ["classify", "--metric", "minkowski", "--dim", "11", "--point", ",".join(["0"] * 11), "--search"],
         ["classify", "--metric", "minkowski", "--params", '{"dim": 11}', "--point", ",".join(["0"] * 11), "--search"],
+        ["classify", "--metric", "kk-bubble", "--dim", "9", "--point", "0,3,0.3,0.2,-0.4"],
+        ["classify", "--metric", "taub-nut", "--params", '{"dim": 7}', "--point", "0,2,0.3,-0.2,0.5,0.1"],
+        ["classify", "--metric", "myers-perry", "--dim", "6", "--point", "0,2.2,0.5,1.2,-0.6,0.1"],
     ],
     ids=[
         "params-json",
@@ -117,6 +125,9 @@ SCHW5 = ["classify", "--metric", "schwarzschild", "--params", '{"M": 1, "dim": 5
         "k-inf",
         "dim-11",
         "params-dim-11",
+        "fixed-dim-ignored",
+        "fixed-dim-params-ignored",
+        "fixed-dim-built",
     ],
 )
 def test_classify_bad_input_one_line_exit_2(argv, capsys):
@@ -270,6 +281,20 @@ def test_regress_unknown_entry():
     assert main(["regress", "--only", "nosuch"]) == 2
 
 
+def test_regress_leaves_scipy_optimize_unloaded():
+    """Only the search polish imports scipy.optimize, and a regress of kk-bubble never polishes."""
+    src = str(Path(robcls.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import os, sys\n"
+        "from robcls.cli import main\n"
+        "assert main(['regress', '--only', 'kk-bubble', '--out', os.devnull]) == 0\n"
+        "print('scipy.optimize' in sys.modules)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "False\n"
+
+
 def test_classify_indeterminate_exit_code(tmp_path):
     """A tolerance placed inside a module-norm band reports exit code 3."""
     out = tmp_path / "ind.json"
@@ -361,12 +386,12 @@ def test_classify_named_k(metric, name, tmp_path):
 @pytest.mark.parametrize("metric", LORENTZIAN)
 def test_classify_default_direction(metric, tmp_path):
     """Without --k the frame is built on the entry's line K, else on the first orthonormal null direction."""
-    from robcls.simclass import _orthonormal_basis
+    from robcls.frames import orthonormal_basis
 
     code, report, cp, params = _classify_at_sample(metric, [], tmp_path)
     assert code == 0
     if metric in ("minkowski", "kk-bubble", "taub-nut"):
-        basis = _orthonormal_basis(cp.g)
+        basis = orthonormal_basis(cp.g)
         expected = basis[0] + basis[1]
     else:
         expected = _catalog_lines(metric, cp, params)["K"]
@@ -378,12 +403,11 @@ def test_classify_named_robinson(metric, name, tmp_path):
     """--robinson accepts a named structure of the entry, built at the classified point."""
     from robcls import catalog
     from robcls.chart import distribution_span
-    from robcls.frames import robinson_from_span
-    from robcls.simclass import _orthonormal_basis
+    from robcls.frames import orthonormal_basis, robinson_from_span
 
     code, report, cp, params = _classify_at_sample(metric, ["--robinson", name], tmp_path)
     assert code == 0
-    basis = _orthonormal_basis(cp.g)
+    basis = orthonormal_basis(cp.g)
     assert report["frame"]["k"] == _reported(frame={"k": basis[0] + basis[1]})["frame"]["k"]
     dists = catalog.kk_structures(params) if metric == "kk-bubble" else catalog.taub_nut_structures(params)
     N = robinson_from_span(cp.g, distribution_span(cp, dists[name]))

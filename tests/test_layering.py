@@ -1,4 +1,5 @@
-"""Import layering and unused imports of the robcls sources, read with `ast`.
+"""Import layering, unused and private imports, and the one owner of the
+tolerance threshold in the robcls sources, read with `ast`.
 
 No linter is needed: each source file is parsed and its imports are compared
 with the names it uses.
@@ -71,3 +72,31 @@ def test_no_unused_imports(path):
                 imported[a.asname or a.name.split(".")[0]] = node.lineno
     used = _used_names(tree)
     assert not {name: line for name, line in imported.items() if name not in used}
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_no_private_imports(path):
+    """A name with a leading underscore stays inside its module."""
+    private = [
+        (node.lineno, a.name)
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.ImportFrom) and (node.level == 1 or (node.module or "").startswith("robcls"))
+        for a in node.names
+        if _private(a.name)
+    ]
+    assert not private
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_vanishing_rule_has_one_owner(path):
+    """Only `tensor.Tolerance` turns a tolerance into a threshold; the rest call `vanishes`/`indeterminate`."""
+    calls = [
+        node.lineno
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "threshold"
+    ]
+    assert path.name == "tensor.py" or not calls

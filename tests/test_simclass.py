@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 
 from robcls.classes import RANK, random_class_tensor
-from robcls.frames import complete_null_frame, random_lorentzian, random_null_vector, reference_frame
+from robcls.frames import complete_null_frame, orthonormal_basis, random_lorentzian, random_null_vector, reference_frame
 from robcls.modules import sim_table
 import robcls.simclass as simclass
 from robcls.catalog import ENTRIES
 from robcls.simclass import (
     GradedDecomposition,
     _grid_wand_sq,
-    _orthonormal_basis,
     decompose,
     down_closure,
     probe_norms,
@@ -211,7 +210,7 @@ def test_grid_closed_form_matches_wand_residual(n):
     g = random_lorentzian(n, rng)
     fr = complete_null_frame(g, random_null_vector(g, rng))
     C = fr.from_frame(random_class_tensor("C", n, rng))
-    basis = _orthonormal_basis(g)
+    basis = orthonormal_basis(g)
     Cnorm = float(np.linalg.norm(transform_slots(C, basis)))
     grid = sphere_grid(n - 2, 3000)  # more than one block
     val, err = _grid_wand_sq(C, basis, grid, g, Cnorm)

@@ -65,6 +65,16 @@ def test_tolerance_threshold():
     assert Tolerance(0.0, 0.0).threshold(5.0) == 0.0
 
 
+def test_tolerance_vanishing_rule():
+    tol = Tolerance(1e-9, 1e-6)
+    thr = tol.threshold(-2.0)
+    assert tol.vanishes(thr, -2.0) and not tol.vanishes(thr * (1 + 1e-12), -2.0)
+    assert tol.vanishes(0.0) and not tol.vanishes(2e-9)
+    # the indeterminate band is [thr / 10, thr * 10], closed on both sides
+    for norm, inside in ((thr / 10.0, True), (thr * 10.0, True), (thr, True), (thr / 11.0, False), (thr * 11.0, False)):
+        assert tol.indeterminate(norm, -2.0) is inside
+
+
 def test_errors():
     for bad in ((-1.0, 0.0), (0.0, -1e-9), (np.nan, 1e-9), (1e-9, np.inf)):
         with pytest.raises(ValueError):
