@@ -92,13 +92,10 @@ class CatalogEntry:
 
 
 def run_expectations(entry: CatalogEntry, params: dict | None = None, points=None) -> list:
-    p = dict(entry.default_params)
-    if params:
-        p.update(params)
-    chart = entry.build(p)
-    pts = points if points is not None else entry.sample_points(p)
+    chart = entry.chart(params)
+    pts = points if points is not None else entry.sample_points(chart.params)
     try:
-        return entry.expectations(chart, p, pts)
+        return entry.expectations(chart, chart.params, pts)
     except Exception as exc:  # recorded, not fatal
         return [ExpectationResult(entry.name, "evaluation", "", False, None, f"error: {exc}")]
 
@@ -122,7 +119,7 @@ def _minkowski_chart(p):
     def g_fn(x):
         return [[(-1.0 if a == 0 else 1.0) if a == b else 0.0 for b in range(n)] for a in range(n)]
 
-    return MetricChart("minkowski", n, (-1,) + (1,) * (n - 1), tuple(f"x{i}" for i in range(n)), g_fn, params=p)
+    return MetricChart("minkowski", n, (-1,) + (1,) * (n - 1), g_fn, params=p)
 
 
 def _minkowski_expect(chart, p, pts):
@@ -172,7 +169,7 @@ def _pp_chart(p):
             g[i][i] = 1.0
         return g
 
-    return MetricChart("pp-wave", n, (-1,) + (1,) * (n - 1), ("u", "v") + tuple(f"x{i}" for i in range(n - 2)), g_fn, params=p)
+    return MetricChart("pp-wave", n, (-1,) + (1,) * (n - 1), g_fn, params=p)
 
 
 def _pp_k_field(n):
@@ -208,7 +205,7 @@ def _pp_expect(chart, p, pts):
         label = weyl_type_at_frame(cp.weyl, fr)
         out.append(_flag("pp-wave", "type_N_or_O", "deep filtration forced by a parallel wave vector", label.type in ("N", "O"), label.type))
         N = build_robinson(fr, "standard")
-        par = parallel_structure_relations(cp.weyl, cp.phi, cp.ricci_scalar, N)
+        par = parallel_structure_relations(cp.weyl, cp.phi, cp.ricci_scalar, cp.riemann, N)
         out.append(_res("pp-wave", "parallel_structure_blocks", "parallel Robinson structure curvature blocks", par.max_residual(), 1e-9))
         out.append(_flag("pp-wave", "parallel_structure_flags", "refined flags of a parallel structure", par.gs_flags_hold and all(par.extra_flags.values()), str(par.extra_flags)))
     return out
@@ -239,7 +236,7 @@ def _walker_chart(p):
             g[i][i] = 1.0
         return g
 
-    return MetricChart("walker", n, (-1,) + (1,) * (n - 1), ("u", "v") + tuple(f"x{i}" for i in range(n - 2)), g_fn, params=p)
+    return MetricChart("walker", n, (-1,) + (1,) * (n - 1), g_fn, params=p)
 
 
 def _walker_expect(chart, p, pts):
@@ -291,7 +288,7 @@ def _ks_chart(name, p, k_and_H):
                 g[a][b] = g[a][b] + H * kvec[a] * kvec[b]
         return g
 
-    return MetricChart(name, n, (-1,) + (1,) * (n - 1), ("t",) + tuple(f"x{i}" for i in range(1, n)), g_fn, params=p)
+    return MetricChart(name, n, (-1,) + (1,) * (n - 1), g_fn, params=p)
 
 
 def _schw_k_and_H(x, p):
@@ -566,7 +563,7 @@ def _kk_chart(p):
         g[4][4] = conf * conf
         return g
 
-    chart = MetricChart("kk-bubble", 5, (-1, 1, 1, 1, 1), ("t", "r", "z", "xi", "eta"), g_fn, params=p)
+    chart = MetricChart("kk-bubble", 5, (-1, 1, 1, 1, 1), g_fn, params=p)
     chart.domain = lambda pt: pt[1] > M * 1.05
     return chart
 
@@ -676,7 +673,7 @@ def _rt_chart(p):
             g[4][4] = g[5][5] = r * r * c2 * c2
         return g
 
-    chart = MetricChart("robinson-trautman", 6, (-1,) + (1,) * 5, ("u", "r", "x1", "x2", "x3", "x4"), g_fn, params=p)
+    chart = MetricChart("robinson-trautman", 6, (-1,) + (1,) * 5, g_fn, params=p)
     chart.domain = lambda pt: pt[1] > 0.5
     return chart
 
@@ -801,7 +798,7 @@ def _tn_chart(p):
             g[a0 + 1][a0 + 1] = g[a0 + 1][a0 + 1] + w
         return g
 
-    chart = MetricChart("taub-nut", 6, (-1,) + (1,) * 5, ("t", "r", "x1", "x2", "x3", "x4"), g_fn, params=p)
+    chart = MetricChart("taub-nut", 6, (-1,) + (1,) * 5, g_fn, params=p)
     chart.domain = lambda pt: pt[1] > 0.3
     return chart
 
@@ -910,7 +907,7 @@ def _iwasawa_chart(p):
                     g[a][b] = g[a][b] + (th[a] * _c(th[b]) + _c(th[a]) * th[b]) * 0.5
         return g
 
-    return MetricChart("iwasawa", 6, (1,) * 6, ("x1", "y1", "x2", "y2", "x3", "y3"), g_fn, params=p)
+    return MetricChart("iwasawa", 6, (1,) * 6, g_fn, params=p)
 
 
 def iwasawa_phi_field(x):

@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from . import jets as J
-from .classes import metric_wedge_part, weyl_trace_part
+from .classes import kernel_rows, metric_wedge_part, weyl_trace_part
 from .tensor import skew_arr, transform_slots
 
 
@@ -35,7 +35,6 @@ class MetricChart:
     name: str
     dim: int
     signature: tuple
-    coords: tuple
     g_fn: Callable  # list of coordinate Jets -> nested (n, n) of Jet entries
     domain: Callable | None = None  # point -> bool
     params: dict = field(default_factory=dict)
@@ -189,18 +188,6 @@ class ChartPoint:
     def weyl(self) -> np.ndarray:
         return self._weyl
 
-    def curvature_parts(self) -> dict:
-        """Weyl / tracefree-Ricci / scalar split of the Riemann tensor."""
-        return {"weyl": self.weyl, "phi": self.phi, "scalar": self.ricci_scalar}
-
-    def reassemble_riemann(self) -> np.ndarray:
-        n = self.n
-        return (
-            self.weyl
-            + (4.0 / (n - 2)) * weyl_trace_part(self.phi, self.g)
-            + (2.0 / (n * (n - 1))) * self.ricci_scalar * metric_wedge_part(self.g)
-        )
-
     @property
     def schouten(self) -> np.ndarray:
         n = self.n
@@ -311,19 +298,12 @@ class DistributionSpec:
         return checks
 
 
-def _kernel_rows(values) -> np.ndarray:
-    """Orthonormal basis (rows) of the common kernel of the covector values."""
-    _, s, vt = np.linalg.svd(np.array(values, dtype=complex))
-    rank = int(np.sum(s > 1e-10 * max(s[0], 1e-300)))
-    return vt[rank:].conj()
-
-
 def integrability_residual(cp: ChartPoint, dist: DistributionSpec) -> dict:
     """Frobenius residuals: d(alpha)(X, Y) over X, Y in the kernel."""
     out = {}
     for label, forms in dist.all_checks():
         fields = [cp.eval_covector_field(fn) for fn in forms]
-        span = _kernel_rows([vals for vals, _ in fields])
+        span = kernel_rows([vals for vals, _ in fields])
         worst = 0.0
         for vals, grad in fields:
             # grad[b, a] = d_a alpha_b -> (d alpha)_{ab} = d_a alpha_b - d_b alpha_a
@@ -335,7 +315,7 @@ def integrability_residual(cp: ChartPoint, dist: DistributionSpec) -> dict:
 
 
 def distribution_span(cp: ChartPoint, dist: DistributionSpec) -> list:
-    return list(_kernel_rows([cp.eval_covector_field(fn)[0] for fn in dist.forms]))
+    return list(kernel_rows([cp.eval_covector_field(fn)[0] for fn in dist.forms]))
 
 
 # --------------------------------------------------------------------------
@@ -348,7 +328,6 @@ class CKYReport:
     residual: float
     tau: np.ndarray
     K: np.ndarray
-    nabla_phi: np.ndarray
 
 
 def check_cky(cp: ChartPoint, phi_fn) -> CKYReport:
@@ -363,22 +342,23 @@ def check_cky(cp: ChartPoint, phi_fn) -> CKYReport:
     K = np.einsum("ab,abc->c", cp.g_inv, nab) / (n - 1.0)
     model = tau + np.einsum("ab,c->abc", cp.g, K) - np.einsum("ac,b->abc", cp.g, K)
     resid = float(np.abs(nab - model).max() / max(np.abs(nab).max(), 1e-30))
-    return CKYReport(resid, tau, K, nab)
+    return CKYReport(resid, tau, K)
 
 
 def tau_degeneracy(cp: ChartPoint, dist: DistributionSpec, tau: np.ndarray) -> float:
     """max |tau(X, Y, Z)| over the N^perp spanning set (eq-tau condition)."""
     forms = dist.perp_forms if dist.perp_forms is not None else dist.forms
-    span = _kernel_rows([cp.eval_covector_field(fn)[0] for fn in forms])
+    span = kernel_rows([cp.eval_covector_field(fn)[0] for fn in forms])
     return float(np.abs(transform_slots(tau, span)).max() / max(np.abs(tau).max(), 1e-30))
 
 
 def eigenstructure(phi: np.ndarray, g: np.ndarray) -> dict:
     """Eigen-data of the endomorphism phi_a{}^b = g^{bc} phi_ac.
 
-    Returns the vector spectrum, conjugate pairing into invariant planes,
-    and the combinatorial pure-spinor spectrum with the quarter-weight
-    normalisation (gamma_(a gamma_b) = g_ab conventions).
+    Returns the vector spectrum with its eigenvectors, and the combinatorial
+    pure-spinor spectrum with the quarter-weight normalisation
+    (gamma_(a gamma_b) = g_ab conventions) over the nonzero eigenvalues that
+    pair as (lam, -lam), one per invariant plane.
     """
     M = np.linalg.inv(g) @ phi  # left action; eigenvectors with nonzero
     # eigenvalue are automatically g-null since g M is antisymmetric
@@ -388,26 +368,18 @@ def eigenstructure(phi: np.ndarray, g: np.ndarray) -> dict:
     vecs = vecs[:, order]
     # pair eigenvalues: real pairs (lam, -lam), imaginary conjugate pairs
     used = np.zeros(len(vals), dtype=bool)
-    pairs = []
+    lams = []
     for i, lam in enumerate(vals):
         if used[i]:
             continue
         used[i] = True
         if abs(lam) < 1e-10:
-            pairs.append(("zero", lam, i, None))
             continue
-        partner = None
         for j in range(len(vals)):
             if not used[j] and abs(vals[j] + lam) < 1e-8 * max(abs(lam), 1.0):
-                partner = j
+                used[j] = True
+                lams.append(lam)
                 break
-        if partner is None:
-            pairs.append(("unpaired", lam, i, None))
-        else:
-            used[partner] = True
-            kind = "real" if abs(lam.imag) < 1e-9 * max(abs(lam), 1.0) else "imaginary"
-            pairs.append((kind, lam, i, partner))
-    lams = [p[1] for p in pairs if p[0] in ("real", "imaginary")]
     spinor = []
     if len(lams) <= 12:
         for mask in range(1 << len(lams)):
@@ -415,16 +387,8 @@ def eigenstructure(phi: np.ndarray, g: np.ndarray) -> dict:
             for b, lam in enumerate(lams):
                 tot += lam if (mask >> b) & 1 else -lam
             spinor.append(0.25 * tot)
-    # defectiveness: eigenvector matrix nearly singular (Jordan blocks)
-    try:
-        cond = np.linalg.cond(vecs)
-    except np.linalg.LinAlgError:
-        cond = np.inf
     return {
         "eigenvalues": vals,
         "eigenvectors": vecs,
-        "pairs": pairs,
         "pure_spinor_spectrum": np.array(sorted(spinor, key=lambda z: (round(z.real, 10), round(z.imag, 10)))),
-        "defective": bool(cond > 1e8),
-        "rank": int(np.linalg.matrix_rank(M, tol=1e-10 * max(np.abs(M).max(), 1e-300))),
     }

@@ -170,13 +170,18 @@ def grade_columns(n: int, rank: int, grade: int) -> np.ndarray:
     return out
 
 
-def orthonormal_rows(mat: np.ndarray, cols: np.ndarray | None = None, tol: float = 1e-10) -> tuple[np.ndarray, float]:
+# relative floor of a rank decision: Gram eigenvalues in `orthonormal_rows`,
+# singular values in `kernel_rows`
+RANK_RTOL = 1e-10
+
+
+def orthonormal_rows(mat: np.ndarray, cols: np.ndarray | None = None) -> tuple[np.ndarray, float]:
     """Orthonormal basis of the row space of ``mat`` (real or complex), and the gap of its rank.
 
     With ``cols`` only those columns are read, and the basis is scattered back
     into rows of full width that vanish elsewhere: pass a grade's columns for
     rows supported on that grade.  The rank counts eigenvalues of the Gram
-    matrix P P^H above ``tol`` times the largest; one Cholesky pass then
+    matrix P P^H above ``RANK_RTOL`` times the largest; one Cholesky pass then
     re-orthonormalises the rows (CholeskyQR2), which an eigen-basis alone
     leaves off by eps times the condition number squared.  The gap is the
     ratio of the smallest kept singular value to the largest dropped one,
@@ -188,7 +193,7 @@ def orthonormal_rows(mat: np.ndarray, cols: np.ndarray | None = None, tol: float
     gap = np.inf
     if block.size:
         w, v = np.linalg.eigh(block @ block.conj().T)
-        keep = w > tol * max(w[-1], 0.0)
+        keep = w > RANK_RTOL * max(w[-1], 0.0)
         if keep.any():
             q = (v[:, keep].conj().T @ block) / np.sqrt(w[keep])[:, None]
             # the Cholesky factor is within round-off of the identity here
@@ -201,6 +206,16 @@ def orthonormal_rows(mat: np.ndarray, cols: np.ndarray | None = None, tol: float
     out = np.zeros((q.shape[0], mat.shape[-1]), dtype=q.dtype)
     out[:, cols] = q
     return out, gap
+
+
+def kernel_rows(mat) -> np.ndarray:
+    """Orthonormal basis (rows, complex) of the kernel of ``mat``: the vectors x with mat @ x = 0.
+
+    The rank counts singular values above ``RANK_RTOL`` times the largest.
+    """
+    _, s, vt = np.linalg.svd(np.array(mat, dtype=complex))
+    rank = int(np.sum(s > RANK_RTOL * max(s[0], 1e-300)))
+    return vt[rank:].conj()
 
 
 def _spanning_seeds(space: str, idx: list[int], n: int):

@@ -86,18 +86,17 @@ def cmd_classify(args) -> int:
     if args.metric not in ENTRIES:
         raise UsageError(f"unknown metric '{args.metric}'; available: {', '.join(sorted(ENTRIES))}")
     entry = ENTRIES[args.metric]
-    params = dict(entry.default_params)
     try:
         extra = json.loads(args.params or "{}")
     except json.JSONDecodeError:
         extra = None
     if not isinstance(extra, dict):
         raise UsageError(f"--params must be a JSON object, got {args.params!r}")
-    params.update(extra)
     if args.dim is not None:
-        params["dim"] = args.dim
+        extra["dim"] = args.dim
     try:
-        chart = entry.build(params)
+        chart = entry.chart(extra)
+        params = chart.params
         dim = chart.dim if params.get("dim") is None else int(params["dim"])
     except (TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"invalid parameters for '{args.metric}': {exc}") from None
@@ -172,8 +171,8 @@ def cmd_verify_dims(args) -> int:
         lo, hi = (int(v) for v in args.n.split("..")) if ".." in args.n else (int(args.n), int(args.n))
     except ValueError:
         lo = hi = None
-    if lo is None or not 4 <= lo <= hi:
-        raise UsageError(f"--n must be N or LO..HI with 4 <= LO <= HI, got {args.n!r}")
+    if lo is None or not 4 <= lo <= hi <= 9:
+        raise UsageError(f"--n must be N or LO..HI with 4 <= LO <= HI <= 9, got {args.n!r}")
     spaces = ["G", "F", "A", "C"] if args.space == "all" else [args.space]
     levels = ["sim", "rob"] if args.level == "all" else [args.level]
     rows = []

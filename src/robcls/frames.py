@@ -311,12 +311,12 @@ def hodge_relation_residuals(N: "RobinsonStructure") -> dict:
     return {"mu_from_rho": float(np.abs(dual + s * mu).max() / max(np.abs(mu).max(), 1e-300))}
 
 
-def build_robinson(frame: NullFrame, J_spec, u_index: int | None = None) -> RobinsonStructure:
+def build_robinson(frame: NullFrame, J_spec) -> RobinsonStructure:
     """Adapt a frame to a screen complex structure.
 
     ``J_spec`` is a skew matrix with J^2 = -1 acting on the screen basis
-    (for odd n: on the screen with the ``u_index`` vector removed, default
-    the last).  The returned structure carries an equivalent J-adapted frame.
+    (for odd n: on the screen without its last vector, which is u).  The
+    returned structure carries an equivalent J-adapted frame.
     """
     n = frame.n
     m, eps = n_to_m_eps(n)
@@ -328,14 +328,7 @@ def build_robinson(frame: NullFrame, J_spec, u_index: int | None = None) -> Robi
         raise FrameError(f"J must be {(d - eps, d - eps)}, got {J.shape}")
     if np.linalg.norm(J + J.T) > 1e-9 or np.linalg.norm(J @ J + np.eye(d - eps)) > 1e-9:
         raise FrameError("J_spec fails skewness or J^2 = -1")
-    if eps:
-        u_index = d - 1 if u_index is None else u_index
-        plane_idx = [i for i in range(d) if i != u_index]
-        u_vec = frame.screen[u_index]
-    else:
-        plane_idx = list(range(d))
-        u_vec = None
-    plane = [frame.screen[i] for i in plane_idx]
+    plane = frame.screen[: d - eps]
     # adapted coefficient basis: pairs (c, Jc)
     coeffs = []
     dimp = d - eps
@@ -356,7 +349,7 @@ def build_robinson(frame: NullFrame, J_spec, u_index: int | None = None) -> Robi
         raise FrameError("failed to adapt the screen basis to J")
     new_screen = [sum(c[i] * plane[i] for i in range(dimp)) for c in coeffs]
     if eps:
-        new_screen.append(u_vec)
+        new_screen.append(frame.screen[d - 1])
     new_frame = NullFrame(frame.g, frame.k, frame.l, tuple(new_screen))
     ori = orientation_of(new_frame)
     N = RobinsonStructure(new_frame, ori)
@@ -454,7 +447,7 @@ def robinson_from_span(g: np.ndarray, span: list[np.ndarray]) -> RobinsonStructu
         O = _rotation_moving_to_last(u_dir)
         frame2 = frame.rotate_screen(O)
         Mrot = O @ M @ O.T
-        N = build_robinson(frame2, Mrot[: d - 1, : d - 1].T, u_index=d - 1)
+        N = build_robinson(frame2, Mrot[: d - 1, : d - 1].T)
     else:
         N = build_robinson(frame, M.T)
     # the input span must coincide with span{k, m_A}

@@ -69,26 +69,6 @@ def _product_table(nvar: int):
     return np.array(ii), np.array(jj), np.array(kk)
 
 
-@lru_cache(maxsize=None)
-def _diff_table(nvar: int):
-    """Per variable v: (src, dst, factor) arrays realising d/dx_v."""
-    monos = _monomials(nvar)
-    index = _index_of(nvar)
-    tables = []
-    for v in range(nvar):
-        src, dst, fac = [], [], []
-        for i, a in enumerate(monos):
-            if a[v] == 0:
-                continue
-            b = list(a)
-            b[v] -= 1
-            src.append(i)
-            dst.append(index[tuple(b)])
-            fac.append(a[v])
-        tables.append((np.array(src), np.array(dst), np.array(fac, dtype=float)))
-    return tuple(tables)
-
-
 def jconst(value, nvar: int, dtype=float) -> np.ndarray:
     out = np.zeros(jet_size(nvar), dtype=dtype)
     out[0] = value
@@ -116,14 +96,6 @@ def jmul(a: np.ndarray, b: np.ndarray, nvar: int) -> np.ndarray:
     sums = [np.bincount(idx, weights=w.ravel(), minlength=rows * size) for w in parts]
     out = sums[0] if len(sums) == 1 else np.stack(sums, axis=-1).view(prod.dtype)[..., 0]
     return out.reshape(lead + (size,))
-
-
-def jdiff(a: np.ndarray, v: int, nvar: int) -> np.ndarray:
-    """d/dx_v, exact on coefficients of degree <= 2 of the result."""
-    src, dst, fac = _diff_table(nvar)[v]
-    out = np.zeros_like(a)
-    out[..., dst] = a[..., src] * fac
-    return out
 
 
 def _compose(a: np.ndarray, c0, c1, c2, c3, nvar: int) -> np.ndarray:

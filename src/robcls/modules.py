@@ -39,6 +39,7 @@ from .classes import (
     component_grades,
     frame_metric,
     grade_columns,
+    kernel_rows,
     orthonormal_rows,
     project_class,
     project_riemann,
@@ -113,11 +114,6 @@ def swap_kl(arr: np.ndarray, n: int) -> np.ndarray:
 def swap_kl_rows(rows: np.ndarray, n: int, rank: int) -> np.ndarray:
     """`swap_kl` of every flattened rank-`rank` row of a stack, as one column permutation."""
     return rows[:, swap_kl(np.arange(n**rank).reshape((n,) * rank), n).ravel()]
-
-
-def grade_mask(n: int, rank: int, grade: int) -> np.ndarray:
-    """Boolean mask over frame components with #(l-slots) - #(k-slots) = grade."""
-    return (component_grades(n, rank) == grade).reshape((n,) * rank)
 
 
 # --------------------------------------------------------------------------
@@ -204,10 +200,7 @@ def _nullspace_basis(rows: list[np.ndarray], constraint):
     if cons.shape[1] == 0 or not np.any(np.abs(cons) > 1e-13):
         return rows
     # seeds -> constraints map acts on coefficient vectors as cons.T
-    u, s, vt = np.linalg.svd(cons.T)
-    tol = 1e-10 * (s[0] if s.size else 1.0)
-    rank = int(np.sum(s > tol))
-    null = vt[rank:].conj()  # coefficient vectors spanning the kernel
+    null = kernel_rows(cons.T)  # coefficient vectors spanning the kernel
     shaped = [np.tensordot(c, mat, axes=(0, 0)).reshape(rows[0].shape) for c in null]
     return shaped
 
@@ -1055,7 +1048,7 @@ def _validate_rows(space, n, rows, expect_grade):
         return
     eta = frame_metric(n)
     eta_inv = np.linalg.inv(eta)
-    mask = grade_mask(n, RANK[space], expect_grade).ravel()
+    mask = component_grades(n, RANK[space]) == expect_grade
     for r, proj in zip(rows, project_rows(space, rows, eta, eta_inv, n)):
         nr = np.linalg.norm(r)
         if np.linalg.norm(proj - r) > 1e-9 * max(nr, 1e-30):

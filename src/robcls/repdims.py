@@ -146,10 +146,15 @@ class ArrowCheck:
         return self.max_component < 1e-10
 
 
+# relative floor above which a lowered image counts as an arrow
+ARROW_RTOL = 1e-8
+
+
 @lru_cache(maxsize=None)
-def computed_arrow_set(space: str, n: int, level: str, tol: float = 1e-8) -> frozenset:
+def computed_arrow_set(space: str, n: int, level: str) -> frozenset:
     """Exact arrow set: (src -> dst) iff the lowering action maps the source
-    module onto a nonzero piece of the target module.
+    module onto a piece of the target module above ``ARROW_RTOL`` times the
+    largest image component.
 
     The action is bilinear in (screen direction, source element), so running
     over basis pairs decides each arrow exactly.  Each source module is
@@ -175,7 +180,7 @@ def computed_arrow_set(space: str, n: int, level: str, tol: float = 1e-8) -> fro
         scale = max(np.abs(imgs).max(), 1e-300)
         comp = np.abs(imgs @ target_rows.T).max(axis=0)
         for t, m in zip(targets, np.maximum.reduceat(comp, starts)):
-            if m > tol * scale:
+            if m > ARROW_RTOL * scale:
                 out.add((e.key, t.key))
     return frozenset(out)
 
@@ -196,12 +201,11 @@ def nilpotent_action_check(
     level: str,
     samples: int = 10,
     rng_seed: int = 5,
-    arrows: str = "computed",
 ) -> list[ArrowCheck]:
-    """Verify every arrow is realised and every non-arrow never leaks."""
+    """Verify every computed arrow is realised and every non-arrow never leaks."""
     frame = reference_frame(n)
     table = module_table(space, n, level)
-    arrow_set = computed_arrow_set(space, n, level) if arrows == "computed" else paper_arrow_set(space, n, level)
+    arrow_set = computed_arrow_set(space, n, level)
     rng = np.random.default_rng(rng_seed)
     records: dict = {}
     for e in table.entries:

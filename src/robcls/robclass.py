@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classes import metric_wedge_part, weyl_trace_part
 from .frames import NullFrame, RobinsonStructure, adapted_basis, robinson_forms, sample_robinson_over_null_line
 from .modules import ModuleKey
 from .simclass import GradedDecomposition, decompose, probe_images, probe_norms
@@ -45,11 +44,6 @@ SPECIAL_EXTRA_KEYS = {
 def adapted_component_array(T: np.ndarray, N: RobinsonStructure) -> np.ndarray:
     """Complex frame components of T in the adapted frame {k, m_A, mbar_A, u, l}."""
     return transform_slots(T, adapted_basis(N.frame))
-
-
-def adapted_reassemble(blocks_arr: np.ndarray, N: RobinsonStructure) -> np.ndarray:
-    """Inverse of the adapted-frame component map (takes the full array)."""
-    return transform_slots(blocks_arr, np.linalg.inv(adapted_basis(N.frame)))
 
 
 def adapted_blocks(T: np.ndarray, N: RobinsonStructure) -> dict:
@@ -147,15 +141,6 @@ class MultiRobinsonReport:
     failing_structure: RobinsonStructure | None
     equivalence_holds: bool
 
-    def as_dict(self):
-        return {
-            "pi11_norm": self.pi11_norm,
-            "pi11_vanishes": bool(self.pi11_vanishes),
-            "samples": self.samples,
-            "special_count": self.special_count,
-            "equivalence_holds": bool(self.equivalence_holds),
-        }
-
 
 def multi_robinson_equivalences(
     C: np.ndarray,
@@ -163,19 +148,12 @@ def multi_robinson_equivalences(
     samples: int = 100,
     rng_seed: int = 0,
     tol: Tolerance = DEFAULT_TOL,
-    orientation: int | None = None,
 ) -> MultiRobinsonReport:
-    """Verify: Pi_1^1(C) = 0 iff C is special for every structure on the line.
-
-    With ``orientation`` set (n even), only structures of that orientation
-    are sampled, matching the self-dual variant of the proposition.
-    """
+    """Verify: Pi_1^1(C) = 0 iff C is special for every structure on the line."""
     Cn = float(np.linalg.norm(frame.to_frame(C)))
     pi11 = probe_norms("C", C, frame)[(1, 1)]
     vanishes = tol.vanishes(pi11, Cn)
     structures = sample_robinson_over_null_line(frame, samples, rng_seed)
-    if orientation is not None:
-        structures = [N for N in structures if N.orientation == orientation]
     special_count = 0
     failing = None
     for N in structures:
@@ -198,35 +176,28 @@ class ParallelRelationReport:
     ricci_block_residual: float
     gs_flags_hold: bool
     extra_flags: dict
-    rec_line_residuals: dict
-    applicable: bool
 
     def max_residual(self) -> float:
-        vals = [self.curvature_block_residual, self.ricci_block_residual]
-        vals += list(self.rec_line_residuals.values())
-        return max(vals)
+        return max(self.curvature_block_residual, self.ricci_block_residual)
 
 
 def parallel_structure_relations(
     C: np.ndarray,
     Phi: np.ndarray,
     R_scalar: float,
+    riemann: np.ndarray,
     N: RobinsonStructure,
     tol: Tolerance = DEFAULT_TOL,
 ) -> ParallelRelationReport:
     """Residuals of the curvature relations forced by a parallel structure.
 
-    The primitive identity is R_abcd X^c Y^d = 0 for X in N, Y in N^perp,
-    expanded through the Weyl/Ricci/scalar split; its Ricci companion is
-    Phi(X, Y) = 0.  The refined-flag consequences (the special-condition
+    The primitive identity is R_abcd X^c Y^d = 0 for X in N, Y in N^perp;
+    its Ricci companion is Phi(X, Y) = 0.  The refined-flag consequences (the special-condition
     set plus the three extra vanishing flags) are evaluated as booleans.
     """
-    n = N.n
-    g = N.frame.g
     span, perp = np.array(N.span_N()), np.array(N.span_N_perp())
     scale = max(np.abs(C).max(), np.abs(Phi).max(), abs(R_scalar), 1e-300)
-    riemann = C + (4.0 / (n - 2)) * weyl_trace_part(Phi, g) + (2.0 / (n * (n - 1))) * R_scalar * metric_wedge_part(g)
-    eye = np.eye(n)
+    eye = np.eye(N.n)
     worst_c = float(np.abs(transform_slots(riemann, (eye, eye, span, perp))).max())
     worst_p = float(np.abs(transform_slots(Phi, (span, perp))).max())
     dec = refined_flags("C", C, N, tol)
@@ -237,12 +208,7 @@ def parallel_structure_relations(
         key = ModuleKey.of(d.space, label)
         if d.has(key):
             extra[str(key)] = d.flag(key)
-    rec = {
-        "curvature_blocks": worst_c / scale,
-        "ricci_blocks": worst_p / scale,
-    }
-    applicable = worst_c / scale <= 1e-8 and worst_p / scale <= 1e-8 and gs
-    return ParallelRelationReport(worst_c / scale, worst_p / scale, gs, extra, rec, applicable)
+    return ParallelRelationReport(worst_c / scale, worst_p / scale, gs, extra)
 
 
 def recurrent_line_relations(C: np.ndarray, Phi: np.ndarray, R_scalar: float, riemann: np.ndarray, frame: NullFrame) -> dict:

@@ -78,9 +78,6 @@ class GradedDecomposition:
             out[c.grade] = out.get(c.grade, 0.0) + c.norm**2
         return {g: float(np.sqrt(v)) for g, v in sorted(out.items())}
 
-    def grade_norm(self, grade: int) -> float:
-        return self.boost_weights().get(grade, 0.0)
-
     def filtration_vanishing(self, i: int) -> bool:
         """Pi_i(T) = 0: every component at grade <= i vanishes."""
         total = np.sqrt(sum(v**2 for g, v in self.boost_weights().items() if g <= i))

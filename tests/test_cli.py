@@ -170,7 +170,7 @@ def test_verify_dims_table(tmp_path, capsys):
     assert rows4 and not any("C.0.3" in r for r in rows4)
 
 
-@pytest.mark.parametrize("spec", ["x", "4..x", "-1", "3..5", "9..4"])
+@pytest.mark.parametrize("spec", ["x", "4..x", "-1", "3..5", "9..4", "10", "4..20"])
 def test_verify_dims_bad_n_one_line_exit_2(spec, capsys):
     assert main(["verify-dims", "--n", spec, "--space", "G", "--level", "sim"]) == 2
     captured = capsys.readouterr()
@@ -293,6 +293,37 @@ def test_regress_leaves_scipy_optimize_unloaded():
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout == "False\n"
+
+
+def test_perfbench_tracer_binds_to_robcls():
+    """perfbench/tracer.py wraps robcls names by attribute; a traced classify runs and records its layers."""
+    src = str(Path(robcls.__file__).resolve().parent.parent)
+    perfbench = str(Path(__file__).resolve().parent.parent / "perfbench")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import os, sys\n"
+        f"sys.path.insert(0, {perfbench!r})\n"
+        "import tracer\n"
+        "tr = tracer.install()\n"
+        "from robcls.cli import main\n"
+        "argv = ['classify', '--metric', 'schwarzschild', '--dim', '4', '--point', '0,3,1,0.5',\n"
+        "        '--robinson', 'random:7', '--out', os.devnull]\n"
+        "assert main(argv) == 0\n"
+        "print(' '.join(sorted({name for _, name in tr.self_times()})))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    layers = set(out.stdout.split())
+    assert {
+        "cli.main",
+        "chart.evaluate",
+        "chart.curvature.n4",
+        "frames.complete_null_frame",
+        "simclass.weyl_type_at_frame",
+        "simclass.decompose",
+        "robclass.refined_flags",
+        "robclass.predicates",
+        "report.to_json",
+    } <= layers, layers
 
 
 def test_classify_indeterminate_exit_code(tmp_path):

@@ -1,5 +1,6 @@
-"""Import layering, unused and private imports, and the one owner of the
-tolerance threshold in the robcls sources, read with `ast`.
+"""Import layering, unused and private imports, the one owner of the
+tolerance threshold, and the inventory of test-only code in the robcls
+sources, read with `ast`.
 
 No linter is needed: each source file is parsed and its imports are compared
 with the names it uses.
@@ -100,3 +101,61 @@ def test_vanishing_rule_has_one_owner(path):
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "threshold"
     ]
     assert path.name == "tensor.py" or not calls
+
+
+# Functions and methods of src/robcls that nothing in src/robcls names: only the
+# tests call them. Each is kept for the roadmap item that will give it a caller.
+TEST_ONLY = {
+    # residual oracles for the `classify --trace` diagnostics (item 1)
+    "riemann_symmetry_residuals": "item 1",
+    "second_bianchi_residual": "item 1",
+    "hodge_relation_residuals": "item 1",
+    "robinson_form_residuals": "item 1",
+    # gauge and covariance transformations for the covariance oracle (item 4)
+    "boost": "item 4",
+    "null_rotate_about_k": "item 4",
+    "conjugate": "item 4",
+    # paper statements that become `regress` and `verify-dims` checks (item 9)
+    "aligned_from_flags": "item 9",
+    "g_refined_maps": "item 9",
+    "integrability_map_0_3_3": "item 9",
+    "nilpotent_action_check": "item 9",
+    "down_closure": "item 9",
+    "probe_G6_pm": "item 9",
+    # test fixtures that move to tests/conftest.py (item 9)
+    "random_class_tensor": "item 9",
+    "random_lorentzian": "item 9",
+    "random_null_vector": "item 9",
+    "report_schema": "item 9",
+}
+
+
+def _definitions() -> dict:
+    """Top-level functions and the non-dunder methods of top-level classes, by name."""
+    out = {}
+    for path in SOURCES:
+        for node in _tree(path).body:
+            if isinstance(node, ast.FunctionDef):
+                out[node.name] = path.stem
+            elif isinstance(node, ast.ClassDef):
+                for sub in node.body:
+                    if isinstance(sub, ast.FunctionDef) and not (sub.name.startswith("__") and sub.name.endswith("__")):
+                        out[sub.name] = f"{path.stem}.{node.name}"
+    return out
+
+
+def _named_in_sources() -> set:
+    """Every name and attribute the sources read, `__all__` entries included."""
+    named = set()
+    for path in SOURCES:
+        tree = _tree(path)
+        named |= _used_names(tree) | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    return named
+
+
+def test_test_only_code_is_inventoried():
+    """A definition that no source names is listed in TEST_ONLY, and every entry there is still such a definition."""
+    named = _named_in_sources()
+    unnamed = {name: where for name, where in _definitions().items() if name not in named}
+    assert not {name: where for name, where in unnamed.items() if name not in TEST_ONLY}
+    assert not TEST_ONLY.keys() - unnamed.keys()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from robcls.classes import RANK, class_dim, random_class_tensor, reference_class_basis
+from robcls.classes import RANK, class_dim, component_grades, random_class_tensor, reference_class_basis
 from robcls.frames import n_to_m_eps
 from robcls.modules import (
     ModuleKey,
@@ -157,10 +157,8 @@ def test_grade_support():
     for n in (5, 6):
         for space in SPACES:
             for level, table in (("sim", sim_table(space, n)), ("rob", rob_table(space, n))):
-                from robcls.modules import grade_mask
-
                 for e in table.entries:
-                    mask = grade_mask(n, RANK[space], e.grade).ravel()
+                    mask = component_grades(n, RANK[space]) == e.grade
                     for row in e.basis:
                         assert np.linalg.norm(row[~mask]) < 1e-11
 

@@ -3,8 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from robcls.classes import RANK, random_class_tensor
+from robcls.classes import RANK, metric_wedge_part, random_class_tensor, weyl_trace_part
 from robcls.frames import (
+    adapted_basis,
     build_robinson,
     complete_null_frame,
     random_lorentzian,
@@ -15,7 +16,6 @@ from robcls.modules import ModuleKey, rob_table, sim_table
 from robcls.robclass import (
     adapted_blocks,
     adapted_component_array,
-    adapted_reassemble,
     aligned_from_flags,
     aligned_residual,
     g_refined_maps,
@@ -27,7 +27,7 @@ from robcls.robclass import (
     special_residual,
 )
 from robcls.simclass import decompose
-from robcls.tensor import skew_arr
+from robcls.tensor import skew_arr, transform_slots
 
 
 def make_structure(n, seed=0):
@@ -42,7 +42,7 @@ def test_adapted_blocks_hermitian_and_reassembly(n):
     N, rng = make_structure(n, seed=n)
     T = rng.standard_normal((n,) * 4)
     arr = adapted_component_array(T, N)
-    back = adapted_reassemble(arr, N)
+    back = transform_slots(arr, np.linalg.inv(adapted_basis(N.frame)))
     assert np.abs(back.real - T).max() < 1e-10
     assert np.abs(back.imag).max() < 1e-10
     # Hermiticity: conjugated slot pattern = conjugate value
@@ -161,7 +161,8 @@ def test_restrictions_match_loop_oracles(n):
                     )
                     worst_c = max(worst_c, np.abs(term).max())
                     worst_p = max(worst_p, abs(x @ Phi @ y))
-            rel = parallel_structure_relations(C, Phi, R, N)
+            riemann = C + (4.0 / (n - 2)) * weyl_trace_part(Phi, g) + (2.0 / (n * (n - 1))) * R * metric_wedge_part(g)
+            rel = parallel_structure_relations(C, Phi, R, riemann, N)
             scale = max(top, np.abs(Phi).max(), abs(R))
             assert close(rel.curvature_block_residual, worst_c / scale)
             assert close(rel.ricci_block_residual, worst_p / scale)

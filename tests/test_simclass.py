@@ -58,7 +58,7 @@ def test_boost_scaling_exact(n):
         for lam in (0.5, 2.0, 7.0):
             boosted = decompose(space, arr, fr.boost(lam), "sim")
             for grade, nrm in base.boost_weights().items():
-                scaled = boosted.grade_norm(grade)
+                scaled = boosted.boost_weights().get(grade, 0.0)
                 assert abs(scaled - lam ** (-grade) * nrm) <= 1e-12 * max(1.0, scaled), (space, grade, lam)
 
 
@@ -121,7 +121,7 @@ def test_filtration_logic():
             assert dec.filtration_vanishing(cut)
             deeper = [g for g in grades if g <= cut]
             for g_ in deeper:
-                assert dec.grade_norm(g_) < 1e-10
+                assert dec.boost_weights().get(g_, 0.0) < 1e-10
 
 
 def test_graded_reconstruction():
