@@ -20,10 +20,24 @@ CLAIMS = {
 }
 
 
-def _round(x):
-    if isinstance(x, (float, np.floating)):
-        return float(f"{float(x):.15g}")
-    return x
+def _plain(obj):
+    """A JSON-ready copy of a report value, in one walk.
+
+    Floats are rounded to 15 significant digits, tuples made lists, numpy
+    arrays and scalars unwrapped, and any other object is written as its str.
+    """
+    t = type(obj)
+    if t is float:
+        return float(f"{obj:.15g}")
+    if t is dict:
+        return {k: _plain(v) for k, v in obj.items()}
+    if t is list or t is tuple:
+        return [_plain(v) for v in obj]
+    if t is str or t is bool or t is int or obj is None:
+        return obj
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return _plain(obj.tolist())
+    return str(obj)
 
 
 @dataclass
@@ -45,22 +59,7 @@ class ClassificationReport:
     indeterminate: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        def conv(obj):
-            if isinstance(obj, dict):
-                return {k: conv(v) for k, v in obj.items()}
-            if isinstance(obj, (list, tuple)):
-                return [conv(v) for v in obj]
-            if isinstance(obj, (np.floating, float)):
-                return _round(obj)
-            if isinstance(obj, (np.integer,)):
-                return int(obj)
-            if isinstance(obj, np.ndarray):
-                return conv(obj.tolist())
-            if isinstance(obj, (bool, int, str)) or obj is None:
-                return obj
-            return str(obj)
-
-        return conv({f.name: getattr(self, f.name) for f in fields(self)})
+        return {f.name: _plain(getattr(self, f.name)) for f in fields(self)}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"

@@ -149,15 +149,19 @@ def multi_robinson_equivalences(
     rng_seed: int = 0,
     tol: Tolerance = DEFAULT_TOL,
 ) -> MultiRobinsonReport:
-    """Verify: Pi_1^1(C) = 0 iff C is special for every structure on the line."""
+    """Verify: Pi_1^1(C) = 0 iff C is special for every structure on the line.
+
+    Both sides are decided by ``tol`` at the scale of C's frame components.
+    """
     Cn = float(np.linalg.norm(frame.to_frame(C)))
+    Cmax = float(np.abs(C).max())  # undoes the normalisation of `special_residual`
     pi11 = probe_norms("C", C, frame)[(1, 1)]
     vanishes = tol.vanishes(pi11, Cn)
     structures = sample_robinson_over_null_line(frame, samples, rng_seed)
     special_count = 0
     failing = None
     for N in structures:
-        if special_residual(C, N) <= 1e-9:
+        if tol.vanishes(special_residual(C, N) * Cmax, Cn):
             special_count += 1
         elif failing is None:
             failing = N

@@ -18,10 +18,11 @@ exercised by the test suite.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.special import ndtri
 
 from .classes import RANK
 from .frames import FrameError, NullFrame, complete_null_frame, orthonormal_basis, volume_form
@@ -534,12 +535,20 @@ def weyl_type_search(
     return label
 
 
+@lru_cache(maxsize=None)
 def sphere_grid(dim_sphere: int, count: int) -> np.ndarray:
-    """Deterministic low-discrepancy grid on S^{dim_sphere}."""
-    d = dim_sphere + 1
+    """Deterministic low-discrepancy grid on S^{dim_sphere}; cached per (dim_sphere, count), read-only."""
+    z = _ndtri(_halton(dim_sphere + 1, count))
+    z /= np.linalg.norm(z, axis=1, keepdims=True)
+    z.flags.writeable = False
+    return z
+
+
+def _halton(d: int, count: int) -> np.ndarray:
+    """Points 1..count of the Halton sequence in [0, 1]^d, clipped to [1e-12, 1 - 1e-12]."""
     primes = [2, 3, 5, 7, 11, 13, 17, 19, 23][:d]
     if len(primes) < d:
-        raise ValueError(f"sphere_grid has no prime for coordinate {len(primes)} of S^{dim_sphere}")
+        raise ValueError(f"sphere_grid has no prime for coordinate {len(primes)} of S^{d - 1}")
     idx = np.arange(1, count + 1)
     pts = np.empty((count, d))
     for c, p in enumerate(primes):
@@ -551,6 +560,59 @@ def sphere_grid(dim_sphere: int, count: int) -> np.ndarray:
             x += (i % p) / denom
             i //= p
         pts[:, c] = np.clip(x, 1e-12, 1 - 1e-12)
-    z = ndtri(pts)
-    z /= np.linalg.norm(z, axis=1, keepdims=True)
-    return z
+    return pts
+
+
+# Cephes `ndtri` (S. L. Moshier), the algorithm scipy.special ships: rational
+# approximations on |y - 1/2| <= 1/2 - exp(-2) and in the tails, in z = 1/x with
+# x = sqrt(-2 log y) below and above x = 8 (y = exp(-32)). The denominators'
+# leading 1 (Cephes `p1evl`) is written out: 1.0 * x is exact.
+_EXP_M2 = 0.13533528323661269189
+_S2PI = 2.50662827463100050242
+_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+       1.39312609387279679503e1, -1.23916583867381258016e0)
+_Q0 = (1.0, 1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+       -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+       1.59056225126211695515e1, -1.18331621121330003142e0)
+_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+       4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+       -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
+_Q1 = (1.0, 1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+       1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+       -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+       1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+       3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
+_Q2 = (1.0, 6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+       2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+       2.89247864745380683936e-6, 6.79019408009981274425e-9)
+# libm's log, elementwise: np.log differs from it in the last bit on a few
+# points of every grid, and that changes `--search` report bytes
+_log = np.frompyfunc(math.log, 1, 1)
+
+
+def _polevl(x: np.ndarray, coef: tuple) -> np.ndarray:
+    """Horner's rule, leading coefficient first, one multiply and one add a step (Cephes `polevl`)."""
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _ndtri(y0: np.ndarray) -> np.ndarray:
+    """Inverse of the standard normal CDF for 0 < y0 < 1, bit-equal to scipy.special.ndtri."""
+    reflected = y0 > 1.0 - _EXP_M2
+    y = np.where(reflected, 1.0 - y0, y0)
+    out = np.empty_like(y)
+    mid = y > _EXP_M2
+    ym = y[mid] - 0.5
+    y2 = ym * ym
+    out[mid] = (ym + ym * (y2 * _polevl(y2, _P0) / _polevl(y2, _Q0))) * _S2PI
+    tail = ~mid
+    x = np.sqrt(-2.0 * _log(y[tail]).astype(float))
+    x0 = x - _log(x).astype(float) / x
+    z = 1.0 / x
+    x1 = np.where(x < 8.0, z * _polevl(z, _P1) / _polevl(z, _Q1), z * _polevl(z, _P2) / _polevl(z, _Q2))
+    xt = x0 - x1
+    out[tail] = np.where(reflected[tail], xt, -xt)
+    return out

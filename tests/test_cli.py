@@ -295,6 +295,27 @@ def test_regress_leaves_scipy_optimize_unloaded():
     assert out.stdout == "False\n"
 
 
+def test_commands_without_search_leave_scipy_unloaded():
+    """No command imports scipy on start-up; kk-bubble's regress builds a 4000-point sphere grid."""
+    src = str(Path(robcls.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import os, sys\n"
+        "def scipy_modules():\n"
+        "    return sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "from robcls.cli import main\n"
+        "print(scipy_modules())\n"
+        "assert main(['verify-dims', '--n', '4..5', '--out', os.devnull]) == 0\n"
+        "print(scipy_modules())\n"
+        "assert main(['regress', '--only', 'kk-bubble', '--out', os.devnull]) == 0\n"
+        "print(scipy_modules())\n"
+        "assert main(['classify', '--metric', 'schwarzschild', '--point', '0,3,1,0.5,0.2', '--out', os.devnull]) == 0\n"
+        "print(scipy_modules())\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n" * 4
+
+
 def test_perfbench_tracer_binds_to_robcls():
     """perfbench/tracer.py wraps robcls names by attribute; a traced classify runs and records its layers."""
     src = str(Path(robcls.__file__).resolve().parent.parent)

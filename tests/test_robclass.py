@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from robcls.catalog import ENTRIES, schwarzschild_null_lines
 from robcls.classes import RANK, metric_wedge_part, random_class_tensor, weyl_trace_part
 from robcls.frames import (
     adapted_basis,
@@ -27,7 +28,7 @@ from robcls.robclass import (
     special_residual,
 )
 from robcls.simclass import decompose
-from robcls.tensor import skew_arr, transform_slots
+from robcls.tensor import Tolerance, skew_arr, transform_slots
 
 
 def make_structure(n, seed=0):
@@ -294,6 +295,18 @@ def test_multi_robinson_equivalences_both_ways(n=6):
     Cg = fr.from_frame(random_class_tensor("C", n, rng))
     rep2 = multi_robinson_equivalences(Cg, fr, samples=30, rng_seed=3)
     assert not rep2.pi11_vanishes and rep2.failing_structure is not None and rep2.equivalence_holds
+
+
+def test_multi_robinson_equivalences_decides_special_with_tol():
+    """Schwarzschild n = 5 on K: a zero tolerance rejects Pi_1^1 and the special residuals alike."""
+    entry = ENTRIES["schwarzschild"]
+    cp = entry.chart({"dim": 5}).evaluate(entry.sample_points(dict(entry.default_params))[0])
+    fr = complete_null_frame(cp.g, schwarzschild_null_lines(cp)["K"])
+    strict = multi_robinson_equivalences(cp.weyl, fr, samples=20, tol=Tolerance(0, 0))
+    assert not strict.pi11_vanishes and strict.special_count < strict.samples
+    assert strict.equivalence_holds
+    rep = multi_robinson_equivalences(cp.weyl, fr, samples=20)
+    assert rep.pi11_vanishes and rep.special_count == rep.samples and rep.equivalence_holds
 
 
 def test_multi_robinson_selfdual_variant(n=6):

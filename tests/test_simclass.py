@@ -268,6 +268,54 @@ def test_sphere_grid_deterministic_unit():
     assert np.abs(np.linalg.norm(a, axis=1) - 1).max() < 1e-12
 
 
+def _assert_bit_equal(a, b):
+    assert np.array_equal(a, b)
+    assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.parametrize("count", (200, 4000, 10000))
+def test_ndtri_matches_scipy_on_every_grid(count):
+    """The grids of n = 4..9 at the sizes the program searches (catalog 200 and 4000, --search 10000)."""
+    from scipy.special import ndtri
+
+    for dim_sphere in range(2, 8):
+        pts = simclass._halton(dim_sphere + 1, count)
+        _assert_bit_equal(simclass._ndtri(pts), ndtri(pts))
+        z = ndtri(pts)
+        _assert_bit_equal(sphere_grid(dim_sphere, count), z / np.linalg.norm(z, axis=1, keepdims=True))
+
+
+def test_ndtri_matches_scipy_on_random_points():
+    """1.2M points: uniform, deep lower tail down to 1e-300, and upper tail up to 1 - 1e-16."""
+    from scipy.special import ndtri
+
+    rng = np.random.default_rng(2024)
+    y = np.concatenate([rng.random(400_000), 10 ** rng.uniform(-300, -1, 400_000), 1 - 10 ** rng.uniform(-16, -1, 400_000)])
+    _assert_bit_equal(simclass._ndtri(y), ndtri(y))
+
+
+def test_ndtri_matches_scipy_at_branch_edges():
+    """exp(-2) (central/tail), its reflection, 0.5, the grid's clip limits, and x = 8 (y = exp(-32)) where the tails switch."""
+    from scipy.special import ndtri
+
+    x_switch = np.exp(-0.5 * np.array([8.0 - 1e-9, 8.0, 8.0 + 1e-9]) ** 2)
+    x = np.sqrt(-2.0 * np.log(x_switch))
+    assert x[0] < 8.0 < x[2]  # both tail approximations are reached
+    edges = [0.5, 1e-12, 1 - 1e-12]
+    for y in (np.exp(-2.0), 0.13533528323661269189, *x_switch):
+        for e in (np.nextafter(y, 0.0), y, np.nextafter(y, 1.0)):
+            edges += [e, 1.0 - e]
+    y = np.array(edges)
+    _assert_bit_equal(simclass._ndtri(y), ndtri(y))
+
+
+def test_sphere_grid_cached_read_only():
+    a = sphere_grid(4, 300)
+    assert sphere_grid(4, 300) is a
+    with pytest.raises(ValueError, match="read-only"):
+        a[0, 0] = 0.0
+
+
 def test_sphere_grid_rejects_spheres_beyond_its_primes():
     """Nine primes cover S^8 (n = 10); S^9 would leave a column unset."""
     assert np.isfinite(sphere_grid(8, 50)).all()
