@@ -62,23 +62,10 @@ class NullFrame:
         """Coordinate components from frame components."""
         return transform_slots(F, self.coframe.T)
 
-    def residuals(self) -> dict:
-        g, k, l = self.g, self.k, self.l
-        res = {
-            "k.k": float(k @ g @ k),
-            "l.l": float(l @ g @ l),
-            "k.l-1": float(k @ g @ l - 1.0),
-        }
-        for i, e in enumerate(self.screen):
-            res[f"k.e{i}"] = float(k @ g @ e)
-            res[f"l.e{i}"] = float(l @ g @ e)
-            for j, f in enumerate(self.screen[i:], start=i):
-                target = 1.0 if i == j else 0.0
-                res[f"e{i}.e{j}"] = float(e @ g @ f - target)
-        return res
-
     def max_residual(self) -> float:
-        return max(abs(v) for v in self.residuals().values())
+        """max |V g V^T - frame_metric(n)| over the frame matrix V."""
+        V = self.vectors
+        return float(np.abs(V @ self.g @ V.T - frame_metric(self.n)).max())
 
     def boost(self, lam: float) -> "NullFrame":
         return NullFrame(self.g, lam * self.k, self.l / lam, self.screen)
@@ -117,8 +104,16 @@ def orthonormal_basis(g: np.ndarray) -> np.ndarray:
 def complete_null_frame(g: np.ndarray, k: np.ndarray) -> NullFrame:
     """Deterministic completion of a null vector to an adapted frame.
 
-    Gram-Schmidt over the coordinate basis in fixed order; degenerate
-    candidates are skipped, so the output is reproducible.
+    Ordered Gram-Schmidt over the coordinate basis, in matrix form: the
+    candidates are the coordinate basis vectors with P = I - k (g l)^T -
+    l (g k)^T, the projector off span{k, l}, applied twice; an ordered
+    Cholesky factorisation of their Gram matrix skips each candidate whose
+    pivot (its squared residual after the earlier kept ones) is degenerate
+    and stops at n - 2 kept; the screen is L^{-1} times the kept candidates,
+    re-orthonormalised once in g (CholeskyQR).  P is applied as
+    v - g(v, l) k - g(v, k) l, never formed: the entries of P P cancel
+    badly when |l| is large.  The output is reproducible, and every failure
+    is a `FrameError`.
     """
     g = np.asarray(g, dtype=float)
     k = np.asarray(k, dtype=float)
@@ -128,36 +123,52 @@ def complete_null_frame(g: np.ndarray, k: np.ndarray) -> NullFrame:
     knorm = np.linalg.norm(k)
     if knorm == 0.0:
         raise FrameError("k is zero")
-    scale = np.abs(g).max() * knorm**2
+    gmax = np.abs(g).max()
+    scale = gmax * knorm**2
     if abs(k @ g @ k) > 1e-8 * max(scale, 1e-300):
         raise FrameError(f"k is not null: g(k,k) = {k @ g @ k}")
     gk = g @ k
     # dual null direction from the first usable coordinate basis vector
     cand = np.abs(gk)
     cmax = cand.max()
-    idx = next(a for a in range(n) if cand[a] > 0.1 * cmax)
+    if cmax == 0.0:
+        raise FrameError("g k vanishes: k has no dual null direction")
+    idx = int(np.argmax(cand > 0.1 * cmax))
     w = np.zeros(n)
     w[idx] = 1.0 / gk[idx]
     l = w - 0.5 * float(w @ g @ w) * k
     l = l / float(l @ g @ k)
     l = l - 0.5 * float(l @ g @ l) * k  # second pass for round-off
-    screen = []
+    gl = g @ l
+
+    def project(rows):
+        """P v = v - g(v, l) k - g(v, k) l for each row v."""
+        return rows - np.outer(rows @ gl, k) - np.outer(rows @ gk, l)
+
+    X = project(project(np.eye(n)))  # rows: the candidates; the second pass clears the first's round-off
+    H = X @ g @ X.T
+    floor = 1e-12 * max(1.0, gmax)
+    L = np.zeros((n, n - 2))
+    E = np.zeros((n - 2, n))
+    j = 0
     for a in range(n):
-        v = np.zeros(n)
-        v[a] = 1.0
-        for _ in range(2):  # twice-iterated Gram-Schmidt for stability
-            v = v - float(v @ g @ l) * k - float(v @ g @ k) * l
-            for e in screen:
-                v = v - float(v @ g @ e) * e
-        nv2 = float(v @ g @ v)
-        if nv2 > 1e-12 * max(1.0, np.abs(g).max()):
-            screen.append(v / np.sqrt(nv2))
-        if len(screen) == n - 2:
-            break
-    if len(screen) != n - 2:
+        pivot = H[a, a] - L[a, :j] @ L[a, :j]
+        if pivot > floor:
+            L[a, j] = r = np.sqrt(pivot)
+            L[a + 1 :, j] = (H[a + 1 :, a] - L[a + 1 :, :j] @ L[a, :j]) / r
+            E[j] = (X[a] - L[a, :j] @ E[:j]) / r  # forward substitution: row j of L^{-1} X
+            j += 1
+            if j == n - 2:
+                break
+    if j != n - 2:
         raise FrameError("could not complete the screen basis")
-    frame = NullFrame(g, k, l, tuple(screen))
-    if frame.max_residual() > 1e-9 * max(1.0, np.abs(g).max()):
+    E = project(E)  # the substitution's round-off leaves parts along k and l
+    try:
+        E = np.linalg.solve(np.linalg.cholesky(E @ g @ E.T), E)
+    except np.linalg.LinAlgError:
+        raise FrameError("could not complete the screen basis") from None
+    frame = NullFrame(g, k, l, tuple(E))
+    if frame.max_residual() > 1e-9 * max(1.0, gmax):
         raise FrameError(f"frame completion failed, residual {frame.max_residual()}")
     return frame
 

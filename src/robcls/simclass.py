@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .classes import RANK
+from .classes import RANK, component_grades
 from .frames import FrameError, NullFrame, complete_null_frame, orthonormal_basis, volume_form
 from .graphs import paper_arrow_set
 from .modules import ModuleKey, module_table, sim_table
@@ -486,21 +486,16 @@ def weyl_type_search(
     # hierarchical polish: the WAND residual is quartic around deeply
     # degenerate directions, so refine through the filtration ladder where
     # each deeper level residual is better conditioned (the last is linear)
-    table = sim_table("C", n)
+    grades = component_grades(n, RANK["C"])
 
     def level_residual(w, level):
+        """|frame components of C at grades <= level| / Cnorm: the sim modules of each grade span its columns."""
         k = basis[0] + w @ basis[1:]
         try:
             fr = complete_null_frame(g, k)
-        except Exception:
+        except FrameError:
             return 1e6
-        flat = fr.to_frame(C).ravel()
-        coeff = table.coefficients(flat)
-        tot = 0.0
-        for e in table.entries:
-            if e.grade <= level:
-                tot += float(np.linalg.norm(coeff[table.slices[e.key]]) ** 2)
-        return np.sqrt(tot) / Cnorm
+        return float(np.linalg.norm(fr.to_frame(C).ravel()[grades <= level])) / Cnorm
 
     def polish(level, w0):
         from scipy.optimize import minimize  # imported here: most runs never polish

@@ -3,6 +3,7 @@ import pytest
 
 from robcls.frames import (
     FrameError,
+    NullFrame,
     build_robinson,
     complete_null_frame,
     hodge_relation_residuals,
@@ -50,6 +51,153 @@ def test_frame_completion_errors():
     for bad in (np.nan, np.inf):
         with pytest.raises(FrameError):
             complete_null_frame(g, np.array([bad, 1.0, 0.0, 0.0]))
+
+
+def _loop_completion(g, k):
+    """The vector-by-vector Gram-Schmidt completion that the matrix form replaced.
+
+    Returns (vectors, max residual) and leaves the residual threshold to the
+    caller; raises like `complete_null_frame` on every other failure.
+    """
+    g = np.asarray(g, dtype=float)
+    k = np.asarray(k, dtype=float)
+    if not (np.isfinite(g).all() and np.isfinite(k).all()):
+        raise FrameError("g and k must have finite components")
+    n = g.shape[0]
+    knorm = np.linalg.norm(k)
+    if knorm == 0.0:
+        raise FrameError("k is zero")
+    scale = np.abs(g).max() * knorm**2
+    if abs(k @ g @ k) > 1e-8 * max(scale, 1e-300):
+        raise FrameError(f"k is not null: g(k,k) = {k @ g @ k}")
+    gk = g @ k
+    cand = np.abs(gk)
+    cmax = cand.max()
+    idx = next(a for a in range(n) if cand[a] > 0.1 * cmax)
+    w = np.zeros(n)
+    w[idx] = 1.0 / gk[idx]
+    l = w - 0.5 * float(w @ g @ w) * k
+    l = l / float(l @ g @ k)
+    l = l - 0.5 * float(l @ g @ l) * k
+    screen = []
+    for a in range(n):
+        v = np.zeros(n)
+        v[a] = 1.0
+        for _ in range(2):
+            v = v - float(v @ g @ l) * k - float(v @ g @ k) * l
+            for e in screen:
+                v = v - float(v @ g @ e) * e
+        nv2 = float(v @ g @ v)
+        if nv2 > 1e-12 * max(1.0, np.abs(g).max()):
+            screen.append(v / np.sqrt(nv2))
+        if len(screen) == n - 2:
+            break
+    if len(screen) != n - 2:
+        raise FrameError("could not complete the screen basis")
+    res = [k @ g @ k, l @ g @ l, k @ g @ l - 1.0]
+    for i, e in enumerate(screen):
+        res += [k @ g @ e, l @ g @ e] + [e @ g @ f - (i == j) for j, f in enumerate(screen[i:], start=i)]
+    return np.vstack([k, *screen, l]), max(abs(float(r)) for r in res)
+
+
+def _assert_matches_loop(g, k):
+    want, _ = _loop_completion(g, k)
+    got = complete_null_frame(g, k).vectors
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("n", range(4, 10))
+def test_matrix_completion_matches_loop_gram_schmidt(n):
+    """The matrix-form completion is the ordered Gram-Schmidt of the loop, to round-off."""
+    rng = np.random.default_rng(100 + n)
+    for _ in range(200):
+        g = random_lorentzian(n, rng)
+        _assert_matches_loop(g, random_null_vector(g, rng))
+
+
+@pytest.mark.parametrize("n", range(4, 10))
+def test_matrix_completion_skips_like_loop(n):
+    """Minkowski k = e_t +- e_a: the candidates e_t and e_a are skipped in both forms."""
+    g = np.diag([-1.0] + [1.0] * (n - 1))
+    for a in range(1, n):
+        for sign in (1.0, -1.0):
+            k = np.zeros(n)
+            k[0], k[a] = 1.0, sign
+            _assert_matches_loop(g, k)
+
+
+@pytest.mark.parametrize("n", range(4, 10))
+def test_matrix_completion_rescaled_k(n):
+    """k rescaled by 1e3 and 1e-3: the same frame, or the same residual failure.
+
+    The residual check is absolute (ROADMAP item 4): at these scales g(k, k)
+    or g(l, l) is round-off of size |k|^2 eps or |l|^2 eps, and any change in
+    how it is summed moves it by a factor of a few.  So the decision to fail
+    is compared only where the loop's residual is clear of the threshold by
+    a factor 5; every frame that both forms complete is compared.
+    """
+    rng = np.random.default_rng(200 + n)
+    completed = 0
+    for _ in range(100):
+        g = random_lorentzian(n, rng)
+        k = random_null_vector(g, rng)
+        threshold = 1e-9 * max(1.0, np.abs(g).max())
+        for s in (1e3, 1e-3):
+            want, residual = _loop_completion(g, s * k)
+            try:
+                got = complete_null_frame(g, s * k).vectors
+            except FrameError as exc:
+                assert residual > 0.2 * threshold and "frame completion failed" in str(exc)
+                continue
+            assert residual <= 5.0 * threshold
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+            completed += 1
+    assert completed > 150
+
+
+def _unfinishable_cases():
+    """(g, k) whose completion fails: zero, timelike, non-finite, no screen, no dual direction."""
+    eta = np.diag([-1.0, 1.0, 1.0, 1.0])
+    return [
+        (eta, np.zeros(4)),
+        (eta, np.array([1.0, 0.0, 0.0, 0.0])),
+        (eta, np.array([np.nan, 1.0, 0.0, 0.0])),
+        (eta, np.array([np.inf, 1.0, 0.0, 0.0])),
+        (np.diag([-1.0, 1.0, -1.0, 1.0]), np.array([1.0, 1.0, 0.0, 0.0])),  # signature (2, 2)
+        (np.diag([-1.0, 1.0, 1.0, 0.0]), np.array([1.0, 1.0, 0.0, 0.0])),  # degenerate g
+        (np.diag([-1.0, 1.0, 1.0, 0.0]), np.array([0.0, 0.0, 0.0, 1.0])),  # g k = 0
+    ]
+
+
+@pytest.mark.parametrize("g, k", _unfinishable_cases())
+def test_completion_raises_frame_error_where_loop_raises(g, k):
+    """Every input the loop completion rejects is a FrameError, with the loop's message where it had one."""
+    with pytest.raises(Exception) as want:
+        _loop_completion(g, k)
+    with pytest.raises(FrameError) as got:
+        complete_null_frame(g, k)
+    if isinstance(want.value, FrameError):
+        assert str(got.value) == str(want.value)
+
+
+def test_completion_linalg_error_is_frame_error(monkeypatch):
+    """A failed factorisation is reported as a FrameError, not as numpy's LinAlgError."""
+
+    def fail(a):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    monkeypatch.setattr(np.linalg, "cholesky", fail)
+    with pytest.raises(FrameError, match="could not complete the screen basis"):
+        complete_null_frame(np.diag([-1.0, 1.0, 1.0, 1.0]), np.array([1.0, 1.0, 0.0, 0.0]))
+
+
+def test_max_residual_reads_the_frame_gram_matrix():
+    """max_residual is the largest entry of V g V^T - frame_metric(n), off-diagonal ones included."""
+    g = np.diag([-1.0, 1.0, 1.0, 1.0])
+    fr = complete_null_frame(g, np.array([1.0, 1.0, 0.0, 0.0]))
+    assert fr.max_residual() < 1e-15
+    bent = NullFrame(g, fr.k, fr.l, (fr.screen[0], fr.screen[1] + 1e-3 * fr.screen[0]))
+    assert abs(bent.max_residual() - 1e-3) < 1e-12
 
 
 def test_frame_completion_deterministic():

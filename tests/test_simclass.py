@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from robcls.classes import RANK, random_class_tensor
+from robcls.classes import RANK, component_grades, random_class_tensor
 from robcls.frames import complete_null_frame, orthonormal_basis, random_lorentzian, random_null_vector, reference_frame
 from robcls.modules import sim_table
 import robcls.simclass as simclass
@@ -259,6 +259,53 @@ def test_weyl_type_search_recovers_planted_wand_high_dim(n, grades, planted):
     assert label.search["refined_floor"] < 1e-12
     k = label.direction / np.linalg.norm(label.direction)
     assert abs(k @ k0) / np.linalg.norm(k0) > 1 - 1e-9
+
+
+@pytest.mark.parametrize("n", range(4, 10))
+def test_grade_columns_carry_the_sim_module_norms(n):
+    """The polish's ladder residual: the norm of a Weyl tensor's frame components
+    at grades <= level is the norm of its sim module coefficients there."""
+    rng = np.random.default_rng(300 + n)
+    table = sim_table("C", n)
+    assert (n == 6) == any(e.key.pm for e in table.entries)
+    grades = component_grades(n, 4)
+    for _ in range(5):
+        g = random_lorentzian(n, rng)
+        C = complete_null_frame(g, random_null_vector(g, rng)).from_frame(random_class_tensor("C", n, rng))
+        flat = complete_null_frame(g, random_null_vector(g, rng)).to_frame(C).ravel()
+        coeff = table.coefficients(flat)
+        for level in (-2, -1, 0, 1):
+            want = np.sqrt(sum(np.linalg.norm(coeff[table.slices[e.key]]) ** 2 for e in table.entries if e.grade <= level))
+            got = np.linalg.norm(flat[grades <= level])
+            assert abs(got - want) <= 1e-12 * want
+
+
+def test_polish_propagates_errors_other_than_frame_error(monkeypatch):
+    """Only a FrameError marks a direction as unusable; any other error in the
+    ladder's frame completion ends the search."""
+    C, g = _search_case("pp-wave#0")
+    calls = []
+
+    def counting(g, k):
+        calls.append(k)
+        return complete_null_frame(g, k)
+
+    monkeypatch.setattr(simclass, "complete_null_frame", counting)
+    weyl_type_search(C, g)
+    assert len(calls) > 10  # the ladder polishes at this point
+
+    raised = []
+
+    def broken_first(g, k):
+        """Fail the search's first completion, the ladder's at level -2, and complete every later one."""
+        if not raised:
+            raised.append(k)
+            raise RuntimeError("broken completion")
+        return complete_null_frame(g, k)
+
+    monkeypatch.setattr(simclass, "complete_null_frame", broken_first)
+    with pytest.raises(RuntimeError, match="broken completion"):
+        weyl_type_search(C, g)
 
 
 def test_sphere_grid_deterministic_unit():
