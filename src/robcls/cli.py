@@ -40,8 +40,11 @@ class UsageError(Exception):
 
 def _write(text: str, out: str | None):
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:  # a missing directory, a directory, no permission
+            raise UsageError(f"cannot write --out '{out}': {exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
 

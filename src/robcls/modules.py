@@ -4,22 +4,29 @@ Every irreducible piece of the curvature spaces G, F, A, C under the
 stabiliser of a null line (grades -2..2, labels (i, j), with self-dual
 splits when n = 6) and under the stabiliser of a Robinson structure
 (labels (i, j, k)) is realised here as an explicit subspace of
-null-frame components.  Subspaces are generated from representative
+null-frame components.  A sim module is generated from representative
 formulas: a linear embedding of a small parameter space (screen vectors,
-screen 2-forms, ... complex screen tensors) into the full class.
+screen 2-forms, symmetric tracefree, screen Cotton or screen Weyl class)
+into the full class.
 
 One registry, ``_MODULES``, declares each module (i, j) with i >= 0 once:
-its embedding and its parameter space.  A parameter space supplies both
-levels (its sim parameters and closed-form dimension, its refined
-parameters and closed-form dimensions by k), so the sim and rob tables,
-keys and dimensions are all read off the same rows.
+its embedding and its parameter space.  A parameter space supplies the sim
+parameters with their closed-form dimension, and for the refined level
+only closed-form dimensions by k and a table of labels.  The refined
+modules (i, j, k) are the pieces of the sim module (i, j) under the
+stabiliser of the Robinson structure, whose reductive part acts on the
+screen as U(m-1) and fixes u when n is odd.  They are found, not built:
+the joint eigenspaces of three commuting invariants on the span of the sim
+parameters (`_refined_split`), labelled through the table and taken as
+combinations of the sim module's validated rows.  So the sim and rob
+tables, keys and dimensions are all read off the same rows.
 
 Conventions (fixed throughout the package):
   frame slot order   (k, e_1, ..., e_{n-2}, l),  g(k,l) = 1, g(e_i,e_j) = d_ij
   grade of a frame component = #(l-slots) - #(k-slots); k has grade +1
   adapted complex frame  m_A = (e_{2A-1} - i e_{2A})/sqrt(2), A = 1..m-1,
   u = e_{n-2} in odd dimension; J m_A = +i m_A, omega(m_A, mbar_B) = i d_AB.
-The screen vectors, m_A, omega and u are read from `frames` on its
+The screen vectors, J and u are read from `frames` on its
 `reference_frame(n)`; they are not re-derived here.
 
 Negative-grade modules are the k <-> l swap of the positive-grade ones.
@@ -29,20 +36,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
 from .classes import (
     RANK,
+    RANK_RTOL,
     class_dim,
     component_grades,
     frame_metric,
     grade_columns,
-    kernel_rows,
     orthonormal_rows,
     project_class,
-    project_riemann,
     project_rows,
     screen_class_basis,
 )
@@ -81,29 +87,6 @@ def _E(n):
     return -(np.outer(k, l) - np.outer(l, k))
 
 
-class _Adapted(NamedTuple):
-    mv: np.ndarray  # rows m_A
-    omega: np.ndarray
-    u: np.ndarray | None  # None when n is even
-
-
-@lru_cache(maxsize=None)
-def _adapted(n: int) -> _Adapted:
-    """The m_A, omega and u of `RobinsonStructure(reference_frame(n))`, built once per n, read-only."""
-    N = RobinsonStructure(reference_frame(n))
-    mv, omega = np.array(N.m_vectors()), N.omega()
-    mv.flags.writeable = omega.flags.writeable = False
-    return _Adapted(mv, omega, N.u)
-
-
-def _H(n):
-    m, eps = n_to_m_eps(n)
-    H = _h(n).copy()
-    if eps:
-        H[n - 2, n - 2] = 0.0
-    return H
-
-
 def swap_kl(arr: np.ndarray, n: int) -> np.ndarray:
     """Interchange k and l: permute slot values 0 <-> n-1 on every axis."""
     perm = np.arange(n)
@@ -119,11 +102,6 @@ def swap_kl_rows(rows: np.ndarray, n: int, rank: int) -> np.ndarray:
 # --------------------------------------------------------------------------
 # small parameter spaces on the screen
 # --------------------------------------------------------------------------
-
-
-def _vecJ_basis(n):
-    m, eps = n_to_m_eps(n)
-    return reference_frame(n).screen[: 2 * (m - 1)]
 
 
 def _form2_basis(n):
@@ -145,167 +123,6 @@ def _sym2tf_basis(n):
     for p in range(d - 1):
         out.append(np.outer(vs[p], vs[p]) - np.outer(vs[p + 1], vs[p + 1]))
     return out
-
-
-def _cplx_pair_basis(p):
-    """Basis of complex antisymmetric 2-tensors on C^p."""
-    out = []
-    for a in range(p):
-        for b in range(a + 1, p):
-            z = np.zeros((p, p), dtype=complex)
-            z[a, b] = 1.0
-            z[b, a] = -1.0
-            out.append(z)
-    return out
-
-
-def _cplx_sym_basis(p):
-    out = []
-    for a in range(p):
-        for b in range(a, p):
-            z = np.zeros((p, p), dtype=complex)
-            z[a, b] += 1.0
-            z[b, a] += 1.0
-            out.append(z)
-    return out
-
-
-def _hermitian_tf_basis(p):
-    """Hermitian tracefree p x p matrices (real dimension p^2 - 1)."""
-    out = []
-    for a in range(p):
-        for b in range(a + 1, p):
-            z = np.zeros((p, p), dtype=complex)
-            z[a, b] = 1.0
-            z[b, a] = 1.0
-            out.append(z)
-            z = np.zeros((p, p), dtype=complex)
-            z[a, b] = 1.0j
-            z[b, a] = -1.0j
-            out.append(z)
-    for a in range(p - 1):
-        z = np.zeros((p, p), dtype=complex)
-        z[a, a] = 1.0
-        z[a + 1, a + 1] = -1.0
-        out.append(z)
-    return out
-
-
-def _nullspace_basis(rows: list[np.ndarray], constraint):
-    """Basis of {x in span(rows) : constraint(x) = 0} (complex allowed)."""
-    if not rows:
-        return []
-    mat = np.array([r.ravel() for r in rows])
-    cons = np.array([np.atleast_1d(constraint(r)).ravel() for r in rows])
-    if cons.shape[1] == 0 or not np.any(np.abs(cons) > 1e-13):
-        return rows
-    # seeds -> constraints map acts on coefficient vectors as cons.T
-    null = kernel_rows(cons.T)  # coefficient vectors spanning the kernel
-    shaped = [np.tensordot(c, mat, axes=(0, 0)).reshape(rows[0].shape) for c in null]
-    return shaped
-
-
-def _cplx_hook_basis(p):
-    """A_{A[BC]} with A_{[ABC]} = 0 on C^p (no trace condition)."""
-    seeds = []
-    for a in range(p):
-        for b in range(p):
-            for c in range(b + 1, p):
-                z = np.zeros((p, p, p), dtype=complex)
-                z[a, b, c] = 1.0
-                z[a, c, b] = -1.0
-                seeds.append(z)
-    proj = [s - skew_arr(s, (0, 1, 2)) for s in seeds]
-    flat, _ = orthonormal_rows(np.array([x.ravel() for x in proj]))
-    return [f.reshape((p, p, p)) for f in flat]
-
-
-def _cplx_hook_up_tf_basis(p):
-    """Tracefree A^A_{[BC]} (trace over the first index against either lower)."""
-    seeds = []
-    for a in range(p):
-        for b in range(p):
-            for c in range(b + 1, p):
-                z = np.zeros((p, p, p), dtype=complex)
-                z[a, b, c] = 1.0
-                z[a, c, b] = -1.0
-                seeds.append(z)
-    return _nullspace_basis(seeds, lambda z: np.einsum("aac->c", z))
-
-
-def _cplx_symvec_tf_basis(p):
-    """Tracefree A_{(AB)}^C."""
-    seeds = []
-    for a in range(p):
-        for b in range(a, p):
-            for c in range(p):
-                z = np.zeros((p, p, p), dtype=complex)
-                z[a, b, c] += 1.0
-                z[b, a, c] += 1.0
-                seeds.append(z)
-    return _nullspace_basis(seeds, lambda z: np.einsum("aba->b", z))
-
-
-def _cplx_riem_basis(p):
-    """Psi_{[AB][CD]} with Psi_{[ABC]D} = 0 on C^p (no trace condition)."""
-    seeds = []
-    pairs = [(a, b) for a in range(p) for b in range(a + 1, p)]
-    for s, (a, b) in enumerate(pairs):
-        for (c, d) in pairs[s:]:
-            z = np.zeros((p, p, p, p), dtype=complex)
-            z[a, b, c, d] = 1.0
-            seeds.append(project_riemann(z))
-    flat, _ = orthonormal_rows(np.array([x.ravel() for x in seeds]))
-    return [f.reshape((p,) * 4) for f in flat]
-
-
-def _cplx_22_tf_basis(p):
-    """Tracefree Psi_{[AB]}^{[CD]}."""
-    pair = _cplx_pair_basis(p)
-    seeds = []
-    for x in pair:
-        for y in pair:
-            seeds.append(np.einsum("ab,cd->abcd", x, y))
-    return _nullspace_basis(seeds, lambda z: np.einsum("abbd->ad", z))
-
-
-def _cplx_22_sym_tf_basis(p):
-    """Tracefree Psi_{(AC)}^{(DB)} (symmetric in the lower and upper pairs)."""
-    seeds = []
-    for a in range(p):
-        for c in range(a, p):
-            for d in range(p):
-                for b in range(d, p):
-                    z = np.zeros((p,) * 4, dtype=complex)
-                    for (x, y) in {(a, c), (c, a)}:
-                        for (w, v) in {(d, b), (b, d)}:
-                            z[x, y, w, v] += 1.0
-                    seeds.append(z)
-    return _nullspace_basis(seeds, lambda z: np.einsum("acab->cb", z))
-
-
-def _cplx_31_tf_basis(p):
-    """Tracefree Psi_{[AB]C}^D with Psi_{[ABC]}^D = 0."""
-    seeds = []
-    for a in range(p):
-        for b in range(a + 1, p):
-            for c in range(p):
-                for d in range(p):
-                    z = np.zeros((p,) * 4, dtype=complex)
-                    z[a, b, c, d] += 1.0
-                    z[b, a, c, d] -= 1.0
-                    seeds.append(z - skew_arr(z, (0, 1, 2)))
-    if not seeds:
-        return []
-
-    def cons(z):
-        return np.concatenate(
-            [np.einsum("abca->bc", z).ravel(), np.einsum("abcb->ac", z).ravel(), np.einsum("abcc->ab", z).ravel()]
-        )
-
-    # independent traces; removing all is safe (over-constraining would only
-    # shrink the space, dimension checks guard against that)
-    return _nullspace_basis(seeds, cons)
 
 
 # --------------------------------------------------------------------------
@@ -405,156 +222,6 @@ def _emb_C_0_2(n, psi):
     return 2.0 * t1 - (4.0 / (n - 4)) * t2
 
 
-# ---- refined screen representatives (B.2.2 patterns) ----------------------
-
-
-def _real_pair(x):
-    """Real span generators of a complex tensor + its conjugate."""
-    return [x + np.conj(x), 1.0j * x - 1.0j * np.conj(x)]
-
-
-def _emb_A02_0(n, v):
-    w, H = _adapted(n).omega, _H(n)
-    m = n // 2
-    jv = w @ v  # (J A)_c = J_c^d A_d, J being omega with screen indices raised
-    return (
-        np.einsum("a,bc->abc", v, w)
-        - skew_arr(np.einsum("b,ca->abc", v, w), (1, 2))
-        + (3.0 / (2 * m - 3)) * skew_arr(np.einsum("ab,c->abc", H, jv), (1, 2))
-    )
-
-
-def _emb_A02_1(n, z):
-    mb = np.conj(_adapted(n).mv)  # xi-slot realisation
-    t = np.einsum("ABC,Aa,Bb,Cc->abc", z, mb, mb, mb)
-    return t + np.conj(t)
-
-
-def _emb_A02_2(n, z):
-    mv = _adapted(n).mv
-    mb = np.conj(mv)
-    x1 = np.einsum("ABC,Aa,Bb,Cc->abc", z, mv, mb, mb)
-    x2 = skew_arr(np.einsum("ABC,Ab,Bc,Ca->abc", z, mv, mb, mb), (1, 2))
-    t = x1 - x2
-    return t + np.conj(t)
-
-
-def _emb_A02_3(n, z):
-    mv = _adapted(n).mv
-    mb = np.conj(mv)
-    t = 2.0 * skew_arr(np.einsum("ABC,Aa,Bb,Cc->abc", z, mb, mb, mv), (1, 2))
-    return t + np.conj(t)
-
-
-def _emb_A02_4(n, _):
-    _, w, u = _adapted(n)
-    return np.einsum("a,bc->abc", u, w) - skew_arr(np.einsum("b,ca->abc", u, w), (1, 2))
-
-
-def _emb_A02_5(n, v):
-    u, H = _adapted(n).u, _H(n)
-    m = n // 2
-    t1 = skew_arr(np.einsum("a,b,c->abc", u, u, v), (1, 2))
-    t2 = skew_arr(np.einsum("ab,c->abc", H, v), (1, 2))
-    return 2.0 * t1 - (2.0 / (2 * m - 3)) * t2
-
-
-def _emb_A02_67(n, w):
-    u = _adapted(n).u
-    return np.einsum("a,bc->abc", u, w) - skew_arr(np.einsum("b,ca->abc", u, w), (1, 2))
-
-
-def _emb_A02_89(n, s):
-    u = _adapted(n).u
-    return 2.0 * skew_arr(np.einsum("ab,c->abc", s, u), (1, 2))
-
-
-def _emb_C03_0(n, _):
-    w, H = _adapted(n).omega, _H(n)
-    m = n // 2
-    return (
-        2.0 * np.einsum("ab,cd->abcd", w, w)
-        - 2.0 * skew_arr(np.einsum("ac,db->abcd", w, w), (2, 3))
-        - (6.0 / (2 * m - 3)) * skew_arr(np.einsum("ac,db->abcd", H, H), (2, 3))
-    )
-
-
-def _emb_C03_12(n, psi):
-    w, H = _adapted(n).omega, _H(n)
-    m = n // 2
-    jpsi = np.einsum("de,be->db", w, psi)  # J_d^e Psi_be
-    t3 = skew_arr(np.einsum("ac,db->abcd", H, jpsi), (0, 1), (2, 3))
-    return (
-        np.einsum("ab,cd->abcd", w, psi)
-        + np.einsum("ab,cd->abcd", psi, w)
-        - 2.0 * skew_arr(np.einsum("ac,db->abcd", w, psi), (0, 1), (2, 3))
-        - (6.0 / (2 * m - 4)) * (t3 + swap_pairs(t3))
-    )
-
-
-# _emb_C03_3 .. _emb_C03_6 take the whole stack of complex parameters z
-# (leading axis) and return the stack of embedded tensors; their slots count
-# from the end, so the leading axis batches.
-
-
-def _emb_C03_3(n, z):
-    mb = np.conj(_adapted(n).mv)
-    t = np.einsum("NABCD,Aa,Bb,Cc,Dd->Nabcd", z, mb, mb, mb, mb, optimize=True)
-    return t + np.conj(t)
-
-
-def _emb_C03_4(n, z):
-    mv = _adapted(n).mv
-    mb = np.conj(mv)
-    x1 = np.einsum("NABCD,Aa,Bb,Cc,Dd->Nabcd", z, mb, mb, mv, mv, optimize=True)
-    # z_ACDB mb_A^a mv_B^b mb_C^c mv_D^d is x1 with its slots read as (a, c, d, b)
-    x3 = skew_arr(np.transpose(x1, (0, 1, 4, 2, 3)), (-4, -3), (-2, -1))
-    t = x1 + swap_pairs(x1) - 2.0 * x3
-    return t + np.conj(t)
-
-
-def _emb_C03_5(n, z):
-    mv = _adapted(n).mv
-    mb = np.conj(mv)
-    t = skew_arr(np.einsum("NACDB,Aa,Bb,Cc,Dd->Nabcd", z, mb, mv, mb, mv, optimize=True), (-4, -3), (-2, -1))
-    return t + np.conj(t)
-
-
-def _emb_C03_6(n, z):
-    mv = _adapted(n).mv
-    mb = np.conj(mv)
-    x = skew_arr(np.einsum("NABCD,Aa,Bb,Cc,Dd->Nabcd", z, mb, mb, mb, mv, optimize=True), (-2, -1))
-    t = x + swap_pairs(x)
-    return t + np.conj(t)
-
-
-def _emb_C03_7(n, v):
-    (_, w, u), H = _adapted(n), _H(n)
-    m = n // 2
-    jv = w @ v
-    t1 = skew_arr(np.einsum("ab,c,d->abcd", w, v, u), (2, 3))
-    t2 = skew_arr(np.einsum("a,b,cd->abcd", v, u, w), (0, 1))
-    t3 = skew_arr(np.einsum("ac,d,b->abcd", w, v, u), (0, 1), (2, 3))
-    t4 = skew_arr(np.einsum("ca,b,d->abcd", w, v, u), (0, 1), (2, 3))
-    t5 = skew_arr(np.einsum("ac,d,b->abcd", H, u, jv), (0, 1), (2, 3))
-    t6 = skew_arr(np.einsum("ca,b,d->abcd", H, u, jv), (0, 1), (2, 3))
-    return t1 + t2 - t3 - t4 + (3.0 / (2 * m - 3)) * (t5 + t6)
-
-
-def _emb_C03_89(n, psi):
-    u, H = _adapted(n).u, _H(n)
-    m = n // 2
-    t1 = skew_arr(np.einsum("a,bc,d->abcd", u, psi, u), (0, 1), (2, 3))
-    t2 = skew_arr(np.einsum("ac,db->abcd", H, psi), (0, 1), (2, 3))
-    return t1 + (1.0 / (2 * m - 4)) * t2
-
-
-def _emb_C03_10_12(n, psi):
-    u = _adapted(n).u
-    t = skew_arr(np.einsum("a,bcd->abcd", u, psi), (0, 1))
-    return t + swap_pairs(t)
-
-
 # --------------------------------------------------------------------------
 # module keys and tables
 # --------------------------------------------------------------------------
@@ -591,7 +258,8 @@ class ModuleEntry:
     key: ModuleKey
     grade: int
     basis: np.ndarray  # orthonormal rows, flattened frame components
-    gap: float  # of the rank decision that kept these rows (``orthonormal_rows``)
+    gap: float  # of the rank decision that kept these rows: ``orthonormal_rows`` (sim), the split's margin (rob)
+    coords: np.ndarray | None = None  # sim: the representative rows in the coordinates of ``basis``
 
     @property
     def dim(self) -> int:
@@ -688,128 +356,6 @@ def _screen_class_params(space):
     return params
 
 
-# --------------------------------------------------------------------------
-# refined screen parameter spaces (Robinson stabiliser)
-# --------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _refined_form2_params(n):
-    """Refined screen 2-form parameter spaces g^{1,k}, k = 0..3."""
-    m, eps = n_to_m_eps(n)
-    p = m - 1
-    mv = _adapted(n).mv
-    mb = np.conj(mv)
-    out = {0: [_adapted(n).omega], 1: [], 2: [], 3: []}
-    for z in _cplx_pair_basis(p):
-        x = 1.0j * np.einsum("BC,Ba,Cb->ab", z, mb, mb)
-        out[1].extend(_real_pair(x))
-    for hmat in _hermitian_tf_basis(p):
-        x = 1.0j * np.einsum("BD,Ba,Db->ab", hmat, mb, mv)
-        out[2].append(np.real(x - x.T) / 1.0)
-    if eps:
-        u = _adapted(n).u
-        for v in _vecJ_basis(n):
-            out[3].append(np.outer(u, v) - np.outer(v, u))
-    return out
-
-
-@lru_cache(maxsize=None)
-def _refined_sym2_params(n):
-    """Refined screen symmetric tracefree parameter spaces F^{1,k}, k = 0..3."""
-    m, eps = n_to_m_eps(n)
-    p = m - 1
-    mv = _adapted(n).mv
-    mb = np.conj(mv)
-    out = {0: [], 1: [], 2: [], 3: []}
-    for hmat in _hermitian_tf_basis(p):
-        x = np.einsum("BD,Ba,Db->ab", hmat, mb, mv)
-        out[0].append(np.real(x + x.T))
-    for z in _cplx_sym_basis(p):
-        x = np.einsum("BC,Ba,Cb->ab", z, mb, mb)
-        for y in _real_pair(x):
-            out[1].append(0.5 * (y + y.T))
-    if eps:
-        u = _adapted(n).u
-        out[2].append(np.outer(u, u) - _H(n) / (2 * m - 2))
-        for v in _vecJ_basis(n):
-            out[3].append(np.outer(u, v) + np.outer(v, u))
-    return out
-
-
-@lru_cache(maxsize=None)
-def _refined_A02_params(n):
-    """Refined screen Cotton-class pieces A_0^{2,k}, k = 0..9 (lists of arrays)."""
-    m, eps = n_to_m_eps(n)
-    p = m - 1
-    form2 = _refined_form2_params(n)
-    sym2 = _refined_sym2_params(n)
-    out = {k: [] for k in range(10)}
-    if m > 2:
-        out[0] = [_emb_A02_0(n, v) for v in _vecJ_basis(n)]
-    for z in _cplx_hook_basis(p):
-        for w in _real_pair_complexparam(z):
-            out[1].append(_emb_A02_1(n, w))
-    for z in _cplx_hook_up_tf_basis(p):
-        for w in _real_pair_complexparam(z):
-            out[2].append(_emb_A02_2(n, w))
-    for z in _cplx_symvec_tf_basis(p):
-        for w in _real_pair_complexparam(z):
-            out[3].append(_emb_A02_3(n, w))
-    if eps:
-        out[4] = [_emb_A02_4(n, None)]
-        out[5] = [_emb_A02_5(n, v) for v in _vecJ_basis(n)]
-        out[6] = [_emb_A02_67(n, w) for w in form2[1]]
-        out[7] = [_emb_A02_67(n, w) for w in form2[2]]
-        out[8] = [_emb_A02_89(n, s) for s in sym2[0]]
-        out[9] = [_emb_A02_89(n, s) for s in sym2[1]]
-    return {k: [np.real(v) for v in vs] for k, vs in out.items()}
-
-
-def _real_pair_complexparam(z):
-    return [z, 1.0j * z]
-
-
-@lru_cache(maxsize=None)
-def _refined_C03_params(n):
-    """Refined screen Weyl-class pieces C_0^{3,k}, k = 0..12."""
-    m, eps = n_to_m_eps(n)
-    p = m - 1
-    form2 = _refined_form2_params(n)
-    sym2 = _refined_sym2_params(n)
-    a02 = _refined_A02_params(n)
-    out = {k: [] for k in range(13)}
-    if m > 2:
-        out[0] = [_emb_C03_0(n, None)]
-        out[1] = [_emb_C03_12(n, w) for w in form2[1]]
-        if m > 3:
-            out[2] = [_emb_C03_12(n, w) for w in form2[2]]
-    for k, emb, basis in (
-        (3, _emb_C03_3, _cplx_riem_basis(p)),
-        (4, _emb_C03_4, _cplx_22_tf_basis(p)),
-        (5, _emb_C03_5, _cplx_22_sym_tf_basis(p)),
-        (6, _emb_C03_6, _cplx_31_tf_basis(p)),
-    ):
-        if basis:
-            out[k] = list(emb(n, np.array([w for z in basis for w in _real_pair_complexparam(z)])))
-    if eps and m > 2:
-        out[7] = [_emb_C03_7(n, v) for v in _vecJ_basis(n)]
-        out[8] = [_emb_C03_89(n, s) for s in sym2[0]]
-        out[9] = [_emb_C03_89(n, s) for s in sym2[1]]
-        out[10] = [_emb_C03_10_12(n, psi) for psi in a02[1]]
-        out[11] = [_emb_C03_10_12(n, psi) for psi in a02[2]]
-        out[12] = [_emb_C03_10_12(n, psi) for psi in a02[3]]
-    return {k: [np.real(np.real_if_close(v, tol=1e8)) for v in vs] for k, vs in out.items()}
-
-
-
-def _refined_vec_params(n):
-    out = {0: _vecJ_basis(n)}
-    if n % 2:
-        out[1] = [_adapted(n).u]
-    return out
-
-
 # closed-form dimensions of the refined pieces, k -> dim, from m = n // 2 and
 # eps = n % 2 (negative values are read as absent)
 
@@ -859,32 +405,65 @@ def _C3_dims(m, eps):
     }
 
 
+# the refined label k of each joint eigenspace of `_stabiliser_invariants`,
+# by its key (J-charge squared, the slots in which u has weight): the k of a
+# key in order of increasing u(m-1) Casimir, a k being skipped at any n where
+# its closed-form dimension is 0 (C3's k = 4 first has a piece at n = 10)
+
+
+_NONE_LABELS = {(0, ()): (0,)}
+_VEC_LABELS = {(1, ()): (0,), (0, (0,)): (1,)}
+_FORM2_LABELS = {(0, ()): (0, 2), (4, ()): (1,), (1, (0, 1)): (3,)}
+_SYM2_LABELS = {(0, ()): (0,), (4, ()): (1,), (0, (0, 1)): (2,), (1, (0, 1)): (3,)}
+_A2_LABELS = {
+    (1, ()): (0, 2, 3),
+    (9, ()): (1,),
+    (0, (0, 1, 2)): (4, 7),
+    (1, (0, 1, 2)): (5,),
+    (4, (0, 1, 2)): (6,),
+    (0, (1, 2)): (8,),
+    (4, (1, 2)): (9,),
+}
+_C3_LABELS = {
+    (0, ()): (0, 2, 4, 5),
+    (4, ()): (1, 6),
+    (16, ()): (3,),
+    (1, (0, 1, 2, 3)): (7, 11, 12),
+    (0, (0, 1, 2, 3)): (8,),
+    (4, (0, 1, 2, 3)): (9,),
+    (9, (0, 1, 2, 3)): (10,),
+}
+
+
 # --------------------------------------------------------------------------
 # module registry
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # hashed by identity: `_refined_split` is cached per space
 class _ParamSpace:
-    """A screen parameter space, at both levels.
+    """A screen parameter space: the sim parameters, and the labels of their refined split.
 
     ``sim_dim`` and ``refined_dims`` are closed forms, independent of the
     parameter lists: they are what the numerical ranks are checked against.
+    The refined pieces are not built here: `_refined_split` finds them in the
+    span of the sim parameters and labels them through ``refined_labels``.
     """
 
     sim_params: Callable  # n -> parameter list
     sim_dim: Callable  # d = n - 2 -> dimension
-    refined_params: Callable  # n -> {k: parameter list}
     refined_dims: Callable  # (m, eps) -> {k: dimension}
+    refined_labels: dict  # (J-charge squared, u slots) -> k in Casimir order
     pm_split: Callable | None = None  # (n, params, +-1) -> the n = 6 self-dual half
 
 
-_NONE = _ParamSpace(lambda n: [None], lambda d: 1, lambda n: {0: [None]}, lambda m, eps: {0: 1})
-_VEC = _ParamSpace(lambda n: reference_frame(n).screen, lambda d: d, _refined_vec_params, _vec_dims)
-_FORM2 = _ParamSpace(_form2_basis, lambda d: d * (d - 1) // 2, _refined_form2_params, _form2_dims, _pm_split_form2)
-_SYM2 = _ParamSpace(_sym2tf_basis, lambda d: d * (d + 1) // 2 - 1, _refined_sym2_params, _sym2_dims)
-_A2 = _ParamSpace(_screen_class_params("A"), lambda d: class_dim("A", d), _refined_A02_params, _A2_dims, _pm_split_A2)
-_C3 = _ParamSpace(_screen_class_params("C"), lambda d: class_dim("C", d), _refined_C03_params, _C3_dims, _pm_split_C3)
+# the one parameter of a module without one: a scalar, on which every invariant vanishes
+_NONE = _ParamSpace(lambda n: [np.ones(())], lambda d: 1, lambda m, eps: {0: 1}, _NONE_LABELS)
+_VEC = _ParamSpace(lambda n: reference_frame(n).screen, lambda d: d, _vec_dims, _VEC_LABELS)
+_FORM2 = _ParamSpace(_form2_basis, lambda d: d * (d - 1) // 2, _form2_dims, _FORM2_LABELS, _pm_split_form2)
+_SYM2 = _ParamSpace(_sym2tf_basis, lambda d: d * (d + 1) // 2 - 1, _sym2_dims, _SYM2_LABELS)
+_A2 = _ParamSpace(_screen_class_params("A"), lambda d: class_dim("A", d), _A2_dims, _A2_LABELS, _pm_split_A2)
+_C3 = _ParamSpace(_screen_class_params("C"), lambda d: class_dim("C", d), _C3_dims, _C3_LABELS, _pm_split_C3)
 
 
 def _identity(n, t):
@@ -948,17 +527,27 @@ def _labels(space: str) -> list[tuple[int, int, _Module]]:
     return [(mod.i, mod.j, mod) for mod in mods] + [(-g, mod.j, mod) for g in (1, 2) for mod in mods if mod.i == g]
 
 
+def _halves(ps: _ParamSpace, n: int) -> tuple:
+    """The n = 6 self-dual halves a sim module of this parameter space is split into, else (None,)."""
+    return ("+", "-") if n == 6 and ps.pm_split else (None,)
+
+
+def _sim_params(ps: _ParamSpace, n: int, pm: str | None) -> list:
+    """The parameters of a sim module: all of them, or one n = 6 half."""
+    return ps.pm_split(n, ps.sim_params(n), +1 if pm == "+" else -1) if pm else ps.sim_params(n)
+
+
 def sim_module_keys(space: str, n: int) -> list[ModuleKey]:
     keys = []
     for i, j, mod in _labels(space):
-        for pm in ("+", "-") if n == 6 and mod.params.pm_split else (None,):
+        for pm in _halves(mod.params, n):
             if sim_module_dim(space, n, i, j, pm) > 0:
                 keys.append(ModuleKey(space, i, j, None, pm))
     return keys
 
 
 def rob_module_keys(space: str, n: int) -> list[ModuleKey]:
-    # refined tables never use the n = 6 pm splits
+    # a refined module is labelled (i, j, k) also at n = 6: it takes both halves of its sim parent
     return [
         ModuleKey(space, i, j, k) for i, j, _ in _labels(space) for k in range(13) if rob_module_dim(space, n, i, j, k) > 0
     ]
@@ -992,51 +581,171 @@ def module_dim(space: str, n: int, key: ModuleKey) -> int:
 
 
 def module_rows(space: str, n: int, key: ModuleKey) -> np.ndarray:
-    """Representative rows spanning a module (refined when ``key.k`` is set), before orthonormalisation."""
+    """Representative rows spanning a sim module, before orthonormalisation: its embedded parameters."""
     mod = _BY_LABEL[space, abs(key.i), key.j]
-    ps = mod.params
-    if key.k is not None:
-        params = ps.refined_params(n).get(mod.remap[key.k] if mod.remap else key.k, [])
-    elif key.pm:
-        params = ps.pm_split(n, ps.sim_params(n), +1 if key.pm == "+" else -1)
-    else:
-        params = ps.sim_params(n)
-    rows = _build_rows(n, mod.embed, params)
+    rows = np.array([np.ravel(mod.embed(n, p)) for p in _sim_params(mod.params, n, key.pm)])
     return swap_kl_rows(rows, n, RANK[space]) if key.i < 0 else rows
 
 
 # --------------------------------------------------------------------------
-# building the tables
+# the refined split of a sim parameter space
 # --------------------------------------------------------------------------
 
+# relative floor below which two eigenvalues of an invariant are one group,
+# and below which u has no weight in a slot
+_GROUP_RTOL = 1e-8
 
-def _build_rows(n, embed_fn, params):
-    rows = []
-    for p in params:
-        t = embed_fn(n, p)
-        t = np.real_if_close(t, tol=1e6)
-        if np.iscomplexobj(t):
-            if np.abs(t.imag).max() > 1e-9 * max(np.abs(t.real).max(), 1e-30):
-                raise RuntimeError("representative embedding produced a complex tensor")
-            t = t.real
-        rows.append(np.asarray(t, dtype=float).ravel())
-    return np.array(rows) if rows else np.zeros((0, n ** 0))
+
+def _on_slot(X: np.ndarray, T: np.ndarray, s: int) -> np.ndarray:
+    """The matrix X applied to slot s of every tensor of the stack T."""
+    return np.moveaxis(np.tensordot(X, T, axes=(1, s + 1)), 0, s + 1)
+
+
+def _stabiliser_invariants(Po: np.ndarray, n: int) -> list[np.ndarray]:
+    """Commuting invariants of the Robinson stabiliser on the span of Po.
+
+    Po is a stack of orthonormal screen tensors (n - 2 values per slot).
+    Each operator acts on every slot as a derivation, and each is returned
+    as its symmetric, positive semi-definite matrix in the coordinates of Po:
+      Q = -D_J^2, the J-charge squared;
+      the u(m-1) Casimir -sum_a D_a^2, written as the one-slot Casimir
+        sum_a A_a^2 on each slot plus the two-slot sum_a A_a (x) A_a on each
+        pair of slots;
+      for odd n, the projector onto u in each slot.
+    J and u are those of `RobinsonStructure(reference_frame(n))`.
+    """
+    N = RobinsonStructure(reference_frame(n))
+    d, r, p2 = n - 2, Po.ndim - 1, N.J.shape[0]
+    J = np.zeros((d, d))
+    J[:p2, :p2] = N.J
+    # u(m-1) in an orthonormal basis of so(2m-2) projected by X -> (X - J X J) / 2,
+    # the orthogonal projection onto the antisymmetric matrices that commute with J
+    eye = np.eye(d)
+    so = [(np.outer(eye[a], eye[b]) - np.outer(eye[b], eye[a])) / np.sqrt(2.0) for a in range(p2) for b in range(a + 1, p2)]
+    gens = np.array([0.5 * (X - J @ X @ J) for X in so])
+    one_slot = np.einsum("gij,gjk->ik", gens, gens)
+    two_slot = np.einsum("gij,gkl->ikjl", gens, gens).reshape(d * d, d * d)
+    dj, cas = np.zeros_like(Po), np.zeros_like(Po)
+    for s in range(r):
+        dj += _on_slot(J, Po, s)
+        cas += _on_slot(one_slot, Po, s)
+        for t in range(s + 1, r):
+            pair = np.moveaxis(Po, (s + 1, t + 1), (-2, -1))
+            acted = (pair.reshape(-1, d * d) @ two_slot.T).reshape(pair.shape)
+            cas += 2.0 * np.moveaxis(acted, (-2, -1), (s + 1, t + 1))
+    flat, dj = Po.reshape(len(Po), -1), dj.reshape(len(Po), -1)
+    casimir = -flat @ cas.reshape(len(Po), -1).T
+    ops = [dj @ dj.T, 0.5 * (casimir + casimir.T)]
+    if N.u_index is not None:
+        for s in range(r):
+            on_u = np.take(Po, N.u_index, axis=s + 1).reshape(len(Po), -1)
+            ops.append(on_u @ on_u.T)
+    return ops
+
+
+def _joint_eigenspaces(ops: list[np.ndarray]) -> tuple[list, float]:
+    """The joint eigenspaces of commuting symmetric matrices, and the margin of their grouping.
+
+    The space is split by one operator at a time; within a part, adjacent
+    eigenvalues closer than ``_GROUP_RTOL`` times the operator's largest
+    entry (at least 1) form one group.  Returns [(eigenvalues, rows)], the
+    rows orthonormal, and the margin: the smallest distance between adjacent
+    groups over the largest spread inside one (infinite when none spreads).
+    """
+    parts = [((), np.eye(len(ops[0])))]
+    dist, spread = np.inf, 0.0
+    for M in ops:
+        tol = _GROUP_RTOL * max(1.0, np.abs(M).max())
+        split = []
+        for vals, V in parts:
+            w, X = np.linalg.eigh(V @ M @ V.T)
+            cuts = np.flatnonzero(np.diff(w) > tol) + 1
+            dist = min(dist, np.diff(w)[cuts - 1].min(initial=np.inf))
+            for group in np.split(np.arange(w.size), cuts):
+                spread = max(spread, w[group[-1]] - w[group[0]])
+                split.append((vals + (w[group].mean(),), X[:, group].T @ V))
+        parts = split
+    return parts, dist / spread if spread > 0.0 else np.inf
+
+
+@lru_cache(maxsize=None)
+def _refined_split(ps: _ParamSpace, n: int) -> tuple[dict, float]:
+    """The refined pieces of a sim parameter space, and the margin of their eigenvalue grouping.
+
+    The pieces are {k: coefficient rows over the sim parameters}, the
+    parameters of both n = 6 halves one after the other, in table order.
+    Each piece is a joint eigenspace of `_stabiliser_invariants`; its key is
+    its J-charge squared and the slots in which u has weight, and the
+    eigenspaces of one key take that key's labels in ``ps.refined_labels`` in
+    order of increasing Casimir.
+    """
+    params = [t for pm in _halves(ps, n) for t in _sim_params(ps, n, pm)]
+    r = np.ndim(params[0])
+    P = np.array([np.asarray(t, dtype=float)[(slice(1, n - 1),) * r].ravel() for t in params])
+    # W @ P: orthonormal rows spanning the parameters (the two halves' parameters may be dependent)
+    w, V = np.linalg.eigh(P @ P.T)
+    keep = w > RANK_RTOL * w[-1]
+    W = V[:, keep].T / np.sqrt(w[keep])[:, None]
+    parts, margin = _joint_eigenspaces(_stabiliser_invariants((W @ P).reshape((-1,) + (n - 2,) * r), n))
+    by_key: dict = {}
+    for (q2, casimir, *u_weights), X in parts:
+        key = (round(q2), tuple(s for s, x in enumerate(u_weights) if x > _GROUP_RTOL))
+        by_key.setdefault(key, []).append((casimir, X))
+    dims = ps.refined_dims(*n_to_m_eps(n))
+    pieces = {}
+    for key, found in by_key.items():
+        labels = [k for k in ps.refined_labels.get(key, ()) if dims.get(k, 0) > 0]
+        for k, (_, X) in zip(labels, sorted(found, key=lambda f: f[0])):
+            pieces[k] = X @ W
+    return pieces, margin
+
+
+def _sim_entries(space: str, n: int) -> list[ModuleEntry]:
+    """Validate each sim module's representative rows and orthonormalise them on its grade."""
+    entries = []
+    for key in sim_module_keys(space, n):
+        rows = module_rows(space, n, key)
+        _validate_rows(space, n, rows, expect_grade=key.i)
+        cols = grade_columns(n, RANK[space], key.i)
+        basis, gap = orthonormal_rows(rows, cols)
+        entries.append(ModuleEntry(key, key.i, basis, gap, rows[:, cols] @ basis[:, cols].T))
+    return entries
+
+
+def _rob_entries(space: str, n: int) -> list[ModuleEntry]:
+    """Each refined module (i, j, k) inside the rows of its sim module (i, j).
+
+    Its piece of the parameter split, applied to the sim module's
+    representative rows in the coordinates of their basis (both halves at
+    n = 6), is orthonormalised there: class membership and grade come with
+    the sim rows, and its rank is the size of the piece.  Its gap is the
+    margin of the split.
+    """
+    families: dict = {}
+    for e in sim_table(space, n).entries:
+        families.setdefault((e.key.i, e.key.j), []).append(e)
+    entries = []
+    for key in rob_module_keys(space, n):
+        mod = _BY_LABEL[space, abs(key.i), key.j]
+        pieces, margin = _refined_split(mod.params, n)
+        family = families[key.i, key.j]
+        sizes = [len(e.coords) for e in family]
+        coeff = pieces.get(mod.remap[key.k] if mod.remap else key.k, np.zeros((0, sum(sizes))))
+        coords = np.hstack([c @ e.coords for c, e in zip(np.split(coeff, np.cumsum(sizes)[:-1], axis=1), family)])
+        q, _ = orthonormal_rows(coords)
+        basis = q @ (family[0].basis if len(family) == 1 else np.vstack([e.basis for e in family]))
+        entries.append(ModuleEntry(key, key.i, basis, margin))
+    return entries
 
 
 def _build_table(space: str, n: int, level: str) -> ModuleTable:
-    """Validate and orthonormalise every module of a level on its grade.
+    """Every module of a level, each on its grade with orthonormal rows.
 
     A module whose rank differs from its closed form is kept, and recorded in
     ``rank_error``: the dimension checks report it and the table refuses to
     decompose.
     """
-    keys = sim_module_keys(space, n) if level == "sim" else rob_module_keys(space, n)
-    entries = []
-    for key in keys:
-        rows = module_rows(space, n, key)
-        _validate_rows(space, n, rows, expect_grade=key.i)
-        basis, gap = orthonormal_rows(rows, grade_columns(n, RANK[space], key.i))
-        entries.append(ModuleEntry(key, key.i, basis, gap))
+    entries = _sim_entries(space, n) if level == "sim" else _rob_entries(space, n)
     table = ModuleTable(space, n, level, entries)
     if table.rank_error is None and table.total_dim != class_dim(space, n):
         raise RuntimeError(f"{level} table {space} n={n}: total {table.total_dim} != {class_dim(space, n)}")
@@ -1055,7 +764,6 @@ def _validate_rows(space, n, rows, expect_grade):
             raise RuntimeError(f"representative not in class {space} (n={n}, grade {expect_grade})")
         if np.linalg.norm(r[~mask]) > 1e-10 * max(nr, 1e-30):
             raise RuntimeError(f"representative has off-grade support ({space}, n={n}, grade {expect_grade})")
-
 
 
 @lru_cache(maxsize=None)

@@ -1,12 +1,17 @@
 """Dimension-table verification and diagram arrow/leak checks.
 
-Each module's rank is decided once, when its table is built: the
-eigen-decomposition of the Gram matrix of its representative rows keeps
-the eigenvalues above a relative floor (``classes.orthonormal_rows``).  A
-dimension check reads that rank, its closed form and the gap of the
-decision, the ratio of the smallest kept to the largest dropped singular
-value; a gap of 10 or less marks the rank as unstable.  A rank that
-differs from its closed form is a failed check, not a build error.
+Each module's rank is decided once, when its table is built.  For a sim
+module, the eigen-decomposition of the Gram matrix of its representative
+rows keeps the eigenvalues above a relative floor
+(``classes.orthonormal_rows``), and the gap of the decision is the ratio of
+the smallest kept to the largest dropped singular value.  A refined module
+is a joint eigenspace of the stabiliser invariants on its sim parent's
+parameters (``modules._refined_split``): its rank is the size of that
+eigenspace, and its gap is the margin of the eigenvalue grouping, the
+smallest distance between distinct groups over the largest spread inside
+one.  A dimension check reads the rank, its closed form and the gap; a gap
+of 10 or less marks the rank as unstable.  A rank that differs from its
+closed form is a failed check, not a build error.
 
 The diagrams are verified through the action of the grade-lowering part
 of the algebra: null rotations about l, acting algebraically to first

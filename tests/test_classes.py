@@ -214,9 +214,17 @@ def test_orthonormal_rows_complex_rank_deficient():
 def test_module_bases_span_representative_rows(space, n):
     from robcls.modules import module_rows, rob_module_dim, rob_table, sim_module_dim, sim_table
 
+    parents = {}
     for e in sim_table(space, n).entries:
         k = e.key
-        assert_orthonormal_basis_of(e.basis, module_rows(space, n, k), sim_module_dim(space, n, k.i, k.j, k.pm))
+        rows = module_rows(space, n, k)
+        assert_orthonormal_basis_of(e.basis, rows, sim_module_dim(space, n, k.i, k.j, k.pm))
+        parents.setdefault((k.i, k.j), []).append(rows)
+    # a refined module (i, j, k) lies in the span of its sim module (i, j), both halves at n = 6
     for e in rob_table(space, n).entries:
         k = e.key
-        assert_orthonormal_basis_of(e.basis, module_rows(space, n, k), rob_module_dim(space, n, k.i, k.j, k.k))
+        dim = rob_module_dim(space, n, k.i, k.j, k.k)
+        assert e.basis.shape[0] == dim
+        assert np.abs(e.basis @ e.basis.T - np.eye(dim)).max() <= 1e-13
+        ref = _svd_rows(np.vstack(parents[k.i, k.j]))
+        assert np.abs(e.basis - e.basis @ ref.T @ ref).max() <= 1e-13

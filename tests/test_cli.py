@@ -281,6 +281,24 @@ def test_regress_unknown_entry():
     assert main(["regress", "--only", "nosuch"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv, out",
+    [
+        (["classify", "--metric", "schwarzschild", "--params", '{"dim": 4}', "--point", "0,3,0.9,0.5"], "missing/x.json"),
+        (["verify-dims", "--n", "4", "--space", "G", "--level", "sim"], "."),
+        (["regress", "--only", "pp-wave"], "missing/regress.md"),
+    ],
+    ids=["classify", "verify-dims", "regress"],
+)
+def test_unwritable_out_one_line_exit_2(argv, out, tmp_path, capsys):
+    """An --out that cannot be opened (a missing directory, a directory) is a usage error, not a traceback."""
+    assert main(argv + ["--out", str(tmp_path / out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+    assert "cannot write --out" in captured.err
+
+
 def test_regress_leaves_scipy_optimize_unloaded():
     """Only the search polish imports scipy.optimize, and a regress of kk-bubble never polishes."""
     src = str(Path(robcls.__file__).resolve().parent.parent)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from robcls.classes import RANK, class_dim, component_grades, random_class_tensor, reference_class_basis
+from robcls.classes import RANK, class_dim, component_grades, frame_metric, project_rows, random_class_tensor
 from robcls.frames import n_to_m_eps
 from robcls.modules import (
     ModuleKey,
@@ -154,50 +154,63 @@ def test_refined_module_counting():
 
 
 def test_grade_support():
-    for n in (5, 6):
+    """Every module row lies on its grade, and every refined row is in its class (projection leaves it unchanged)."""
+    for n in range(4, 10):
+        eta = frame_metric(n)
         for space in SPACES:
+            grades = component_grades(n, RANK[space])
             for level, table in (("sim", sim_table(space, n)), ("rob", rob_table(space, n))):
                 for e in table.entries:
-                    mask = component_grades(n, RANK[space]) == e.grade
+                    mask = grades == e.grade
                     for row in e.basis:
                         assert np.linalg.norm(row[~mask]) < 1e-11
+                if level == "rob":
+                    S = table.stacked
+                    P = project_rows(space, S, eta, np.linalg.inv(eta), n)
+                    assert (np.linalg.norm(P - S, axis=1) <= 1e-9 * np.linalg.norm(S, axis=1)).all(), (space, n)
 
 
-def test_batched_C03_embeddings_match_per_parameter_formulas():
-    """The stacked C_0^{3,k} embeddings equal the one-parameter formulas (k = 4 has no module below n = 10)."""
+def _screen_action(X, rows, n, rank):
+    """The n x n matrix X acting as a derivation on every slot of each flattened row."""
+    T = rows.reshape((-1,) + (n,) * rank)
+    out = np.zeros_like(T)
+    for s in range(rank):
+        out += np.moveaxis(np.tensordot(X, T, axes=(1, s + 1)), 0, s + 1)
+    return out.reshape(rows.shape)
+
+
+def _assert_invariant(images, basis):
+    """The rows of ``images`` lie in the span of the orthonormal rows of ``basis``."""
+    residual = images - (images @ basis.T) @ basis
+    assert np.abs(residual).max(initial=0.0) <= 1e-12 * max(np.abs(images).max(initial=0.0), np.abs(basis).max())
+
+
+@pytest.mark.parametrize("n", range(4, 10))
+@pytest.mark.parametrize("space", SPACES)
+def test_rob_modules_are_stabiliser_invariant(space, n):
+    """Each refined module lies in its sim parent and is mapped into itself by J and by u(m-1),
+    each acting as a derivation, and at odd n by the reflection u -> -u of every slot."""
     from robcls.frames import RobinsonStructure, reference_frame
-    from robcls.modules import (
-        _emb_C03_3,
-        _emb_C03_4,
-        _emb_C03_5,
-        _emb_C03_6,
-    )
-    from robcls.tensor import skew_arr, swap_pairs
 
-    n, p = 9, 3
-    rng = np.random.default_rng(29)
-    z = rng.standard_normal((5,) + (p,) * 4) + 1j * rng.standard_normal((5,) + (p,) * 4)
-    mv = np.array(RobinsonStructure(reference_frame(n)).m_vectors())
-    mb = np.conj(mv)
-
-    def real(t):
-        return t + np.conj(t)
-
-    def emb3(w):
-        return real(np.einsum("ABCD,Aa,Bb,Cc,Dd->abcd", w, mb, mb, mb, mb))
-
-    def emb4(w):
-        x1 = np.einsum("ABCD,Aa,Bb,Cc,Dd->abcd", w, mb, mb, mv, mv)
-        x3 = skew_arr(np.einsum("ACDB,Aa,Bb,Cc,Dd->abcd", w, mb, mv, mb, mv), (0, 1), (2, 3))
-        return real(x1 + swap_pairs(x1) - 2.0 * x3)
-
-    def emb5(w):
-        return real(skew_arr(np.einsum("ACDB,Aa,Bb,Cc,Dd->abcd", w, mb, mv, mb, mv), (0, 1), (2, 3)))
-
-    def emb6(w):
-        x = skew_arr(np.einsum("ABCD,Aa,Bb,Cc,Dd->abcd", w, mb, mb, mb, mv), (2, 3))
-        return real(x + swap_pairs(x))
-
-    for batched, one in ((_emb_C03_3, emb3), (_emb_C03_4, emb4), (_emb_C03_5, emb5), (_emb_C03_6, emb6)):
-        ref = np.array([one(w) for w in z])
-        assert np.abs(batched(n, z) - ref).max() <= 1e-15 * np.abs(ref).max()
+    rank = RANK[space]
+    N = RobinsonStructure(reference_frame(n))
+    p2 = N.J.shape[0]
+    J = np.zeros((n, n))
+    J[1 : p2 + 1, 1 : p2 + 1] = N.J
+    # X - J X J commutes with J: these span u(m-1) on the J-plane of the screen
+    generators = [J]
+    for a in range(1, p2 + 1):
+        for b in range(a + 1, p2 + 1):
+            X = np.zeros((n, n))
+            X[a, b], X[b, a] = 1.0, -1.0
+            generators.append(X - J @ X @ J)
+    sim, rob = sim_table(space, n), rob_table(space, n)
+    images = [_screen_action(X, rob.stacked, n, rank) for X in generators]
+    if N.u_index is not None:
+        u_slots = (np.indices((n,) * rank) == N.u_index + 1).sum(axis=0).ravel()
+        images.append(rob.stacked * (-1.0) ** u_slots)
+    for e in rob.entries:
+        parent = np.vstack([s.basis for s in sim.entries if (s.key.i, s.key.j) == (e.key.i, e.key.j)])
+        _assert_invariant(e.basis, parent)
+        for image in images:
+            _assert_invariant(image[rob.slices[e.key]], e.basis)
