@@ -23,7 +23,6 @@ from .chart import MetricChart, check_cky, eigenstructure, frame_field_bracket
 from .simclass import (
     GradedDecomposition,
     decompose,
-    graded_reconstruct,
     weyl_type_at_frame,
     weyl_type_search,
 )
@@ -50,7 +49,6 @@ __all__ = [
     "eigenstructure",
     "decompose",
     "GradedDecomposition",
-    "graded_reconstruct",
     "weyl_type_at_frame",
     "weyl_type_search",
     "refined_flags",

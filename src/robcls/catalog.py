@@ -158,7 +158,9 @@ def _pp_H(x, n, vacuum):
 
 def _pp_chart(p):
     n = int(p["dim"])
-    vacuum = bool(p.get("vacuum", True))
+    vacuum = p.get("vacuum", True)
+    if not isinstance(vacuum, bool):
+        raise ValueError(f"vacuum must be true or false, got {vacuum!r}")
 
     def g_fn(x):
         H = _pp_H(x, n, vacuum)
@@ -204,7 +206,7 @@ def _pp_expect(chart, p, pts):
             out.append(_res("pp-wave", f"parallel_vector:{name}", "parallel null vector curvature relations", val, 1e-9))
         label = weyl_type_at_frame(cp.weyl, fr)
         out.append(_flag("pp-wave", "type_N_or_O", "deep filtration forced by a parallel wave vector", label.type in ("N", "O"), label.type))
-        N = build_robinson(fr, "standard")
+        N = build_robinson(fr)
         par = parallel_structure_relations(cp.weyl, cp.phi, cp.ricci_scalar, cp.riemann, N)
         out.append(_res("pp-wave", "parallel_structure_blocks", "parallel Robinson structure curvature blocks", par.max_residual(), 1e-9))
         out.append(_flag("pp-wave", "parallel_structure_flags", "refined flags of a parallel structure", par.gs_flags_hold and all(par.extra_flags.values()), str(par.extra_flags)))
@@ -306,7 +308,7 @@ def _schw_k_and_H(x, p):
 def _schwarzschild_chart(p):
     n = int(p["dim"])
     M = float(p["M"])
-    rmin = 0.05 * (2 * M) ** (1.0 / max(n - 3, 1))
+    rmin = 0.05 * (2 * abs(M)) ** (1.0 / max(n - 3, 1))
 
     chart = _ks_chart("schwarzschild", p, _schw_k_and_H)
     chart.domain = lambda pt: float(np.linalg.norm(pt[1:])) > rmin
@@ -653,6 +655,8 @@ KK_BUBBLE = CatalogEntry(
 def _rt_chart(p):
     M = float(p["M"])
     screen = p.get("screen", "flat")
+    if screen not in ("flat", "spheres"):
+        raise ValueError(f"screen must be 'flat' or 'spheres', got {screen!r}")
     # vacuum requires H = Khat - 2M/r^3 with Khat the screen Einstein
     # constant in this package's curvature sign convention
     Khat = 0.0 if screen == "flat" else -1.0 / 3.0
@@ -746,7 +750,7 @@ def _rt_mixed_structure(cp):
     O[1, 1] = O[2, 2] = np.cos(th)
     O[1, 2] = -np.sin(th)
     O[2, 1] = np.sin(th)
-    return build_robinson(fr.rotate_screen(O), "standard")
+    return build_robinson(fr.rotate_screen(O))
 
 
 ROBINSON_TRAUTMAN = CatalogEntry(
@@ -779,6 +783,9 @@ def _tn_F(x_r, p):
 
 def _tn_chart(p):
     N2, N3 = float(p["N2"]), float(p["N3"])
+    F = p.get("F")
+    if F is not None and not (isinstance(F, list) and F and all(type(c) in (int, float) for c in F)):
+        raise ValueError(f"F must be a nonempty list of polynomial coefficients in r, got {F!r}")
 
     def g_fn(x):
         t, r = x[0], x[1]

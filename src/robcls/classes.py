@@ -299,11 +299,3 @@ def screen_class_basis(space: str, n: int) -> np.ndarray:
     """Class basis supported on the screen slots 1..n-2 of the null frame."""
     h = np.diag([0.0] + [1.0] * (n - 2) + [0.0])
     return class_basis(space, h, h, idx=list(range(1, n - 1)))
-
-
-def random_class_tensor(space: str, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Random element of the class (frame components), roughly unit scale."""
-    basis = reference_class_basis(space, n)
-    coeff = rng.standard_normal(basis.shape[0])
-    out = (coeff @ basis).reshape((n,) * RANK[space])
-    return out / max(np.linalg.norm(out), 1e-300)

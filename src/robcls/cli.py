@@ -78,7 +78,7 @@ def _robinson_structure(spec: str, frame, entry, params: dict, cp):
             raise UsageError(f"malformed robinson seed in '{spec}' (SEED must be a nonnegative integer)")
         return sample_robinson_over_null_line(frame, 1, int(seed))[0]
     if spec == "standard":
-        return build_robinson(frame, "standard")
+        return build_robinson(frame)
     dists = entry.structures(params)
     if spec not in dists:
         raise UsageError(f"unknown robinson spec '{spec}' (use 'standard', 'random:SEED', or a named structure)")

@@ -322,48 +322,15 @@ def hodge_relation_residuals(N: "RobinsonStructure") -> dict:
     return {"mu_from_rho": float(np.abs(dual + s * mu).max() / max(np.abs(mu).max(), 1e-300))}
 
 
-def build_robinson(frame: NullFrame, J_spec) -> RobinsonStructure:
-    """Adapt a frame to a screen complex structure.
+def build_robinson(frame: NullFrame) -> RobinsonStructure:
+    """The almost Robinson structure N = span{k, m_A} of a J-adapted frame.
 
-    ``J_spec`` is a skew matrix with J^2 = -1 acting on the screen basis
-    (for odd n: on the screen without its last vector, which is u).  The
-    returned structure carries an equivalent J-adapted frame.
+    The screen is read in standard form: pairs (e_1, e_2), (e_3, e_4), ...,
+    with u last when n is odd, and m_A = (e_{2A-1} - i e_{2A})/sqrt(2).  Any
+    other structure on the frame's null line is this one on a rotated screen
+    (`NullFrame.rotate_screen`).
     """
-    n = frame.n
-    m, eps = n_to_m_eps(n)
-    d = n - 2
-    if isinstance(J_spec, str) and J_spec == "standard":
-        J_spec = standard_J(d - eps)
-    J = np.asarray(J_spec, dtype=float)
-    if J.shape != (d - eps, d - eps):
-        raise FrameError(f"J must be {(d - eps, d - eps)}, got {J.shape}")
-    if np.linalg.norm(J + J.T) > 1e-9 or np.linalg.norm(J @ J + np.eye(d - eps)) > 1e-9:
-        raise FrameError("J_spec fails skewness or J^2 = -1")
-    plane = frame.screen[: d - eps]
-    # adapted coefficient basis: pairs (c, Jc)
-    coeffs = []
-    dimp = d - eps
-    for seed in range(dimp):
-        c = np.zeros(dimp)
-        c[seed] = 1.0
-        for prev in coeffs:
-            c = c - (c @ prev) * prev
-        nc = np.linalg.norm(c)
-        if nc < 1e-8:
-            continue
-        c = c / nc
-        jc = J.T @ c  # action: (J v)_b = v_a J[a, b]
-        coeffs.extend([c, jc])
-        if len(coeffs) == dimp:
-            break
-    if len(coeffs) != dimp:
-        raise FrameError("failed to adapt the screen basis to J")
-    new_screen = [sum(c[i] * plane[i] for i in range(dimp)) for c in coeffs]
-    if eps:
-        new_screen.append(frame.screen[d - 1])
-    new_frame = NullFrame(frame.g, frame.k, frame.l, tuple(new_screen))
-    ori = orientation_of(new_frame)
-    N = RobinsonStructure(new_frame, ori)
+    N = RobinsonStructure(frame, orientation_of(frame))
     if N.nullity_residual() > 1e-9 * max(1.0, np.abs(frame.g).max()):
         raise FrameError("constructed plane is not totally null")
     return N
@@ -392,7 +359,7 @@ def sample_robinson_over_null_line(frame: NullFrame, count: int, rng_seed: int =
             want_reflected = attempts % 2 == 0
             if (np.linalg.det(Q) < 0) != want_reflected:
                 Q[:, -1] = -Q[:, -1]
-        N = build_robinson(frame.rotate_screen(Q), "standard")
+        N = build_robinson(frame.rotate_screen(Q))
         w = N.omega()
         scale = max(np.abs(w).max(), 1e-30)
         if any(np.abs(w - prev).max() < 1e-6 * scale for prev in seen):
@@ -403,10 +370,17 @@ def sample_robinson_over_null_line(frame: NullFrame, count: int, rng_seed: int =
 
 
 def robinson_from_span(g: np.ndarray, span: list[np.ndarray]) -> RobinsonStructure:
-    """Robinson structure from a spanning set of the complex null m-plane."""
+    """Robinson structure from a spanning set of the complex null m-plane N.
+
+    The real line of N is completed to a null frame; the screen parts of N
+    have a Hermitian-orthonormal basis w_A, and the screen is rotated onto
+    the polar factor of the rows sqrt(2) Re w_A, -sqrt(2) Im w_A (then
+    m_A = w_A), followed at odd n by their unit normal u.  A span that is
+    not a totally null m-plane of real index 1 is a `FrameError`.
+    """
     g = np.asarray(g, dtype=float)
     n = g.shape[0]
-    m, eps = n_to_m_eps(n)
+    m, _ = n_to_m_eps(n)
     V = np.array([np.asarray(v, dtype=complex) for v in span])
     # orthonormal column space of the span (SVD: robust to ordering)
     u0, s0, _ = np.linalg.svd(V.T, full_matrices=False)
@@ -433,34 +407,17 @@ def robinson_from_span(g: np.ndarray, span: list[np.ndarray]) -> RobinsonStructu
     if abs(k @ g @ k) > 1e-9 * max(1.0, np.abs(g).max()):
         raise FrameError("real intersection is not null")
     frame = complete_null_frame(g, k)
-    # project the plane onto the screen to extract J
-    cof = frame.coframe
-    span_screen = []
-    for col in range(m):
-        v = q[:, col]
-        comps = cof @ v  # frame components
-        span_screen.append(comps[1 : n - 1])
-    S = np.array(span_screen)  # rows: screen parts of N-spanners
-    # (1,0) subspace of the complexified screen: rank m-1
-    u1, s1, _ = np.linalg.svd(S.T, full_matrices=False)
+    S = (frame.coframe @ q)[1 : n - 1]  # columns: screen parts of the span's orthonormal basis
+    w, s1, _ = np.linalg.svd(S, full_matrices=False)
     rank = int(np.sum(s1 > 1e-9 * max(s1[0], 1e-30)))
-    qs = u1[:, :rank]
     if rank != m - 1:
         raise FrameError(f"screen part of the span has rank {rank}, expected {m - 1}")
-    P = qs @ qs.conj().T  # projector onto (1,0)
-    # endomorphism with +i on (1,0): M = i (P - conj(P)); J row-convention J.T = M
-    M = np.real(1j * (P - P.conj()))
-    d = n - 2
-    if eps:
-        # kernel of M is the u direction; rotate it to the last screen slot
-        w, vecs = np.linalg.eigh(M @ M.T)
-        u_dir = vecs[:, np.argmin(w)]
-        O = _rotation_moving_to_last(u_dir)
-        frame2 = frame.rotate_screen(O)
-        Mrot = O @ M @ O.T
-        N = build_robinson(frame2, Mrot[: d - 1, : d - 1].T)
-    else:
-        N = build_robinson(frame, M.T)
+    w = w[:, : m - 1]  # columns: a Hermitian-orthonormal basis w_A of the (1,0) screen space
+    # m_A = (e_{2A-1} - i e_{2A})/sqrt(2) = w_A: rows sqrt(2) Re w_A and -sqrt(2) Im w_A
+    p = 2 * (m - 1)
+    rows = np.sqrt(2.0) * np.stack([w.real.T, -w.imag.T], axis=1).reshape(p, n - 2)
+    U, _, Vt = np.linalg.svd(rows)  # polar factor U Vt[:p]; at odd n, Vt[p] is u
+    N = build_robinson(frame.rotate_screen(np.vstack([U @ Vt[:p], Vt[p:]])))
     # the input span must coincide with span{k, m_A}
     B = np.array(N.span_N()).T
     for v in span:
@@ -469,23 +426,6 @@ def robinson_from_span(g: np.ndarray, span: list[np.ndarray]) -> RobinsonStructu
         if err > 1e-7 * max(np.linalg.norm(v), 1e-30):
             raise FrameError("reconstructed structure does not contain the input span")
     return N
-
-
-def _rotation_moving_to_last(u_dir: np.ndarray) -> np.ndarray:
-    d = len(u_dir)
-    basis = [u_dir / np.linalg.norm(u_dir)]
-    for a in range(d):
-        v = np.zeros(d)
-        v[a] = 1.0
-        for b in basis:
-            v = v - (v @ b) * b
-        nv = np.linalg.norm(v)
-        if nv > 1e-8:
-            basis.append(v / nv)
-        if len(basis) == d:
-            break
-    O = np.array(basis[1:] + [basis[0]])
-    return O
 
 
 # --------------------------------------------------------------------------
@@ -550,29 +490,3 @@ def volume_form(g: np.ndarray) -> np.ndarray:
     """eps_{0...n-1} = +sqrt|det g| with the chart orientation."""
     n = g.shape[0]
     return levi_civita(n) * np.sqrt(abs(np.linalg.det(g)))
-
-
-# --------------------------------------------------------------------------
-# randomised inputs for property tests
-# --------------------------------------------------------------------------
-
-
-def random_lorentzian(n: int, rng: np.random.Generator) -> np.ndarray:
-    eta = np.diag([-1.0] + [1.0] * (n - 1))
-    while True:
-        A = np.eye(n) + 0.3 * rng.standard_normal((n, n))
-        g = A @ eta @ A.T
-        if abs(np.linalg.det(A)) > 0.3 and np.linalg.cond(g) < 60.0:
-            return g
-
-
-def random_null_vector(g: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    n = g.shape[0]
-    w, v = np.linalg.eigh(g)
-    tdir = v[:, 0] / np.sqrt(-w[0])  # timelike unit, g(t,t) = -1
-    while True:
-        s = rng.standard_normal(n)
-        spatial = s + float(s @ g @ tdir) * tdir
-        ns = float(spatial @ g @ spatial)
-        if ns > 1e-6:
-            return tdir + spatial / np.sqrt(ns)

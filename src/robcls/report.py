@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields
-from importlib import resources
 
 import numpy as np
 
@@ -86,8 +85,3 @@ def decomposition_dict(dec: GradedDecomposition) -> dict:
 def indeterminate_flags(dec: GradedDecomposition) -> list:
     """Flags whose residual sits in the indeterminate band of the tolerance."""
     return [str(key) for key, comp in dec.components.items() if dec.tol.indeterminate(comp.norm, dec.scale)]
-
-
-def report_schema() -> dict:
-    with resources.files("robcls").joinpath("report.schema.json").open("r") as fh:
-        return json.load(fh)

@@ -89,12 +89,6 @@ class GradedDecomposition:
         tot = sum(c.norm ** 2 for k, c in self.components.items() if (k.i, k.j) == (i, j))
         return float(np.sqrt(tot))
 
-    def reconstruct(self) -> np.ndarray:
-        out = 0.0
-        for c in self.components.values():
-            out = out + self.frame.from_frame(c.frame_image)
-        return out
-
     def summary(self) -> dict:
         return {
             str(c.key): {"norm": c.norm, "vanishing": bool(c.vanishing)}
@@ -126,15 +120,6 @@ def decompose(
         nrm = float(np.linalg.norm(fimg))
         comps[e.key] = ModuleComponent(e.key, e.grade, fimg, nrm, tol.vanishes(nrm, scale))
     return GradedDecomposition(space, level, frame, comps, resid, tol, scale)
-
-
-def graded_reconstruct(dec: GradedDecomposition, frame: NullFrame) -> np.ndarray:
-    """Sum of the module images; the frame must be the decomposition's own."""
-    if frame is not dec.frame and not (
-        np.array_equal(frame.vectors, dec.frame.vectors) and np.array_equal(frame.g, dec.frame.g)
-    ):
-        raise ValueError("frame mismatch: reconstruction requires the decomposing frame")
-    return dec.reconstruct()
 
 
 def down_closure(space: str, n: int, i: int, j: int) -> list[ModuleKey]:

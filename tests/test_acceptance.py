@@ -10,6 +10,7 @@ red line is reported alongside the corrected value, which passes.
 import numpy as np
 import pytest
 
+from conftest import random_class_tensor, random_lorentzian, random_null_vector, reconstruct, unitary_to_real
 from robcls.catalog import (
     ENTRIES,
     iwasawa_phi_field,
@@ -17,13 +18,11 @@ from robcls.catalog import (
     schwarzschild_null_lines,
 )
 from robcls.chart import eigenstructure
-from robcls.classes import RANK, random_class_tensor
+from robcls.classes import RANK
 from robcls.frames import (
     build_robinson,
     complete_null_frame,
     hodge_relation_residuals,
-    random_lorentzian,
-    random_null_vector,
     robinson_form_residuals,
     sample_robinson_over_null_line,
 )
@@ -256,7 +255,7 @@ def test_ac6_structure_group_invariance():
         rng = np.random.default_rng(660 + n)
         g = random_lorentzian(n, rng)
         fr = complete_null_frame(g, random_null_vector(g, rng))
-        N = build_robinson(fr, "standard")
+        N = build_robinson(fr)
         rt = rob_table("C", n)
         keys_at0 = [e.key for e in rt.entries if e.grade == 0]
         dropped = set(keys_at0[::2])
@@ -270,29 +269,17 @@ def test_ac6_structure_group_invariance():
         for trial in range(20):
             U, _ = np.linalg.qr(rng.standard_normal((p, p)) + 1j * rng.standard_normal((p, p)))
             O = np.zeros((n - 2, n - 2))
-            O[: 2 * p, : 2 * p] = _unitary_to_real(U)
+            O[: 2 * p, : 2 * p] = unitary_to_real(U)
             if eps:
                 O[n - 3, n - 3] = 1.0
             fr2 = N.frame.rotate_screen(O).boost(float(rng.uniform(0.5, 2.0)))
             fr2 = fr2.null_rotate_about_k(0.3 * rng.standard_normal(n - 2))
-            N2 = build_robinson(fr2, "standard")
+            N2 = build_robinson(fr2)
             dec2 = decompose("C", arr, N2.frame, "rob", scale=base.scale)
             flags2 = {str(k): c.vanishing for k, c in dec2.components.items()}
             if flags != flags2:
                 ok = False
     report("6 structure-group flag invariance", ok)
-
-
-def _unitary_to_real(U):
-    p = U.shape[0]
-    O = np.zeros((2 * p, 2 * p))
-    for a in range(p):
-        for b in range(p):
-            O[2 * a, 2 * b] = U[a, b].real
-            O[2 * a, 2 * b + 1] = U[a, b].imag
-            O[2 * a + 1, 2 * b] = -U[a, b].imag
-            O[2 * a + 1, 2 * b + 1] = U[a, b].real
-    return O
 
 
 def test_ac6_graded_reconstruction():
@@ -306,7 +293,7 @@ def test_ac6_graded_reconstruction():
                 t = random_class_tensor(space, n, rng)
                 arr = fr.from_frame(t)
                 dec = decompose(space, arr, fr, level)
-                worst = max(worst, float(np.abs(dec.reconstruct() - arr).max()))
+                worst = max(worst, float(np.abs(reconstruct(dec) - arr).max()))
     report("6 graded reconstruction", worst < 1e-10, f"worst {worst:.2e}")
 
 
@@ -317,7 +304,7 @@ def test_ac6_refinement_consistency():
         rng = np.random.default_rng(680)
         g = random_lorentzian(n, rng)
         fr = complete_null_frame(g, random_null_vector(g, rng))
-        N = build_robinson(fr, "standard")
+        N = build_robinson(fr)
         st = sim_table(space, n)
         for _ in range(100):
             keep = rng.random(len(st.entries)) > 0.5

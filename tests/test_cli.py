@@ -8,9 +8,9 @@ import jsonschema
 import numpy as np
 import pytest
 
+from conftest import report_schema
 import robcls
 from robcls.cli import main
-from robcls.report import report_schema
 
 
 def test_classify_writes_valid_report(tmp_path):
@@ -102,6 +102,9 @@ SCHW5 = ["classify", "--metric", "schwarzschild", "--params", '{"M": 1, "dim": 5
         ["classify", "--metric", "kk-bubble", "--dim", "9", "--point", "0,3,0.3,0.2,-0.4"],
         ["classify", "--metric", "taub-nut", "--params", '{"dim": 7}', "--point", "0,2,0.3,-0.2,0.5,0.1"],
         ["classify", "--metric", "myers-perry", "--dim", "6", "--point", "0,2.2,0.5,1.2,-0.6,0.1"],
+        ["classify", "--metric", "taub-nut", "--params", '{"F": 3}', "--point", "0,3,0.3,0.2,-0.4,0.1"],
+        ["classify", "--metric", "robinson-trautman", "--params", '{"screen": "cubes"}', "--point", "0,3,0.3,0.2,-0.4,0.1"],
+        ["classify", "--metric", "pp-wave", "--params", '{"vacuum": "no"}', "--point", "0,3,0.3,0.2,0.1,0.2"],
     ],
     ids=[
         "params-json",
@@ -128,6 +131,9 @@ SCHW5 = ["classify", "--metric", "schwarzschild", "--params", '{"M": 1, "dim": 5
         "fixed-dim-ignored",
         "fixed-dim-params-ignored",
         "fixed-dim-built",
+        "taub-nut-F-not-list",
+        "rt-screen-unknown",
+        "pp-wave-vacuum-not-bool",
     ],
 )
 def test_classify_bad_input_one_line_exit_2(argv, capsys):
@@ -136,6 +142,13 @@ def test_classify_bad_input_one_line_exit_2(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.strip().splitlines()) == 1
+
+
+def test_classify_negative_mass(tmp_path):
+    """Negative-mass Schwarzschild has a real domain radius, so classify reports it."""
+    out = tmp_path / "negative.json"
+    assert main(["classify", "--metric", "schwarzschild", "--params", '{"M": -1}', "--point", "0,3,1,0.5,0.2", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["params"] == {"M": -1, "dim": 5}
 
 
 def test_classify_unknown_metric():

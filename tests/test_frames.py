@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import random_lorentzian, random_null_vector
 from robcls.frames import (
     FrameError,
     NullFrame,
@@ -10,8 +11,6 @@ from robcls.frames import (
     levi_civita,
     n_to_m_eps,
     orientation_of,
-    random_lorentzian,
-    random_null_vector,
     robinson_forms,
     robinson_form_residuals,
     robinson_from_span,
@@ -222,13 +221,24 @@ def test_robinson_forms_identities(n):
             assert max(res.values()) < 1e-12, (n, res)
 
 
-def test_bad_J_rejected():
-    rng = np.random.default_rng(3)
-    g = random_lorentzian(6, rng)
-    fr = complete_null_frame(g, random_null_vector(g, rng))
-    bad = np.eye(4)
+@pytest.mark.parametrize("n", (4, 5, 6, 7))
+def test_robinson_from_span_errors(n):
+    """A span of the wrong rank, of real index 0, or 1e-4 off a null plane is a FrameError; 1e-8 off still builds."""
+    rng = np.random.default_rng(400 + n)
+    g = random_lorentzian(n, rng)
+    span = sample_robinson_over_null_line(complete_null_frame(g, random_null_vector(g, rng)), 1, rng_seed=n)[0].span_N()
+
+    def perturbed(size):
+        """k kept, each m_A moved by `size` relative to its length in a random complex direction."""
+        return [span[0]] + [v + size * np.linalg.norm(v) * (rng.standard_normal(n) + 1j * rng.standard_normal(n)) for v in span[1:]]
+
+    with pytest.raises(FrameError, match="rank"):
+        robinson_from_span(g, span[:-1])
+    with pytest.raises(FrameError, match="real index 0"):
+        robinson_from_span(g, [rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in span])
     with pytest.raises(FrameError):
-        build_robinson(fr, bad)
+        robinson_from_span(g, perturbed(1e-4))
+    assert robinson_from_span(g, perturbed(1e-8)).frame.max_residual() <= 1e-12
 
 
 def test_sampling_counts_and_orientations():
@@ -257,7 +267,7 @@ def test_fiber_dimension_by_svd():
     rng = np.random.default_rng(5)
     g = random_lorentzian(n, rng)
     fr = complete_null_frame(g, random_null_vector(g, rng))
-    base = build_robinson(fr, "standard")
+    base = build_robinson(fr)
     m, eps = n_to_m_eps(n)
     fiber_dim = (m - 1) * m  # = dim O(n-2)/U(m-1) for odd n
     h = 1e-5
@@ -273,7 +283,7 @@ def test_fiber_dimension_by_svd():
         from scipy.linalg import expm
 
         Q = expm(h * A)
-        NB = build_robinson(fr.rotate_screen(Q), "standard")
+        NB = build_robinson(fr.rotate_screen(Q))
         d_omega = (NB.omega() - base.omega()).ravel() / h
         d_mu = (robinson_forms(NB).mu - robinson_forms(base).mu).ravel() / h
         rows.append(np.concatenate([d_omega, d_mu]))
@@ -310,7 +320,7 @@ def test_hodge_relations_build_no_volume_form_above_five(monkeypatch):
     rng = np.random.default_rng(306)
     g = random_lorentzian(6, rng)
     fr = complete_null_frame(g, random_null_vector(g, rng))
-    assert hodge_relation_residuals(build_robinson(fr, "standard")) == {}
+    assert hodge_relation_residuals(build_robinson(fr)) == {}
 
 
 def test_orientation_conjugation_rule():
@@ -319,7 +329,7 @@ def test_orientation_conjugation_rule():
         m, eps = n_to_m_eps(n)
         g = random_lorentzian(n, rng)
         fr = complete_null_frame(g, random_null_vector(g, rng))
-        N = build_robinson(fr, "standard")
+        N = build_robinson(fr)
         Nc = N.conjugate()
         if m % 2 == 0:
             assert orientation_of(Nc.frame) == -N.orientation

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_lorentzian, random_null_vector
 from robcls.catalog import ENTRIES
 from robcls.chart import eigenstructure
-from robcls.frames import random_lorentzian
 from robcls.tensor import skew_arr, sym_arr
 
 VARIANTS = [(name, extra) for name in sorted(ENTRIES) for extra in ENTRIES[name].variants]
@@ -64,7 +64,7 @@ def test_degenerate_cky_eigenpattern():
     than raised."""
     rng = np.random.default_rng(5)
     n = 6
-    from robcls.frames import complete_null_frame, random_null_vector
+    from robcls.frames import complete_null_frame
 
     g = random_lorentzian(n, rng)
     fr = complete_null_frame(g, random_null_vector(g, rng))

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from robcls.classes import RANK, class_dim, component_grades, frame_metric, project_rows, random_class_tensor
+from conftest import random_class_tensor
+from robcls.classes import RANK, class_dim, component_grades, frame_metric, project_rows
 from robcls.frames import n_to_m_eps
 from robcls.modules import (
     ModuleKey,

@@ -3,14 +3,14 @@ import itertools
 import numpy as np
 import pytest
 
-from robcls.catalog import ENTRIES, schwarzschild_null_lines
-from robcls.classes import RANK, metric_wedge_part, random_class_tensor, weyl_trace_part
+from conftest import random_class_tensor, random_lorentzian, random_null_vector, unitary_to_real
+from robcls.catalog import ENTRIES, mp_eigen_structures, schwarzschild_null_lines
+from robcls.classes import RANK, metric_wedge_part, weyl_trace_part
 from robcls.frames import (
     adapted_basis,
     build_robinson,
     complete_null_frame,
-    random_lorentzian,
-    random_null_vector,
+    robinson_from_span,
     sample_robinson_over_null_line,
 )
 from robcls.modules import ModuleKey, rob_table, sim_table
@@ -35,7 +35,7 @@ def make_structure(n, seed=0):
     rng = np.random.default_rng(seed)
     g = random_lorentzian(n, rng)
     fr = complete_null_frame(g, random_null_vector(g, rng))
-    return build_robinson(fr, "standard"), rng
+    return build_robinson(fr), rng
 
 
 @pytest.mark.parametrize("n", (5, 6, 7))
@@ -235,6 +235,49 @@ def test_conjugation_covariance(n=6):
         assert abs(arr1[combo] - arr2[cidx]) < 1e-9
 
 
+def _named_structures():
+    """(id, Weyl tensor, scale, structure): kk-bubble's and taub-nut's named structures and Myers-Perry's eigen-structures at every sample point."""
+    from robcls.chart import distribution_span
+
+    for name in ("kk-bubble", "taub-nut", "myers-perry"):
+        entry = ENTRIES[name]
+        params = dict(entry.default_params)
+        chart = entry.build(params)
+        for i, pt in enumerate(entry.sample_points(params)):
+            cp = chart.evaluate(pt)
+            if name == "myers-perry":
+                named = dict(enumerate(mp_eigen_structures(cp, params)))
+            else:
+                named = {s: robinson_from_span(cp.g, distribution_span(cp, d)) for s, d in entry.structures(params).items()}
+            for s, N in named.items():
+                yield f"{name}#{i}:{s}", cp.weyl, cp.curvature_scale(), N
+
+
+def test_constructor_gauge_is_unobservable():
+    """A U(m-1) rotation of a built structure's screen (and u -> -u at odd n) is the same structure:
+    the refined flags, both classify predicates at the CLI's scale, and the orientation stay equal."""
+    tol = Tolerance(1e-9, 1e-9)
+    rng = np.random.default_rng(71)
+
+    def observed(C, scale, N):
+        flags = {str(k): c.vanishing for k, c in refined_flags("C", C, N, tol, scale).components.items()}
+        aligned = tol.vanishes(aligned_residual(C, N) * scale, scale)
+        special = tol.vanishes(special_residual(C, N) * scale, scale)
+        return flags, aligned, special, N.orientation
+
+    count = 0
+    for sid, C, scale, N in _named_structures():
+        m = N.m_eps[0]
+        base = observed(C, scale, N)
+        for _ in range(3):
+            U, _ = np.linalg.qr(rng.standard_normal((m - 1, m - 1)) + 1j * rng.standard_normal((m - 1, m - 1)))
+            O = -np.eye(N.n - 2)  # u -> -u at odd n
+            O[: 2 * (m - 1), : 2 * (m - 1)] = unitary_to_real(U)
+            assert observed(C, scale, build_robinson(N.frame.rotate_screen(O))) == base, sid
+        count += 1
+    assert count == 3 * 4 + 2 * 8 + 2 * 4
+
+
 @pytest.mark.parametrize("n", (5, 6, 7, 8))
 def test_structure_group_invariance_refined(n):
     """Refined flags survive transformations preserving the structure."""
@@ -258,29 +301,17 @@ def test_structure_group_invariance_refined(n):
         theta = rng.standard_normal((p, p)) + 1j * rng.standard_normal((p, p))
         U, _ = np.linalg.qr(theta)
         O = np.zeros((n - 2, n - 2))
-        O[: 2 * p, : 2 * p] = _unitary_to_real(U)
+        O[: 2 * p, : 2 * p] = unitary_to_real(U)
         if eps:
             O[n - 3, n - 3] = 1.0
         lam = float(rng.uniform(0.5, 2.0))
         fr2 = N.frame.rotate_screen(O).boost(lam)
         z = 0.3 * rng.standard_normal(n - 2)
         fr2 = fr2.null_rotate_about_k(z)
-        N2 = build_robinson(fr2, "standard")
+        N2 = build_robinson(fr2)
         dec2 = refined_flags("C", arr, N2, scale=base.scale)
         flags2 = {str(k): c.vanishing for k, c in dec2.components.items()}
         assert flags == flags2, trial
-
-
-def _unitary_to_real(U):
-    p = U.shape[0]
-    O = np.zeros((2 * p, 2 * p))
-    for a in range(p):
-        for b in range(p):
-            O[2 * a, 2 * b] = U[a, b].real
-            O[2 * a, 2 * b + 1] = U[a, b].imag
-            O[2 * a + 1, 2 * b] = -U[a, b].imag
-            O[2 * a + 1, 2 * b + 1] = U[a, b].real
-    return O
 
 
 def test_multi_robinson_equivalences_both_ways(n=6):
