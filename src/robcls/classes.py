@@ -170,37 +170,42 @@ def grade_columns(n: int, rank: int, grade: int) -> np.ndarray:
     return out
 
 
-# relative floor of a rank decision: Gram eigenvalues in `orthonormal_rows`,
+# relative floor of a rank decision: Gram eigenvalues in `orthonormal_coefficients`,
 # singular values in `kernel_rows`
 RANK_RTOL = 1e-10
 
 
+def orthonormal_coefficients(mat: np.ndarray) -> tuple[np.ndarray, float]:
+    """W whose rows W @ mat are an orthonormal basis of the row space of ``mat`` (real or complex), and the gap of its rank.
+
+    The rank counts eigenvalues of the Gram matrix mat mat^H above ``RANK_RTOL``
+    times the largest.  One Cholesky pass then re-orthonormalises (CholeskyQR2),
+    which the eigen-basis alone leaves off by eps times the condition number
+    squared.  The gap is the ratio of the smallest kept singular value to the
+    largest dropped one, sqrt of the eigenvalue ratio, and infinite when
+    nothing is dropped or nothing kept: a gap near 1 means the rank was cut
+    at a marginal value.
+    """
+    w, v = np.linalg.eigh(mat @ mat.conj().T)
+    keep = w > RANK_RTOL * w.max(initial=0.0)
+    kept, dropped = w[keep], w[~keep]  # both ascending
+    gap = float(np.sqrt(kept[0] / dropped[-1])) if kept.size and dropped.size and dropped[-1] > 0.0 else np.inf
+    W = v[:, keep].conj().T / np.sqrt(kept)[:, None]
+    q = W @ mat
+    # the Cholesky factor is within round-off of the identity here
+    return np.linalg.inv(np.linalg.cholesky(q @ q.conj().T)) @ W, gap
+
+
 def orthonormal_rows(mat: np.ndarray, cols: np.ndarray | None = None) -> tuple[np.ndarray, float]:
-    """Orthonormal basis of the row space of ``mat`` (real or complex), and the gap of its rank.
+    """Orthonormal basis of the row space of ``mat``, and the gap of its rank (`orthonormal_coefficients`).
 
     With ``cols`` only those columns are read, and the basis is scattered back
     into rows of full width that vanish elsewhere: pass a grade's columns for
-    rows supported on that grade.  The rank counts eigenvalues of the Gram
-    matrix P P^H above ``RANK_RTOL`` times the largest; one Cholesky pass then
-    re-orthonormalises the rows (CholeskyQR2), which an eigen-basis alone
-    leaves off by eps times the condition number squared.  The gap is the
-    ratio of the smallest kept singular value to the largest dropped one,
-    sqrt of the eigenvalue ratio, and infinite when nothing is dropped or
-    nothing kept: a gap near 1 means the rank was cut at a marginal value.
+    rows supported on that grade.
     """
     block = mat if cols is None else mat[:, cols]
-    q = block[:0]
-    gap = np.inf
-    if block.size:
-        w, v = np.linalg.eigh(block @ block.conj().T)
-        keep = w > RANK_RTOL * max(w[-1], 0.0)
-        if keep.any():
-            q = (v[:, keep].conj().T @ block) / np.sqrt(w[keep])[:, None]
-            # the Cholesky factor is within round-off of the identity here
-            q = np.linalg.inv(np.linalg.cholesky(q @ q.conj().T)) @ q
-            kept, dropped = w[keep], w[~keep]  # both ascending
-            if dropped.size and dropped[-1] > 0.0:
-                gap = float(np.sqrt(kept[0] / dropped[-1]))
+    W, gap = orthonormal_coefficients(block)
+    q = W @ block
     if cols is None:
         return q, gap
     out = np.zeros((q.shape[0], mat.shape[-1]), dtype=q.dtype)

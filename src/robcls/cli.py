@@ -3,8 +3,8 @@
 Exit codes separate "mathematically false" from "numerically
 indeterminate": 0 success, 2 domain/usage error, 3 indeterminate flags
 (residual within a factor 10 of the tolerance threshold), 4 rank
-instability in the dimension sweep (a module whose representatives were
-cut at a marginal Gram eigenvalue), 1 regression/table mismatch.
+instability in the dimension sweep (a module whose parameters were cut at
+a marginal Gram eigenvalue), 1 regression/table mismatch.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .frames import (
     robinson_from_span,
     sample_robinson_over_null_line,
 )
+from .modules import validate_sim_table
 from .repdims import all_dim_checks, paper_arrow_delta
 from .report import ClassificationReport, decomposition_dict, frame_dict, indeterminate_flags
 from .robclass import aligned_residual, refined_flags, special_residual
@@ -118,17 +119,20 @@ def cmd_classify(args) -> int:
     except ValueError as exc:
         raise UsageError(f"invalid --tol: {exc}") from None
     try:
-        cp = chart.evaluate(point)
-        scale = cp.curvature_scale()
-        curvature = {
-            "ricci_scalar": cp.ricci_scalar,
-            "kretschmann": cp.kretschmann,
-            "riemann_norm": scale,
-            "weyl_norm": float(np.linalg.norm(cp.weyl.ravel())),
-            "phi_norm": float(np.linalg.norm(cp.phi.ravel())),
-        }
+        with np.errstate(divide="raise", invalid="raise"):
+            cp = chart.evaluate(point)
+            scale = cp.curvature_scale()
+            curvature = {
+                "ricci_scalar": cp.ricci_scalar,
+                "kretschmann": cp.kretschmann,
+                "riemann_norm": scale,
+                "weyl_norm": float(np.linalg.norm(cp.weyl.ravel())),
+                "phi_norm": float(np.linalg.norm(cp.phi.ravel())),
+            }
     except ValueError as exc:  # DomainError, or no Weyl tensor for n <= 3
         raise UsageError(f"domain error: {exc}") from None
+    except FloatingPointError as exc:  # a division by zero or an invalid value in the metric or its curvature
+        raise UsageError(f"domain error: {exc} at {point.tolist()}") from None
     report = ClassificationReport(
         tool_version=__version__,
         chart=chart.name,
@@ -183,6 +187,7 @@ def cmd_verify_dims(args) -> int:
     unstable = False
     for n in range(lo, hi + 1):
         for space in spaces:
+            validate_sim_table(space, n)
             for level in levels:
                 for chk in all_dim_checks(space, n, level):
                     rows.append(

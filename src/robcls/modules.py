@@ -7,7 +7,10 @@ splits when n = 6) and under the stabiliser of a Robinson structure
 null-frame components.  A sim module is generated from representative
 formulas: a linear embedding of a small parameter space (screen vectors,
 screen 2-forms, symmetric tracefree, screen Cotton or screen Weyl class)
-into the full class.
+into the full class.  The parameter space is irreducible and the embedding
+commutes with the screen rotations, so by Schur's lemma the embedding is a
+constant times an isometry: a module's basis is its orthonormalised
+parameters (`_orthonormal_params`), embedded and divided by that constant.
 
 One registry, ``_MODULES``, declares each module (i, j) with i >= 0 once:
 its embedding and its parameter space.  A parameter space supplies the sim
@@ -16,9 +19,9 @@ only closed-form dimensions by k and a table of labels.  The refined
 modules (i, j, k) are the pieces of the sim module (i, j) under the
 stabiliser of the Robinson structure, whose reductive part acts on the
 screen as U(m-1) and fixes u when n is odd.  They are found, not built:
-the joint eigenspaces of three commuting invariants on the span of the sim
-parameters (`_refined_split`), labelled through the table and taken as
-combinations of the sim module's validated rows.  So the sim and rob
+the joint eigenspaces of three commuting invariants on the same
+orthonormal parameters (`_refined_split`), labelled through the table and
+taken as combinations of the sim module's basis rows.  So the sim and rob
 tables, keys and dimensions are all read off the same rows.
 
 Conventions (fixed throughout the package):
@@ -42,12 +45,10 @@ import numpy as np
 
 from .classes import (
     RANK,
-    RANK_RTOL,
     class_dim,
     component_grades,
     frame_metric,
-    grade_columns,
-    orthonormal_rows,
+    orthonormal_coefficients,
     project_class,
     project_rows,
     screen_class_basis,
@@ -97,32 +98,6 @@ def swap_kl(arr: np.ndarray, n: int) -> np.ndarray:
 def swap_kl_rows(rows: np.ndarray, n: int, rank: int) -> np.ndarray:
     """`swap_kl` of every flattened rank-`rank` row of a stack, as one column permutation."""
     return rows[:, swap_kl(np.arange(n**rank).reshape((n,) * rank), n).ravel()]
-
-
-# --------------------------------------------------------------------------
-# small parameter spaces on the screen
-# --------------------------------------------------------------------------
-
-
-def _form2_basis(n):
-    vs = reference_frame(n).screen
-    out = []
-    for p in range(len(vs)):
-        for q in range(p + 1, len(vs)):
-            out.append(np.outer(vs[p], vs[q]) - np.outer(vs[q], vs[p]))
-    return out
-
-
-def _sym2tf_basis(n):
-    vs = reference_frame(n).screen
-    d = len(vs)
-    out = []
-    for p in range(d):
-        for q in range(p + 1, d):
-            out.append(np.outer(vs[p], vs[q]) + np.outer(vs[q], vs[p]))
-    for p in range(d - 1):
-        out.append(np.outer(vs[p], vs[p]) - np.outer(vs[p + 1], vs[p + 1]))
-    return out
 
 
 # --------------------------------------------------------------------------
@@ -258,8 +233,7 @@ class ModuleEntry:
     key: ModuleKey
     grade: int
     basis: np.ndarray  # orthonormal rows, flattened frame components
-    gap: float  # of the rank decision that kept these rows: ``orthonormal_rows`` (sim), the split's margin (rob)
-    coords: np.ndarray | None = None  # sim: the representative rows in the coordinates of ``basis``
+    gap: float  # of the rank decision that kept these rows: the parameter Gram's (sim), the split's margin (rob)
 
     @property
     def dim(self) -> int:
@@ -321,20 +295,15 @@ def _screen_hodge_eps(n):
     return eps
 
 
-def _pm_split_form2(n, forms, sign):
-    eps = _screen_hodge_eps(n)
-    out = []
-    for w in forms:
-        dual = 0.5 * np.einsum("abcd,cd->ab", eps, w)
-        out.append(0.5 * (w + sign * dual))
-    return out
-
-
 def _pm_project_pair(n, arr, sign, axes):
     eps = _screen_hodge_eps(n)
     moved = np.moveaxis(arr, axes, (0, 1))
     dual = 0.5 * np.einsum("abcd,cd...->ab...", eps, moved)
     return np.moveaxis(0.5 * (moved + sign * dual), (0, 1), axes)
+
+
+def _pm_split_form2(n, forms, sign):
+    return [_pm_project_pair(n, w, sign, (0, 1)) for w in forms]
 
 
 def _pm_split_A2(n, psis, sign):
@@ -343,8 +312,7 @@ def _pm_split_A2(n, psis, sign):
 
 
 def _pm_split_C3(n, psis, sign):
-    rows = [_pm_project_pair(n, _pm_project_pair(n, c, sign, (0, 1)), sign, (2, 3)).ravel() for c in psis]
-    return list(orthonormal_rows(np.array(rows), grade_columns(n, 4, 0))[0].reshape((-1,) + (n,) * 4))
+    return [_pm_project_pair(n, _pm_project_pair(n, c, sign, (0, 1)), sign, (2, 3)) for c in psis]
 
 
 def _screen_class_params(space):
@@ -460,8 +428,8 @@ class _ParamSpace:
 # the one parameter of a module without one: a scalar, on which every invariant vanishes
 _NONE = _ParamSpace(lambda n: [np.ones(())], lambda d: 1, lambda m, eps: {0: 1}, _NONE_LABELS)
 _VEC = _ParamSpace(lambda n: reference_frame(n).screen, lambda d: d, _vec_dims, _VEC_LABELS)
-_FORM2 = _ParamSpace(_form2_basis, lambda d: d * (d - 1) // 2, _form2_dims, _FORM2_LABELS, _pm_split_form2)
-_SYM2 = _ParamSpace(_sym2tf_basis, lambda d: d * (d + 1) // 2 - 1, _sym2_dims, _SYM2_LABELS)
+_FORM2 = _ParamSpace(_screen_class_params("G"), lambda d: class_dim("G", d), _form2_dims, _FORM2_LABELS, _pm_split_form2)
+_SYM2 = _ParamSpace(_screen_class_params("F"), lambda d: class_dim("F", d), _sym2_dims, _SYM2_LABELS)
 _A2 = _ParamSpace(_screen_class_params("A"), lambda d: class_dim("A", d), _A2_dims, _A2_LABELS, _pm_split_A2)
 _C3 = _ParamSpace(_screen_class_params("C"), lambda d: class_dim("C", d), _C3_dims, _C3_LABELS, _pm_split_C3)
 
@@ -535,6 +503,22 @@ def _halves(ps: _ParamSpace, n: int) -> tuple:
 def _sim_params(ps: _ParamSpace, n: int, pm: str | None) -> list:
     """The parameters of a sim module: all of them, or one n = 6 half."""
     return ps.pm_split(n, ps.sim_params(n), +1 if pm == "+" else -1) if pm else ps.sim_params(n)
+
+
+def _screen_params(ps: _ParamSpace, n: int, pm: str | None) -> np.ndarray:
+    """The parameters of a sim module (`_sim_params`) on the screen slots 1..n-2, stacked."""
+    params = _sim_params(ps, n, pm)
+    r = np.ndim(params[0])
+    return np.array([np.asarray(t, dtype=float)[(slice(1, n - 1),) * r] for t in params])
+
+
+def _orthonormal_params(ps: _ParamSpace, n: int, pm: str | None) -> tuple[np.ndarray, float]:
+    """W making the rows of W @ P orthonormal, P the flattened `_screen_params`, and the gap of its rank.
+
+    An n = 6 half drops its dependent parameters here (`orthonormal_coefficients`).
+    """
+    P = _screen_params(ps, n, pm)
+    return orthonormal_coefficients(P.reshape(len(P), -1))
 
 
 def sim_module_keys(space: str, n: int) -> list[ModuleKey]:
@@ -672,21 +656,18 @@ def _joint_eigenspaces(ops: list[np.ndarray]) -> tuple[list, float]:
 def _refined_split(ps: _ParamSpace, n: int) -> tuple[dict, float]:
     """The refined pieces of a sim parameter space, and the margin of their eigenvalue grouping.
 
-    The pieces are {k: coefficient rows over the sim parameters}, the
-    parameters of both n = 6 halves one after the other, in table order.
-    Each piece is a joint eigenspace of `_stabiliser_invariants`; its key is
-    its J-charge squared and the slots in which u has weight, and the
-    eigenspaces of one key take that key's labels in ``ps.refined_labels`` in
-    order of increasing Casimir.
+    The pieces are {k: orthonormal coefficient rows over the orthonormal
+    parameters W @ P of `_orthonormal_params`}, of both n = 6 halves one
+    after the other, in table order.  Each piece is a joint eigenspace of
+    `_stabiliser_invariants`; its key is its J-charge squared and the slots
+    in which u has weight, and the eigenspaces of one key take that key's
+    labels in ``ps.refined_labels`` in order of increasing Casimir.
     """
-    params = [t for pm in _halves(ps, n) for t in _sim_params(ps, n, pm)]
-    r = np.ndim(params[0])
-    P = np.array([np.asarray(t, dtype=float)[(slice(1, n - 1),) * r].ravel() for t in params])
-    # W @ P: orthonormal rows spanning the parameters (the two halves' parameters may be dependent)
-    w, V = np.linalg.eigh(P @ P.T)
-    keep = w > RANK_RTOL * w[-1]
-    W = V[:, keep].T / np.sqrt(w[keep])[:, None]
-    parts, margin = _joint_eigenspaces(_stabiliser_invariants((W @ P).reshape((-1,) + (n - 2,) * r), n))
+    Q = []
+    for pm in _halves(ps, n):
+        P = _screen_params(ps, n, pm)
+        Q.append(np.tensordot(_orthonormal_params(ps, n, pm)[0], P, axes=1))
+    parts, margin = _joint_eigenspaces(_stabiliser_invariants(np.concatenate(Q), n))
     by_key: dict = {}
     for (q2, casimir, *u_weights), X in parts:
         key = (round(q2), tuple(s for s, x in enumerate(u_weights) if x > _GROUP_RTOL))
@@ -696,45 +677,44 @@ def _refined_split(ps: _ParamSpace, n: int) -> tuple[dict, float]:
     for key, found in by_key.items():
         labels = [k for k in ps.refined_labels.get(key, ()) if dims.get(k, 0) > 0]
         for k, (_, X) in zip(labels, sorted(found, key=lambda f: f[0])):
-            pieces[k] = X @ W
+            pieces[k] = X
     return pieces, margin
 
 
 def _sim_entries(space: str, n: int) -> list[ModuleEntry]:
-    """Validate each sim module's representative rows and orthonormalise them on its grade."""
+    """Each sim module's embedded orthonormal parameters, divided by their one norm c (Schur's lemma).
+
+    c is read as the rows' root-mean-square norm; an embedding that breaks
+    the identity fails the guard of `ModuleTable`, and one with c = 0 keeps
+    no rows.
+    """
     entries = []
     for key in sim_module_keys(space, n):
-        rows = module_rows(space, n, key)
-        _validate_rows(space, n, rows, expect_grade=key.i)
-        cols = grade_columns(n, RANK[space], key.i)
-        basis, gap = orthonormal_rows(rows, cols)
-        entries.append(ModuleEntry(key, key.i, basis, gap, rows[:, cols] @ basis[:, cols].T))
+        W, gap = _orthonormal_params(_BY_LABEL[space, abs(key.i), key.j].params, n, key.pm)
+        basis = W @ module_rows(space, n, key)
+        c = np.linalg.norm(basis) / np.sqrt(max(len(basis), 1))
+        entries.append(ModuleEntry(key, key.i, basis / c if c > 0.0 else basis[:0], gap))
     return entries
 
 
 def _rob_entries(space: str, n: int) -> list[ModuleEntry]:
-    """Each refined module (i, j, k) inside the rows of its sim module (i, j).
+    """Each refined module (i, j, k): its piece of the parameter split applied to the sim bases of (i, j).
 
-    Its piece of the parameter split, applied to the sim module's
-    representative rows in the coordinates of their basis (both halves at
-    n = 6), is orthonormalised there: class membership and grade come with
-    the sim rows, and its rank is the size of the piece.  Its gap is the
-    margin of the split.
+    The sim bases (both halves at n = 6, in table order) are the embedded
+    orthonormal parameters of the split, so the rows are orthonormal, in the
+    class and on the grade.  Its rank is the size of the piece; its gap is the
+    split's margin.
     """
-    families: dict = {}
-    for e in sim_table(space, n).entries:
-        families.setdefault((e.key.i, e.key.j), []).append(e)
+    sim = sim_table(space, n)
     entries = []
     for key in rob_module_keys(space, n):
         mod = _BY_LABEL[space, abs(key.i), key.j]
         pieces, margin = _refined_split(mod.params, n)
-        family = families[key.i, key.j]
-        sizes = [len(e.coords) for e in family]
-        coeff = pieces.get(mod.remap[key.k] if mod.remap else key.k, np.zeros((0, sum(sizes))))
-        coords = np.hstack([c @ e.coords for c, e in zip(np.split(coeff, np.cumsum(sizes)[:-1], axis=1), family)])
-        q, _ = orthonormal_rows(coords)
-        basis = q @ (family[0].basis if len(family) == 1 else np.vstack([e.basis for e in family]))
-        entries.append(ModuleEntry(key, key.i, basis, margin))
+        # the halves of (i, j) are adjacent in the sim table
+        spans = [sim.slices[ModuleKey(space, key.i, key.j, None, pm)] for pm in _halves(mod.params, n)]
+        parent = sim.stacked[spans[0].start : spans[-1].stop]
+        X = pieces.get(mod.remap[key.k] if mod.remap else key.k, np.zeros((0, len(parent))))
+        entries.append(ModuleEntry(key, key.i, X @ parent, margin))
     return entries
 
 
@@ -752,20 +732,6 @@ def _build_table(space: str, n: int, level: str) -> ModuleTable:
     return table
 
 
-def _validate_rows(space, n, rows, expect_grade):
-    if rows.shape[0] == 0:
-        return
-    eta = frame_metric(n)
-    eta_inv = np.linalg.inv(eta)
-    mask = component_grades(n, RANK[space]) == expect_grade
-    for r, proj in zip(rows, project_rows(space, rows, eta, eta_inv, n)):
-        nr = np.linalg.norm(r)
-        if np.linalg.norm(proj - r) > 1e-9 * max(nr, 1e-30):
-            raise RuntimeError(f"representative not in class {space} (n={n}, grade {expect_grade})")
-        if np.linalg.norm(r[~mask]) > 1e-10 * max(nr, 1e-30):
-            raise RuntimeError(f"representative has off-grade support ({space}, n={n}, grade {expect_grade})")
-
-
 @lru_cache(maxsize=None)
 def sim_table(space: str, n: int) -> ModuleTable:
     return _build_table(space, n, "sim")
@@ -779,3 +745,18 @@ def rob_table(space: str, n: int) -> ModuleTable:
 def module_table(space: str, n: int, level: str) -> ModuleTable:
     """The sim or rob table of a space."""
     return sim_table(space, n) if level == "sim" else rob_table(space, n)
+
+
+def validate_sim_table(space: str, n: int) -> None:
+    """Raise RuntimeError unless every sim basis row is in its class and zero off its grade (`verify-dims` runs this)."""
+    eta = frame_metric(n)
+    eta_inv = np.linalg.inv(eta)
+    grades = component_grades(n, RANK[space])
+    for e in sim_table(space, n).entries:
+        off_grade = grades != e.grade
+        for r, proj in zip(e.basis, project_rows(space, e.basis, eta, eta_inv, n)):
+            nr = np.linalg.norm(r)
+            if np.linalg.norm(proj - r) > 1e-9 * max(nr, 1e-30):
+                raise RuntimeError(f"representative not in class {space} (n={n}, grade {e.grade})")
+            if np.linalg.norm(r[off_grade]) > 1e-10 * max(nr, 1e-30):
+                raise RuntimeError(f"representative has off-grade support ({space}, n={n}, grade {e.grade})")

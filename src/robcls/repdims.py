@@ -1,12 +1,13 @@
 """Dimension-table verification and diagram arrow/leak checks.
 
 Each module's rank is decided once, when its table is built.  For a sim
-module, the eigen-decomposition of the Gram matrix of its representative
-rows keeps the eigenvalues above a relative floor
-(``classes.orthonormal_rows``), and the gap of the decision is the ratio of
-the smallest kept to the largest dropped singular value.  A refined module
-is a joint eigenspace of the stabiliser invariants on its sim parent's
-parameters (``modules._refined_split``): its rank is the size of that
+module, the eigen-decomposition of the Gram matrix of its screen parameters
+keeps the eigenvalues above a relative floor (``modules._orthonormal_params``;
+by Schur's lemma its embedded rows have the same Gram matrix up to one
+constant), and the gap of the decision is the ratio of the smallest kept to
+the largest dropped singular value.  A refined module is a joint eigenspace
+of the stabiliser invariants on its sim parent's orthonormal parameters
+(``modules._refined_split``): its rank is the size of that
 eigenspace, and its gap is the margin of the eigenvalue grouping, the
 smallest distance between distinct groups over the largest spread inside
 one.  A dimension check reads the rank, its closed form and the gap; a gap

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -105,6 +106,7 @@ SCHW5 = ["classify", "--metric", "schwarzschild", "--params", '{"M": 1, "dim": 5
         ["classify", "--metric", "taub-nut", "--params", '{"F": 3}', "--point", "0,3,0.3,0.2,-0.4,0.1"],
         ["classify", "--metric", "robinson-trautman", "--params", '{"screen": "cubes"}', "--point", "0,3,0.3,0.2,-0.4,0.1"],
         ["classify", "--metric", "pp-wave", "--params", '{"vacuum": "no"}', "--point", "0,3,0.3,0.2,0.1,0.2"],
+        ["classify", "--metric", "taub-nut", "--params", '{"F": [0]}', "--point", "0,2,0.3,-0.2,0.5,0.1"],
     ],
     ids=[
         "params-json",
@@ -134,8 +136,10 @@ SCHW5 = ["classify", "--metric", "schwarzschild", "--params", '{"M": 1, "dim": 5
         "taub-nut-F-not-list",
         "rt-screen-unknown",
         "pp-wave-vacuum-not-bool",
+        "taub-nut-F-vanishing",
     ],
 )
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_classify_bad_input_one_line_exit_2(argv, capsys):
     """Malformed input gets a one-line error and the usage exit code, not a traceback."""
     assert main(argv) == 2
@@ -202,24 +206,32 @@ def test_verify_dims_n6_includes_pm_rows(tmp_path):
     assert all(r["match"] for r in rows)
 
 
+def _patch_g01_params(monkeypatch, n, params):
+    """Give the sim module G.0.1 at dimension n the parameter list ``params(p)``, p its own parameters."""
+    from robcls import modules
+
+    mod = modules._BY_LABEL["G", 0, 1]
+    real = mod.params.sim_params
+    space = dataclasses.replace(mod.params, sim_params=lambda nn: params(real(nn)) if nn == n else real(nn))
+    monkeypatch.setitem(modules._BY_LABEL, ("G", 0, 1), dataclasses.replace(mod, params=space))
+
+
 def test_verify_dims_exits_4_on_marginal_rank(monkeypatch, tmp_path):
-    """Representatives of G.0.1 (sim, n = 5) whose Gram spectrum holds a kept
+    """Parameters of G.0.1 (sim, n = 5) whose Gram spectrum holds a kept
     eigenvalue only 10^1.2 above a dropped one: the rank still matches the
     closed form, but the rank decision is marginal, so verify-dims exits 4."""
     from robcls import modules
     from robcls.repdims import computed_module_dim
 
     n, key = 5, modules.ModuleKey("G", 0, 1)
-    real_rows = modules.module_rows
-    extra = real_rows("G", n, modules.ModuleKey("G", 0, 0))[0]
 
-    def rows(space, nn, k):
-        r = real_rows(space, nn, k)
-        if (space, nn, k) != ("G", n, key):
-            return r
-        return np.vstack([r[0], r[1], 10**-4.6 * r[2], 10**-5.2 * extra])
+    def params(p):
+        s = np.zeros((n, n))
+        s[1, 2] = s[2, 1] = 1.0
+        s *= np.linalg.norm(p[2]) / np.linalg.norm(s)  # a symmetric screen tensor with the parameters' norm
+        return [p[0], p[1], 10**-4.6 * p[2], 10**-5.2 * s]
 
-    monkeypatch.setattr(modules, "module_rows", rows)
+    _patch_g01_params(monkeypatch, n, params)
     modules.sim_table.cache_clear()
     try:
         chk = computed_module_dim("G", n, key, "sim")
@@ -233,20 +245,14 @@ def test_verify_dims_exits_4_on_marginal_rank(monkeypatch, tmp_path):
 
 
 def test_verify_dims_exits_1_on_rank_mismatch(monkeypatch, capsys):
-    """G.0.1 (sim, n = 5) given two of its three representatives: verify-dims
+    """G.0.1 (sim, n = 5) given two of its three parameters: verify-dims
     reports the module as a NO row and exits 1, with no traceback, and the
     table refuses to decompose a tensor."""
     from robcls import frames, modules
     from robcls.simclass import decompose
 
-    n, key = 5, modules.ModuleKey("G", 0, 1)
-    real_rows = modules.module_rows
-
-    def rows(space, nn, k):
-        r = real_rows(space, nn, k)
-        return r[:2] if (space, nn, k) == ("G", n, key) else r
-
-    monkeypatch.setattr(modules, "module_rows", rows)
+    n = 5
+    _patch_g01_params(monkeypatch, n, lambda p: p[:2])
     modules.sim_table.cache_clear()
     try:
         assert main(["verify-dims", "--n", "5", "--space", "G", "--level", "sim"]) == 1

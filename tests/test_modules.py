@@ -5,11 +5,15 @@ from conftest import random_class_tensor
 from robcls.classes import RANK, class_dim, component_grades, frame_metric, project_rows
 from robcls.frames import n_to_m_eps
 from robcls.modules import (
+    _BY_LABEL,
     ModuleKey,
+    _screen_params,
+    module_rows,
     rob_module_dim,
     rob_module_keys,
     rob_table,
     sim_module_dim,
+    sim_module_keys,
     sim_table,
 )
 
@@ -155,7 +159,7 @@ def test_refined_module_counting():
 
 
 def test_grade_support():
-    """Every module row lies on its grade, and every refined row is in its class (projection leaves it unchanged)."""
+    """Every module row, sim and refined, lies on its grade and in its class (projection leaves it unchanged)."""
     for n in range(4, 10):
         eta = frame_metric(n)
         for space in SPACES:
@@ -165,10 +169,24 @@ def test_grade_support():
                     mask = grades == e.grade
                     for row in e.basis:
                         assert np.linalg.norm(row[~mask]) < 1e-11
-                if level == "rob":
-                    S = table.stacked
-                    P = project_rows(space, S, eta, np.linalg.inv(eta), n)
-                    assert (np.linalg.norm(P - S, axis=1) <= 1e-9 * np.linalg.norm(S, axis=1)).all(), (space, n)
+                S = table.stacked
+                P = project_rows(space, S, eta, np.linalg.inv(eta), n)
+                assert (np.linalg.norm(P - S, axis=1) <= 1e-9 * np.linalg.norm(S, axis=1)).all(), (space, n, level)
+
+
+@pytest.mark.parametrize("n", range(4, 10))
+@pytest.mark.parametrize("space", SPACES)
+def test_sim_embeddings_satisfy_schurs_identity(space, n):
+    """Each embedding is a constant c times an isometry on its irreducible parameter space (Schur's
+    lemma): the Gram matrix of a sim module's rows is c^2 times that of its screen parameters."""
+    for key in sim_module_keys(space, n):
+        rows = module_rows(space, n, key)
+        P = _screen_params(_BY_LABEL[space, abs(key.i), key.j].params, n, key.pm)
+        P = P.reshape(len(P), -1)
+        gram_rows, gram_params = rows @ rows.T, P @ P.T
+        c2 = np.trace(gram_rows) / np.trace(gram_params)
+        assert c2 > 0.0, key
+        assert np.abs(gram_rows - c2 * gram_params).max() <= 1e-12 * np.abs(gram_rows).max(), key
 
 
 def _screen_action(X, rows, n, rank):
