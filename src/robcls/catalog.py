@@ -1,17 +1,20 @@
 """Built-in metric charts with their distinguished structures and the
 classification claims they are expected to satisfy.
 
-Each entry is a regression fixture: a chart family, default parameters,
+Each entry is a regression fixture: a chart family, its parameters,
 probe points, a list of expectations with citations, and the registry of
 what the entry names: its null lines (`null_lines`), its Robinson
 structures / Hermitian distributions (`structures`) and the parameter
-variants the regression runs (`variants`).  `run_expectations` evaluates
-everything and returns a pass/fail ledger; evaluation failures are
-recorded, not fatal.
+variants the regression runs (`variants`).  Each parameter is declared
+once, as name -> (default, domain), and `CatalogEntry.chart` validates
+them all.  `run_expectations` evaluates everything and returns a pass/fail
+ledger; evaluation failures are recorded, not fatal.
 """
 
 from __future__ import annotations
 
+import json
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -67,12 +70,33 @@ class ExpectationResult:
         return "PASS" if self.passed else "FAIL"
 
 
+def _admits(domain, v) -> bool:
+    if isinstance(domain, range):
+        return type(v) is int and v in domain
+    if isinstance(domain, tuple):
+        return any(type(v) is type(c) and v == c for c in domain)
+    if domain is list:
+        return type(v) is list and v != [] and all(_admits(float, c) for c in v)
+    return type(v) in (int, float) and abs(v) <= sys.float_info.max
+
+
+def _domain_text(domain) -> str:
+    if isinstance(domain, range):
+        return str(domain[0]) if len(domain) == 1 else f"an integer in {domain[0]}..{domain[-1]}"
+    if isinstance(domain, tuple):
+        return "one of " + ", ".join(map(json.dumps, domain))
+    return "a nonempty list of finite real numbers" if domain is list else "a finite real number"
+
+
 @dataclass
 class CatalogEntry:
     name: str
     description: str
     build: Callable[[dict], MetricChart]
-    default_params: dict
+    # each parameter once: name -> (default, domain). A domain is a range of
+    # integers, a tuple of choices, float (finite reals) or list (nonempty
+    # lists of finite reals); a None default is optional and not reported
+    parameters: dict
     sample_points: Callable[[dict], list]
     expectations: Callable[[MetricChart, dict, list], list]
     # named null lines at a chart point: (cp, params) -> {name: vector}
@@ -81,13 +105,21 @@ class CatalogEntry:
     structures: Callable[[dict], dict] = lambda p: {}
     # parameter overrides the regression runs (None: the defaults)
     variants: tuple = (None,)
-    # the dimensions the entry builds; `classify` rejects any other `dim`
-    dims: range = range(4, 10)
+
+    @property
+    def default_params(self) -> dict:
+        return {name: default for name, (default, _) in self.parameters.items()}
 
     def chart(self, params: dict | None = None) -> MetricChart:
-        p = dict(self.default_params)
-        if params:
-            p.update(params)
+        """The chart at the defaults updated by ``params``; an undeclared name or inadmissible value is a ValueError."""
+        p = self.default_params
+        for name, value in (params or {}).items():
+            if name not in self.parameters:
+                raise ValueError(f"unknown parameter {json.dumps(name)} (declared: {', '.join(map(json.dumps, self.parameters))})")
+            default, domain = self.parameters[name]
+            if not (value is None and default is None or _admits(domain, value)):
+                raise ValueError(f"{name} must be {_domain_text(domain)}, got {json.dumps(value)}")
+            p[name] = value
         return self.build(p)
 
 
@@ -134,7 +166,7 @@ MINKOWSKI = CatalogEntry(
     "minkowski",
     "flat space, any dimension",
     _minkowski_chart,
-    {"dim": 6},
+    {"dim": (6, range(4, 10))},
     lambda p: [np.zeros(int(p["dim"])), 0.3 * np.arange(int(p["dim"]))],
     _minkowski_expect,
 )
@@ -158,9 +190,7 @@ def _pp_H(x, n, vacuum):
 
 def _pp_chart(p):
     n = int(p["dim"])
-    vacuum = p.get("vacuum", True)
-    if not isinstance(vacuum, bool):
-        raise ValueError(f"vacuum must be true or false, got {vacuum!r}")
+    vacuum = p["vacuum"]
 
     def g_fn(x):
         H = _pp_H(x, n, vacuum)
@@ -195,7 +225,7 @@ def _pp_expect(chart, p, pts):
         cp = chart.evaluate(pt)
         nk = cp.covariant_derivative_vector(_pp_k_field(n))
         out.append(_res("pp-wave", "parallel_k", "nabla k = 0 for the wave vector", np.abs(nk).max(), 1e-12))
-        if p.get("vacuum", True):
+        if p["vacuum"]:
             out.append(_res("pp-wave", "ricci_flat", "vacuum pp-wave", np.abs(cp.ricci).max() / max(np.abs(cp.riemann).max(), 1e-300), 1e-10))
             out.append(
                 _res("pp-wave", "cotton_vanishes", "Ricci-flat metrics have vanishing Cotton-York", np.abs(cp.cotton_york()).max() / max(cp.curvature_scale(), 1e-300), 1e-9)
@@ -217,7 +247,7 @@ PP_WAVE = CatalogEntry(
     "pp-wave",
     "plane-fronted wave with parallel rays",
     _pp_chart,
-    {"dim": 6, "vacuum": True},
+    {"dim": (6, range(4, 10)), "vacuum": (True, (True, False))},
     lambda p: [np.array([0.2, 0.0] + [0.3, -0.4, 0.5, 0.1, 0.2][: int(p["dim"]) - 2]), np.array([-0.4, 1.0] + [0.8, 0.2, -0.3, 0.4, -0.1][: int(p["dim"]) - 2])],
     _pp_expect,
     null_lines=_parallel_line,
@@ -265,7 +295,7 @@ WALKER = CatalogEntry(
     "walker",
     "metric with a parallel null line (recurrent, non-parallel k)",
     _walker_chart,
-    {"dim": 6},
+    {"dim": (6, range(4, 10))},
     lambda p: [np.array([0.1, 0.7] + [0.4, -0.2, 0.3, 0.5, 0.1][: int(p["dim"]) - 2]), np.array([0.5, -0.3] + [0.2, 0.6, -0.4, 0.1, 0.3][: int(p["dim"]) - 2])],
     _walker_expect,
     null_lines=_parallel_line,
@@ -357,7 +387,7 @@ SCHWARZSCHILD = CatalogEntry(
     "schwarzschild",
     "Kerr-Schild Schwarzschild black hole, n = 4..7",
     _schwarzschild_chart,
-    {"dim": 5, "M": 1.0},
+    {"dim": (5, range(4, 10)), "M": (1.0, float)},
     lambda p: [
         np.array([0.0, 3.0, 1.0, 0.5, 0.2, 0.4, 0.1][: int(p["dim"])]),
         np.array([0.0, 2.0, -1.5, 1.0, 0.6, -0.2, 0.3][: int(p["dim"])]),
@@ -537,11 +567,10 @@ MYERS_PERRY = CatalogEntry(
     "myers-perry",
     "five-dimensional rotating black hole, Kerr-Schild form",
     _mp_chart,
-    {"M": 1.0, "a1": 0.3, "a2": 0.2, "dim": 5},
+    {"M": (1.0, float), "a1": (0.3, float), "a2": (0.2, float), "dim": (5, range(5, 6))},
     lambda p: [np.array([0.0, 2.2, 0.5, 1.2, -0.6]), np.array([0.3, -1.5, 1.8, 0.4, 1.1])],
     _mp_expect,
     null_lines=mp_null_lines,
-    dims=range(5, 6),
 )
 
 
@@ -639,11 +668,10 @@ KK_BUBBLE = CatalogEntry(
     "kk-bubble",
     "five-dimensional static Kaluza-Klein bubble",
     _kk_chart,
-    {"M": 1.0},
+    {"M": (1.0, float), "dim": (None, range(5, 6))},
     lambda p: [np.array([0.0, r, 0.3, 0.2, -0.4]) for r in (2.5, 3.0, 5.0)],
     _kk_expect,
     structures=kk_structures,
-    dims=range(5, 6),
 )
 
 
@@ -654,9 +682,7 @@ KK_BUBBLE = CatalogEntry(
 
 def _rt_chart(p):
     M = float(p["M"])
-    screen = p.get("screen", "flat")
-    if screen not in ("flat", "spheres"):
-        raise ValueError(f"screen must be 'flat' or 'spheres', got {screen!r}")
+    screen = p["screen"]
     # vacuum requires H = Khat - 2M/r^3 with Khat the screen Einstein
     # constant in this package's curvature sign convention
     Khat = 0.0 if screen == "flat" else -1.0 / 3.0
@@ -695,7 +721,7 @@ def rt_null_lines(cp) -> dict:
 
 def _rt_expect(chart, p, pts):
     out = []
-    screen = p.get("screen", "flat")
+    screen = p["screen"]
     for pt in pts:
         cp = chart.evaluate(pt)
         scale = cp.curvature_scale()
@@ -757,12 +783,11 @@ ROBINSON_TRAUTMAN = CatalogEntry(
     "robinson-trautman",
     "six-dimensional vacuum Robinson-Trautman, flat or sphere-product screen",
     _rt_chart,
-    {"M": 1.0, "screen": "flat"},
+    {"M": (1.0, float), "screen": ("flat", ("flat", "spheres")), "dim": (None, range(6, 7))},
     lambda p: [np.array([0.0, 3.0, 0.3, -0.2, 0.4, 0.1]), np.array([0.7, 4.0, -0.5, 0.3, 0.2, -0.3])],
     _rt_expect,
     null_lines=lambda cp, p: rt_null_lines(cp),
     variants=(None, {"screen": "spheres"}),
-    dims=range(6, 7),
 )
 
 
@@ -772,20 +797,17 @@ ROBINSON_TRAUTMAN = CatalogEntry(
 
 
 def _tn_F(x_r, p):
-    coeffs = p.get("F", None)
+    coeffs = p["F"]
     if coeffs is None:
         return 1.0 + 0.1 * x_r * x_r  # generic positive profile
     out = 0.0
-    for c in reversed(list(coeffs)):
+    for c in reversed(coeffs):
         out = out * x_r + c
     return out
 
 
 def _tn_chart(p):
     N2, N3 = float(p["N2"]), float(p["N3"])
-    F = p.get("F")
-    if F is not None and not (isinstance(F, list) and F and all(type(c) in (int, float) for c in F)):
-        raise ValueError(f"F must be a nonempty list of polynomial coefficients in r, got {F!r}")
 
     def g_fn(x):
         t, r = x[0], x[1]
@@ -869,7 +891,7 @@ def _tn_expect(chart, p, pts):
             out.append(
                 _res("taub-nut", f"special_{name}", "special for every listed structure, regardless of F", special_residual(cp.weyl, N), 1e-9)
             )
-        if p.get("F") is None:
+        if p["F"] is None:
             out.append(ExpectationResult("taub-nut", "einstein_F", "Einstein expectations need a user-supplied F", None, None, "skipped: F not supplied"))
         else:
             out.append(_res("taub-nut", "einstein_check", "Einstein condition for the supplied F", np.abs(cp.phi).max() / max(cp.curvature_scale(), 1e-300), 1e-8))
@@ -880,11 +902,10 @@ TAUB_NUT = CatalogEntry(
     "taub-nut",
     "six-dimensional Taub-NUT over a product of spheres",
     _tn_chart,
-    {"N2": 0.4, "N3": 0.7, "F": None},
+    {"N2": (0.4, float), "N3": (0.7, float), "F": (None, list), "dim": (None, range(6, 7))},
     lambda p: [np.array([0.0, 2.0, 0.3, -0.2, 0.5, 0.1]), np.array([0.4, 3.0, -0.6, 0.2, 0.1, 0.4])],
     _tn_expect,
     structures=taub_nut_structures,
-    dims=range(6, 7),
 )
 
 
@@ -1053,11 +1074,10 @@ IWASAWA = CatalogEntry(
     "iwasawa",
     "Iwasawa nilmanifold (Riemannian), Killing-Yano 2-form and Hermitian structures",
     _iwasawa_chart,
-    {},
+    {"dim": (None, range(6, 7))},
     lambda p: [np.array([0.3, -0.2, 0.5, 0.1, -0.4, 0.7]), np.array([-0.1, 0.4, 0.2, -0.3, 0.6, 0.2])],
     _iwasawa_expect,
     structures=lambda p: iwasawa_distributions(),
-    dims=range(6, 7),
 )
 
 

@@ -273,7 +273,7 @@ def class_basis(space: str, g: np.ndarray, g_inv: np.ndarray, idx: list[int] | N
     # every seed is one frame component, and the projection keeps its grade
     seed_grades = component_grades(n, rank)[seeds.argmax(axis=1)]
     basis = np.vstack(
-        [orthonormal_rows(projected[seed_grades == q], grade_columns(n, rank, q))[0] for q in np.unique(seed_grades)]
+        [orthonormal_rows(projected[seed_grades == q], grade_columns(n, rank, q))[0] for q in sorted(set(seed_grades.tolist()))]
     )
     if basis.shape[0] != target:
         raise RuntimeError(

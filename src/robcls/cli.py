@@ -83,7 +83,12 @@ def _robinson_structure(spec: str, frame, entry, params: dict, cp):
     dists = entry.structures(params)
     if spec not in dists:
         raise UsageError(f"unknown robinson spec '{spec}' (use 'standard', 'random:SEED', or a named structure)")
-    return robinson_from_span(cp.g, distribution_span(cp, dists[spec]))
+    try:
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            span = distribution_span(cp, dists[spec])
+    except FloatingPointError as exc:  # e.g. taub-nut's kappa and lambda need F > 0
+        raise UsageError(f"domain error: {exc} in structure '{spec}' at {cp.point.tolist()}") from None
+    return robinson_from_span(cp.g, span)
 
 
 def cmd_classify(args) -> int:
@@ -100,14 +105,8 @@ def cmd_classify(args) -> int:
         extra["dim"] = args.dim
     try:
         chart = entry.chart(extra)
-        params = chart.params
-        dim = chart.dim if params.get("dim") is None else int(params["dim"])
-    except (TypeError, ValueError, OverflowError) as exc:
+    except ValueError as exc:
         raise UsageError(f"invalid parameters for '{args.metric}': {exc}") from None
-    if dim not in entry.dims:
-        lo, hi = entry.dims[0], entry.dims[-1]
-        supported = f"in the supported range {lo}..{hi}" if hi > lo else str(lo)
-        raise UsageError(f"the dimension must be {supported}, got {dim}")
     try:
         point = np.array([float(v) for v in args.point.split(",")])
     except ValueError:
@@ -119,7 +118,7 @@ def cmd_classify(args) -> int:
     except ValueError as exc:
         raise UsageError(f"invalid --tol: {exc}") from None
     try:
-        with np.errstate(divide="raise", invalid="raise"):
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
             cp = chart.evaluate(point)
             scale = cp.curvature_scale()
             curvature = {
@@ -131,12 +130,12 @@ def cmd_classify(args) -> int:
             }
     except ValueError as exc:  # DomainError, or no Weyl tensor for n <= 3
         raise UsageError(f"domain error: {exc}") from None
-    except FloatingPointError as exc:  # a division by zero or an invalid value in the metric or its curvature
+    except (FloatingPointError, OverflowError) as exc:  # a division by zero, an overflow or an invalid value in the metric or its curvature
         raise UsageError(f"domain error: {exc} at {point.tolist()}") from None
     report = ClassificationReport(
         tool_version=__version__,
         chart=chart.name,
-        params={k: v for k, v in params.items() if v is not None},
+        params={k: v for k, v in chart.params.items() if v is not None},
         point=point.tolist(),
         tolerances={"abs_eps": tol.abs_eps, "rel_eps": tol.rel_eps},
         curvature=curvature,
@@ -149,7 +148,7 @@ def cmd_classify(args) -> int:
         except ValueError as exc:  # FrameError on a metric that is not Lorentzian
             raise UsageError(f"cannot search: {exc}") from None
     else:
-        kvec = _null_direction(args.k, entry.null_lines(cp, params), cp.g)
+        kvec = _null_direction(args.k, entry.null_lines(cp, chart.params), cp.g)
         try:
             frame = complete_null_frame(cp.g, kvec)
         except FrameError as exc:
@@ -161,7 +160,7 @@ def cmd_classify(args) -> int:
     report.sim_decomposition = decomposition_dict(dec)
     indeterminate = indeterminate_flags(dec)
     if args.robinson:
-        N = _robinson_structure(args.robinson, dec.frame, entry, params, cp)
+        N = _robinson_structure(args.robinson, dec.frame, entry, chart.params, cp)
         rdec = refined_flags("C", cp.weyl, N, tol, scale)
         report.robinson = N.serialise()
         report.refined_flags = rdec.summary()
@@ -261,8 +260,8 @@ def _parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("classify", help="classify a catalog metric at a point")
     c.add_argument("--metric", required=True)
-    c.add_argument("--params", default="")
-    c.add_argument("--dim", type=int, default=None)
+    c.add_argument("--params", default="", help="JSON object of the entry's declared parameters (see the parameter table in README.md)")
+    c.add_argument("--dim", type=int, default=None, help="sets the parameter dim")
     c.add_argument("--point", required=True, help="comma-separated coordinates")
     c.add_argument(
         "--k",

@@ -259,12 +259,13 @@ class ModuleTable:
             if e.dim != expected:
                 self.rank_error = f"{self.level} module {e.key} (n={self.n}): dim {e.dim} != expected {expected}"
                 break
-        rows, self.slices, pos = [], {}, 0
+        self.stacked = np.vstack([e.basis for e in self.entries]) if self.entries else np.zeros((0, self.n ** RANK[self.space]))
+        self.stacked.flags.writeable = False
+        self.slices, pos = {}, 0
         for e in self.entries:
-            rows.append(e.basis)
             self.slices[e.key] = slice(pos, pos + e.dim)
+            e.basis = self.stacked[self.slices[e.key]]  # a read-only view: the table holds each basis once
             pos += e.dim
-        self.stacked = np.vstack(rows) if rows else np.zeros((0, self.n ** RANK[self.space]))
         gram_err = np.abs(self.stacked @ self.stacked.T - np.eye(pos)).max(initial=0.0)
         if gram_err > 1e-12:
             raise RuntimeError(

@@ -390,8 +390,8 @@ def _grid_stage(C: np.ndarray, basis: np.ndarray, grid: np.ndarray, g: np.ndarra
 
     The closed form ranks the grid and `wand_residual` is evaluated only
     where the error bounds leave the answer open, so the result equals
-    np.argmin (first index on ties), min and np.median of `wand_residual`
-    at every grid point.
+    np.argmin (first index on ties), min and the median (the mean of the two
+    middle values, as np.median) of `wand_residual` at every grid point.
     """
     val, err = _grid_wand_sq(C, basis, grid, g, Cnorm)
     lo, hi = val - err, val + err
@@ -424,7 +424,7 @@ def _grid_stage(C: np.ndarray, basis: np.ndarray, grid: np.ndarray, g: np.ndarra
             continue
         window = sorted(resid(i) for i in np.flatnonzero((hi >= L) & (lo <= H)))
         stats.append(window[r - int(np.count_nonzero(hi < L))])
-    return int(best), floor, float(np.median(stats))
+    return int(best), floor, 0.5 * (stats[0] + stats[1])
 
 
 def weyl_type_search(

@@ -15,6 +15,18 @@ def test_catalog_shape():
             "kk-bubble", "robinson-trautman", "taub-nut", "iwasawa"} <= names
 
 
+@pytest.mark.parametrize("name", sorted(ENTRIES))
+def test_declared_defaults_pass_the_validator(name):
+    """Every default lies in its declared domain (None marks an optional parameter)."""
+    entry = ENTRIES[name]
+    chart = entry.chart(entry.default_params)
+    assert chart.params == entry.default_params
+    for variant in entry.variants:
+        entry.chart(variant)
+    with pytest.raises(ValueError, match="unknown parameter"):
+        entry.chart({"nosuch": 1})
+
+
 @pytest.mark.parametrize("name,params", VARIANTS)
 def test_entry_expectations(name, params, monkeypatch):
     """Every claim of the regression job holds, and the job evaluates each sample point once."""

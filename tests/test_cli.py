@@ -107,6 +107,13 @@ SCHW5 = ["classify", "--metric", "schwarzschild", "--params", '{"M": 1, "dim": 5
         ["classify", "--metric", "robinson-trautman", "--params", '{"screen": "cubes"}', "--point", "0,3,0.3,0.2,-0.4,0.1"],
         ["classify", "--metric", "pp-wave", "--params", '{"vacuum": "no"}', "--point", "0,3,0.3,0.2,0.1,0.2"],
         ["classify", "--metric", "taub-nut", "--params", '{"F": [0]}', "--point", "0,2,0.3,-0.2,0.5,0.1"],
+        ["classify", "--metric", "taub-nut", "--params", '{"N2": 1e300, "N3": 1e-300}', "--point=1e8,1e8,0.5,0.5,-2,1e8"],
+        ["classify", "--metric", "myers-perry", "--params", '{"M": [0]}', "--point", "0.3,-1.5,1.8,0.4,1.1"],
+        ["classify", "--metric", "myers-perry", "--params", '{"a1": 1e200}', "--point", "0.3,-1.5,1.8,0.4,1.1"],
+        ["classify", "--metric", "minkowski", "--params", '{"foo": NaN}', "--point", "0,0,0,0,0,0"],
+        ["classify", "--metric", "schwarzschild", "--params", '{"dim": 5.5}', "--point", "0,3,1,0.5,0.2"],
+        ["classify", "--metric", "schwarzschild", "--params", '{"M": "1"}', "--point", "0,3,1,0.5,0.2"],
+        ["classify", "--metric", "taub-nut", "--params", '{"F": [-3]}', "--point", "0,2,0.3,-0.2,0.5,0.1", "--robinson", "lambda_hh"],
     ],
     ids=[
         "params-json",
@@ -137,6 +144,13 @@ SCHW5 = ["classify", "--metric", "schwarzschild", "--params", '{"M": 1, "dim": 5
         "rt-screen-unknown",
         "pp-wave-vacuum-not-bool",
         "taub-nut-F-vanishing",
+        "overflow",
+        "mp-M-list",
+        "mp-a1-overflow",
+        "params-undeclared-nan",
+        "params-dim-fractional",
+        "params-M-string",
+        "taub-nut-structure-F-negative",
     ],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -146,6 +160,48 @@ def test_classify_bad_input_one_line_exit_2(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "metric, params, message",
+    [
+        ("schwarzschild", '{"Mass": 3}', 'unknown parameter "Mass" (declared: "dim", "M")'),
+        ("minkowski", '{"foo": 1}', 'unknown parameter "foo" (declared: "dim")'),
+        ("schwarzschild", '{"dim": 5.0}', "dim must be an integer in 4..9, got 5.0"),
+        ("schwarzschild", '{"dim": true}', "dim must be an integer in 4..9, got true"),
+        ("kk-bubble", '{"dim": 6}', "dim must be 5, got 6"),
+        ("schwarzschild", '{"M": true}', "M must be a finite real number, got true"),
+        ("schwarzschild", '{"M": NaN}', "M must be a finite real number, got NaN"),
+        ("kk-bubble", '{"M": 1e400}', "M must be a finite real number, got Infinity"),
+        ("pp-wave", '{"vacuum": 1}', "vacuum must be one of true, false, got 1"),
+        ("robinson-trautman", '{"screen": "cubes"}', 'screen must be one of "flat", "spheres", got "cubes"'),
+        ("taub-nut", '{"F": [1, NaN]}', "F must be a nonempty list of finite real numbers, got [1, NaN]"),
+        ("taub-nut", '{"F": []}', "F must be a nonempty list of finite real numbers, got []"),
+    ],
+)
+def test_classify_invalid_params_message(metric, params, message, capsys):
+    """`CatalogEntry.chart` rejects each undeclared or inadmissible parameter, and classify prints it on one line."""
+    assert main(["classify", "--metric", metric, "--params", params, "--point", "0,3,1,0.5,0.2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"invalid parameters for '{metric}': {message}\n"
+
+
+@pytest.mark.parametrize(
+    "metric, params, point, echoed",
+    [
+        ("kk-bubble", '{"dim": 5, "M": 2}', "0,3,0.3,0.2,-0.4", {"M": 2, "dim": 5}),
+        ("kk-bubble", '{"dim": null}', "0,3,0.3,0.2,-0.4", {"M": 1.0}),
+        ("taub-nut", '{"F": null}', "0,2,0.3,-0.2,0.5,0.1", {"N2": 0.4, "N3": 0.7}),
+        ("taub-nut", '{"F": [1, 0, 0.1]}', "0,2,0.3,-0.2,0.5,0.1", {"F": [1, 0, 0.1], "N2": 0.4, "N3": 0.7}),
+        ("pp-wave", '{"vacuum": false}', "0.2,0,0.3,-0.4,0.5,0.1", {"dim": 6, "vacuum": False}),
+    ],
+)
+def test_classify_echoes_params_as_given(metric, params, point, echoed, tmp_path):
+    """Admissible parameters are echoed as supplied; an optional one left at None is not echoed."""
+    out = tmp_path / "report.json"
+    assert main(["classify", "--metric", metric, "--params", params, "--point", point, "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["params"] == echoed
 
 
 def test_classify_negative_mass(tmp_path):
@@ -333,21 +389,24 @@ def test_regress_leaves_scipy_optimize_unloaded():
 
 
 def test_commands_without_search_leave_scipy_unloaded():
-    """No command imports scipy on start-up; kk-bubble's regress builds a 4000-point sphere grid."""
+    """No command imports scipy or numpy.ma on start-up; kk-bubble's regress builds a 4000-point sphere grid.
+
+    numpy.ma loads on the first np.unique or np.median call of a process.
+    """
     src = str(Path(robcls.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = (
         "import os, sys\n"
-        "def scipy_modules():\n"
-        "    return sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "def lazy_modules():\n"
+        "    return sorted(m for m in sys.modules if m in ('scipy', 'numpy.ma') or m.startswith('scipy.'))\n"
         "from robcls.cli import main\n"
-        "print(scipy_modules())\n"
+        "print(lazy_modules())\n"
         "assert main(['verify-dims', '--n', '4..5', '--out', os.devnull]) == 0\n"
-        "print(scipy_modules())\n"
+        "print(lazy_modules())\n"
         "assert main(['regress', '--only', 'kk-bubble', '--out', os.devnull]) == 0\n"
-        "print(scipy_modules())\n"
+        "print(lazy_modules())\n"
         "assert main(['classify', '--metric', 'schwarzschild', '--point', '0,3,1,0.5,0.2', '--out', os.devnull]) == 0\n"
-        "print(scipy_modules())\n"
+        "print(lazy_modules())\n"
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout == "[]\n" * 4

@@ -48,6 +48,17 @@ def test_refined_dims_sum_to_sim_dims(space, n):
             assert refined == sim_module_dim(space, n, i, j), (space, n, i, j)
 
 
+@pytest.mark.parametrize("n", range(4, 10))
+@pytest.mark.parametrize("space", SPACES)
+def test_table_bases_are_views_of_stacked(space, n):
+    """A table holds its bases once: each entry's basis is its read-only slice of `stacked`."""
+    for table in (sim_table(space, n), rob_table(space, n)):
+        assert not table.stacked.flags.writeable
+        for e in table.entries:
+            assert np.shares_memory(e.basis, table.stacked), (space, n, table.level, e.key)
+            assert np.array_equal(e.basis, table.stacked[table.slices[e.key]])
+
+
 def test_table_rejects_non_orthonormal_bases():
     from robcls.modules import ModuleEntry, ModuleTable
 
