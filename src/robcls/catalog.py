@@ -248,7 +248,7 @@ PP_WAVE = CatalogEntry(
     "plane-fronted wave with parallel rays",
     _pp_chart,
     {"dim": (6, range(4, 10)), "vacuum": (True, (True, False))},
-    lambda p: [np.array([0.2, 0.0] + [0.3, -0.4, 0.5, 0.1, 0.2][: int(p["dim"]) - 2]), np.array([-0.4, 1.0] + [0.8, 0.2, -0.3, 0.4, -0.1][: int(p["dim"]) - 2])],
+    lambda p: [np.array([0.2, 0.0] + [0.3, -0.4, 0.5, 0.1, 0.2, -0.3, 0.4][: int(p["dim"]) - 2]), np.array([-0.4, 1.0] + [0.8, 0.2, -0.3, 0.4, -0.1, 0.6, -0.2][: int(p["dim"]) - 2])],
     _pp_expect,
     null_lines=_parallel_line,
 )
@@ -296,7 +296,7 @@ WALKER = CatalogEntry(
     "metric with a parallel null line (recurrent, non-parallel k)",
     _walker_chart,
     {"dim": (6, range(4, 10))},
-    lambda p: [np.array([0.1, 0.7] + [0.4, -0.2, 0.3, 0.5, 0.1][: int(p["dim"]) - 2]), np.array([0.5, -0.3] + [0.2, 0.6, -0.4, 0.1, 0.3][: int(p["dim"]) - 2])],
+    lambda p: [np.array([0.1, 0.7] + [0.4, -0.2, 0.3, 0.5, 0.1, -0.6, 0.2][: int(p["dim"]) - 2]), np.array([0.5, -0.3] + [0.2, 0.6, -0.4, 0.1, 0.3, -0.2, 0.5][: int(p["dim"]) - 2])],
     _walker_expect,
     null_lines=_parallel_line,
 )
@@ -389,9 +389,9 @@ SCHWARZSCHILD = CatalogEntry(
     _schwarzschild_chart,
     {"dim": (5, range(4, 10)), "M": (1.0, float)},
     lambda p: [
-        np.array([0.0, 3.0, 1.0, 0.5, 0.2, 0.4, 0.1][: int(p["dim"])]),
-        np.array([0.0, 2.0, -1.5, 1.0, 0.6, -0.2, 0.3][: int(p["dim"])]),
-        np.array([0.5, -2.5, 2.0, 0.8, -0.5, 0.3, -0.4][: int(p["dim"])]),
+        np.array([0.0, 3.0, 1.0, 0.5, 0.2, 0.4, 0.1, -0.3, 0.2][: int(p["dim"])]),
+        np.array([0.0, 2.0, -1.5, 1.0, 0.6, -0.2, 0.3, 0.4, -0.1][: int(p["dim"])]),
+        np.array([0.5, -2.5, 2.0, 0.8, -0.5, 0.3, -0.4, 0.2, 0.6][: int(p["dim"])]),
     ],
     _schw_expect,
     null_lines=lambda cp, p: schwarzschild_null_lines(cp),

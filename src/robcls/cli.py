@@ -30,7 +30,7 @@ from .frames import (
 from .modules import validate_sim_table
 from .repdims import all_dim_checks, paper_arrow_delta
 from .report import ClassificationReport, decomposition_dict, frame_dict, indeterminate_flags
-from .robclass import aligned_residual, refined_flags, special_residual
+from .robclass import aligned_from_flags, refined_flags, special_from_flags
 from .simclass import weyl_type_at_frame, weyl_type_search
 from .tensor import Tolerance
 
@@ -107,6 +107,8 @@ def cmd_classify(args) -> int:
         chart = entry.chart(extra)
     except ValueError as exc:
         raise UsageError(f"invalid parameters for '{args.metric}': {exc}") from None
+    if sum(s < 0 for s in chart.signature) != 1:  # no null directions to classify along
+        raise UsageError(f"metric '{args.metric}' is not Lorentzian: signature {chart.signature} has no single timelike direction")
     try:
         point = np.array([float(v) for v in args.point.split(",")])
     except ValueError:
@@ -164,8 +166,8 @@ def cmd_classify(args) -> int:
         rdec = refined_flags("C", cp.weyl, N, tol, scale)
         report.robinson = N.serialise()
         report.refined_flags = rdec.summary()
-        report.predicates["aligned"] = bool(tol.vanishes(aligned_residual(cp.weyl, N) * scale, scale))
-        report.predicates["algebraically_special"] = bool(tol.vanishes(special_residual(cp.weyl, N) * scale, scale))
+        report.predicates["aligned"] = bool(aligned_from_flags(rdec))
+        report.predicates["algebraically_special"] = bool(special_from_flags(rdec))
         indeterminate += indeterminate_flags(rdec)
     report.indeterminate = sorted(set(indeterminate))
     _write(report.to_json(), args.out)

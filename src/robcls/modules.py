@@ -10,7 +10,7 @@ screen 2-forms, symmetric tracefree, screen Cotton or screen Weyl class)
 into the full class.  The parameter space is irreducible and the embedding
 commutes with the screen rotations, so by Schur's lemma the embedding is a
 constant times an isometry: a module's basis is its orthonormalised
-parameters (`_orthonormal_params`), embedded and divided by that constant.
+parameters (`_param_basis`), embedded and divided by that constant.
 
 One registry, ``_MODULES``, declares each module (i, j) with i >= 0 once:
 its embedding and its parameter space.  A parameter space supplies the sim
@@ -501,25 +501,21 @@ def _halves(ps: _ParamSpace, n: int) -> tuple:
     return ("+", "-") if n == 6 and ps.pm_split else (None,)
 
 
-def _sim_params(ps: _ParamSpace, n: int, pm: str | None) -> list:
-    """The parameters of a sim module: all of them, or one n = 6 half."""
-    return ps.pm_split(n, ps.sim_params(n), +1 if pm == "+" else -1) if pm else ps.sim_params(n)
+@lru_cache(maxsize=None)
+def _param_basis(ps: _ParamSpace, n: int, pm: str | None) -> tuple[tuple, np.ndarray, float]:
+    """The parameters of a sim module (all, or one n = 6 half), W and the gap of its rank.
 
-
-def _screen_params(ps: _ParamSpace, n: int, pm: str | None) -> np.ndarray:
-    """The parameters of a sim module (`_sim_params`) on the screen slots 1..n-2, stacked."""
-    params = _sim_params(ps, n, pm)
-    r = np.ndim(params[0])
-    return np.array([np.asarray(t, dtype=float)[(slice(1, n - 1),) * r] for t in params])
-
-
-def _orthonormal_params(ps: _ParamSpace, n: int, pm: str | None) -> tuple[np.ndarray, float]:
-    """W making the rows of W @ P orthonormal, P the flattened `_screen_params`, and the gap of its rank.
-
-    An n = 6 half drops its dependent parameters here (`orthonormal_coefficients`).
+    The rows of W @ P are orthonormal, P the parameters flattened on the screen
+    slots 1..n-2; an n = 6 half drops its dependent parameters here
+    (`orthonormal_coefficients`).  Cached per module parameter basis: the
+    parameters and a read-only W, not P, which would keep a second copy of
+    every screen block (`_refined_split` stacks P again).
     """
-    P = _screen_params(ps, n, pm)
-    return orthonormal_coefficients(P.reshape(len(P), -1))
+    params = tuple(ps.pm_split(n, ps.sim_params(n), +1 if pm == "+" else -1) if pm else ps.sim_params(n))
+    P = np.array([np.asarray(t, dtype=float)[(slice(1, n - 1),) * np.ndim(t)] for t in params])
+    W, gap = orthonormal_coefficients(P.reshape(len(P), -1))
+    W.flags.writeable = False
+    return params, W, gap
 
 
 def sim_module_keys(space: str, n: int) -> list[ModuleKey]:
@@ -568,7 +564,7 @@ def module_dim(space: str, n: int, key: ModuleKey) -> int:
 def module_rows(space: str, n: int, key: ModuleKey) -> np.ndarray:
     """Representative rows spanning a sim module, before orthonormalisation: its embedded parameters."""
     mod = _BY_LABEL[space, abs(key.i), key.j]
-    rows = np.array([np.ravel(mod.embed(n, p)) for p in _sim_params(mod.params, n, key.pm)])
+    rows = np.array([np.ravel(mod.embed(n, p)) for p in _param_basis(mod.params, n, key.pm)[0]])
     return swap_kl_rows(rows, n, RANK[space]) if key.i < 0 else rows
 
 
@@ -658,7 +654,7 @@ def _refined_split(ps: _ParamSpace, n: int) -> tuple[dict, float]:
     """The refined pieces of a sim parameter space, and the margin of their eigenvalue grouping.
 
     The pieces are {k: orthonormal coefficient rows over the orthonormal
-    parameters W @ P of `_orthonormal_params`}, of both n = 6 halves one
+    parameters W @ P of `_param_basis`}, of both n = 6 halves one
     after the other, in table order.  Each piece is a joint eigenspace of
     `_stabiliser_invariants`; its key is its J-charge squared and the slots
     in which u has weight, and the eigenspaces of one key take that key's
@@ -666,8 +662,9 @@ def _refined_split(ps: _ParamSpace, n: int) -> tuple[dict, float]:
     """
     Q = []
     for pm in _halves(ps, n):
-        P = _screen_params(ps, n, pm)
-        Q.append(np.tensordot(_orthonormal_params(ps, n, pm)[0], P, axes=1))
+        params, W, _ = _param_basis(ps, n, pm)
+        P = np.array([np.asarray(t, dtype=float)[(slice(1, n - 1),) * np.ndim(t)] for t in params])
+        Q.append(np.tensordot(W, P, axes=1))
     parts, margin = _joint_eigenspaces(_stabiliser_invariants(np.concatenate(Q), n))
     by_key: dict = {}
     for (q2, casimir, *u_weights), X in parts:
@@ -691,7 +688,7 @@ def _sim_entries(space: str, n: int) -> list[ModuleEntry]:
     """
     entries = []
     for key in sim_module_keys(space, n):
-        W, gap = _orthonormal_params(_BY_LABEL[space, abs(key.i), key.j].params, n, key.pm)
+        _, W, gap = _param_basis(_BY_LABEL[space, abs(key.i), key.j].params, n, key.pm)
         basis = W @ module_rows(space, n, key)
         c = np.linalg.norm(basis) / np.sqrt(max(len(basis), 1))
         entries.append(ModuleEntry(key, key.i, basis / c if c > 0.0 else basis[:0], gap))

@@ -2,7 +2,7 @@
 
 Each module's rank is decided once, when its table is built.  For a sim
 module, the eigen-decomposition of the Gram matrix of its screen parameters
-keeps the eigenvalues above a relative floor (``modules._orthonormal_params``;
+keeps the eigenvalues above a relative floor (``modules._param_basis``;
 by Schur's lemma its embedded rows have the same Gram matrix up to one
 constant), and the gap of the decision is the ratio of the smallest kept to
 the largest dropped singular value.  A refined module is a joint eigenspace

@@ -5,6 +5,8 @@ from robcls.catalog import ENTRIES, catalog_entries, run_expectations
 from robcls.chart import MetricChart
 
 VARIANTS = [(name, extra) for name in sorted(ENTRIES) for extra in ENTRIES[name].variants]
+# the entries whose sample points are cut from fixed lists, at the two largest dimensions
+HIGH_DIMS = [(name, {"dim": n}) for name in ("pp-wave", "schwarzschild", "walker") for n in (8, 9)]
 
 
 def test_catalog_shape():
@@ -27,7 +29,7 @@ def test_declared_defaults_pass_the_validator(name):
         entry.chart({"nosuch": 1})
 
 
-@pytest.mark.parametrize("name,params", VARIANTS)
+@pytest.mark.parametrize("name,params", VARIANTS + HIGH_DIMS)
 def test_entry_expectations(name, params, monkeypatch):
     """Every claim of the regression job holds, and the job evaluates each sample point once."""
     evaluated = []

@@ -12,6 +12,9 @@ import pytest
 from conftest import report_schema
 import robcls
 from robcls.cli import main
+from robcls.modules import ModuleKey
+from robcls.robclass import aligned_flag_keys, special_flag_keys
+from robcls.tensor import Tolerance
 
 
 def test_classify_writes_valid_report(tmp_path):
@@ -185,6 +188,14 @@ def test_classify_invalid_params_message(metric, params, message, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"invalid parameters for '{metric}': {message}\n"
+
+
+def test_classify_riemannian_metric_message(capsys):
+    """A chart whose declared signature is not Lorentzian is refused before its point is evaluated."""
+    assert main(["classify", "--metric", "iwasawa", "--point", "0.3,-0.2,0.5,0.1,-0.4,0.7"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "metric 'iwasawa' is not Lorentzian: signature (1, 1, 1, 1, 1, 1) has no single timelike direction\n"
 
 
 @pytest.mark.parametrize(
@@ -413,7 +424,7 @@ def test_commands_without_search_leave_scipy_unloaded():
 
 
 def test_perfbench_tracer_binds_to_robcls():
-    """perfbench/tracer.py wraps robcls names by attribute; a traced classify runs and records its layers."""
+    """perfbench/tracer.py wraps robcls names by attribute; a traced classify and a traced regress run and record their layers."""
     src = str(Path(robcls.__file__).resolve().parent.parent)
     perfbench = str(Path(__file__).resolve().parent.parent / "perfbench")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -425,11 +436,15 @@ def test_perfbench_tracer_binds_to_robcls():
         "from robcls.cli import main\n"
         "argv = ['classify', '--metric', 'schwarzschild', '--dim', '4', '--point', '0,3,1,0.5',\n"
         "        '--robinson', 'random:7', '--out', os.devnull]\n"
+        "tr.op = 0\n"
         "assert main(argv) == 0\n"
-        "print(' '.join(sorted({name for _, name in tr.self_times()})))\n"
+        "tr.op = 1\n"
+        "assert main(['regress', '--only', 'taub-nut', '--out', os.devnull]) == 0\n"
+        "for op in (0, 1):\n"
+        "    print(' '.join(sorted({name for o, name in tr.self_times() if o == op})))\n"
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    layers = set(out.stdout.split())
+    classify_layers, regress_layers = (set(line.split()) for line in out.stdout.splitlines())
     assert {
         "cli.main",
         "chart.evaluate",
@@ -438,9 +453,44 @@ def test_perfbench_tracer_binds_to_robcls():
         "simclass.weyl_type_at_frame",
         "simclass.decompose",
         "robclass.refined_flags",
-        "robclass.predicates",
         "report.to_json",
-    } <= layers, layers
+    } <= classify_layers, classify_layers
+    # classify reads its predicates off the refined flags; the catalog checks still call the residuals
+    assert "robclass.predicates" in regress_layers, regress_layers
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--metric", "kk-bubble", "--point", "0,5,0.3,0.2,-0.4", "--robinson", "random:1", "--tol", "1e-3"],
+        ["--metric", "taub-nut", "--point", "0,2,0.3,-0.2,0.5,0.1", "--robinson", "random:1", "--tol", "1e-3"],
+        ["--metric", "robinson-trautman", "--params", '{"screen": "spheres"}', "--point", "0,3,0.3,-0.2,0.4,0.1", "--robinson", "random:3", "--tol", "1e-3"],
+        ["--metric", "schwarzschild", "--point", "0,3,1,0.5,0.2", "--robinson", "random:7"],
+        ["--metric", "pp-wave", "--point", "0.2,0,0.3,-0.4,0.5,0.1", "--robinson", "standard"],
+    ],
+    ids=["kk-bubble-all-vanishing", "taub-nut", "rt-spheres", "schwarzschild", "pp-wave"],
+)
+def test_classify_predicates_follow_the_refined_flags(argv, tmp_path):
+    """The predicates are read off the refined flags the report prints, at their threshold: aligned when
+    every aligned-condition module vanishes, special when the special-condition modules and the whole
+    grade <= -1 part of the refined decomposition vanish."""
+    out = tmp_path / "report.json"
+    assert main(["classify", *argv, "--out", str(out)]) in (0, 3)
+    report = json.loads(out.read_text())
+    flags, n = report["refined_flags"], len(report["point"])
+
+    def vanish(keys):
+        names = [str(ModuleKey.of("C", key)) for key in keys]
+        return all(flags[name]["vanishing"] for name in names if name in flags)
+
+    low = np.sqrt(sum(f["norm"] ** 2 for name, f in flags.items() if int(name.split(".")[1]) <= -1))
+    tol = Tolerance(report["tolerances"]["abs_eps"], report["tolerances"]["rel_eps"])
+    assert report["predicates"] == {
+        "aligned": vanish(aligned_flag_keys(n)),
+        "algebraically_special": vanish(special_flag_keys(n)) and tol.vanishes(low, report["curvature"]["riemann_norm"]),
+    }
+    if all(f["vanishing"] for f in flags.values()):
+        assert report["predicates"] == {"aligned": True, "algebraically_special": True}
 
 
 def test_classify_indeterminate_exit_code(tmp_path):

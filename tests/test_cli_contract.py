@@ -70,7 +70,6 @@ def _point(draw, entry, params):
     except ValueError:
         chart = entry.chart()
     pt = np.array(draw(st.sampled_from(entry.sample_points(chart.params))), dtype=float)
-    pt = np.concatenate([pt, np.full(chart.dim - len(pt), 0.3)])  # sample points list at most 7 coordinates
     kind = draw(st.sampled_from(["near"] * 6 + ["scaled", "origin", "short", "non-finite"]))
     if kind == "near":
         pt = pt + np.array(draw(st.lists(st.floats(-0.3, 0.3), min_size=len(pt), max_size=len(pt))))

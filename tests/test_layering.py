@@ -116,7 +116,6 @@ TEST_ONLY = {
     "null_rotate_about_k": "item 4",
     "conjugate": "item 4",
     # paper statements that become `regress` and `verify-dims` checks (item 9)
-    "aligned_from_flags": "item 9",
     "g_refined_maps": "item 9",
     "integrability_map_0_3_3": "item 9",
     "nilpotent_action_check": "item 9",

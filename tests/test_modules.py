@@ -1,13 +1,19 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from conftest import random_class_tensor
+import robcls
 from robcls.classes import RANK, class_dim, component_grades, frame_metric, project_rows
 from robcls.frames import n_to_m_eps
 from robcls.modules import (
     _BY_LABEL,
     ModuleKey,
-    _screen_params,
+    _param_basis,
     module_rows,
     rob_module_dim,
     rob_module_keys,
@@ -192,12 +198,31 @@ def test_sim_embeddings_satisfy_schurs_identity(space, n):
     lemma): the Gram matrix of a sim module's rows is c^2 times that of its screen parameters."""
     for key in sim_module_keys(space, n):
         rows = module_rows(space, n, key)
-        P = _screen_params(_BY_LABEL[space, abs(key.i), key.j].params, n, key.pm)
-        P = P.reshape(len(P), -1)
+        params, _, _ = _param_basis(_BY_LABEL[space, abs(key.i), key.j].params, n, key.pm)
+        P = np.array([np.ravel(p) for p in params])  # zero off the screen slots
         gram_rows, gram_params = rows @ rows.T, P @ P.T
         c2 = np.trace(gram_rows) / np.trace(gram_params)
         assert c2 > 0.0, key
         assert np.abs(gram_rows - c2 * gram_params).max() <= 1e-12 * np.abs(gram_rows).max(), key
+
+
+def test_cold_tables_orthonormalise_each_parameter_basis_once():
+    """A cold build of every sim and rob table at n = 4..9 runs `orthonormal_coefficients` once per
+    module parameter basis: one per (parameter space, n), and one per self-dual half at n = 6."""
+    src = str(Path(robcls.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import robcls.modules as M\n"
+        "calls = []\n"
+        "inner = M.orthonormal_coefficients\n"
+        "M.orthonormal_coefficients = lambda mat: calls.append(mat.shape) or inner(mat)\n"
+        "for n in range(4, 10):\n"
+        "    for space in 'GFAC':\n"
+        "        M.sim_table(space, n), M.rob_table(space, n)\n"
+        "print(len(calls))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert int(out.stdout) == 36
 
 
 def _screen_action(X, rows, n, rank):

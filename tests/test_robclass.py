@@ -255,15 +255,18 @@ def _named_structures():
 
 def test_constructor_gauge_is_unobservable():
     """A U(m-1) rotation of a built structure's screen (and u -> -u at odd n) is the same structure:
-    the refined flags, both classify predicates at the CLI's scale, and the orientation stay equal."""
+    the refined flags, both classify predicates, the residual predicates at the same scale, and the
+    orientation stay equal."""
     tol = Tolerance(1e-9, 1e-9)
     rng = np.random.default_rng(71)
 
     def observed(C, scale, N):
-        flags = {str(k): c.vanishing for k, c in refined_flags("C", C, N, tol, scale).components.items()}
+        dec = refined_flags("C", C, N, tol, scale)
+        flags = {str(k): c.vanishing for k, c in dec.components.items()}
+        predicates = (aligned_from_flags(dec), bool(special_from_flags(dec)))
         aligned = tol.vanishes(aligned_residual(C, N) * scale, scale)
         special = tol.vanishes(special_residual(C, N) * scale, scale)
-        return flags, aligned, special, N.orientation
+        return flags, predicates, aligned, special, N.orientation
 
     count = 0
     for sid, C, scale, N in _named_structures():
