@@ -18,15 +18,7 @@ import numpy as np
 
 from . import __version__
 from .catalog import ENTRIES, run_expectations
-from .chart import distribution_span
-from .frames import (
-    FrameError,
-    build_robinson,
-    complete_null_frame,
-    orthonormal_basis,
-    robinson_from_span,
-    sample_robinson_over_null_line,
-)
+from .frames import FrameError, build_robinson, complete_null_frame, orthonormal_basis, sample_robinson_over_null_line
 from .modules import validate_sim_table
 from .repdims import all_dim_checks, paper_arrow_delta
 from .report import ClassificationReport, decomposition_dict, frame_dict, indeterminate_flags
@@ -50,8 +42,9 @@ def _write(text: str, out: str | None):
         sys.stdout.write(text)
 
 
-def _null_direction(spec: str | None, lines: dict, g: np.ndarray) -> np.ndarray:
-    """The --k direction: a named null line, comma-separated components, or the default."""
+def _null_direction(spec: str | None, entry, cp) -> np.ndarray:
+    """The --k direction: a named null line of the entry, comma-separated components, or the default."""
+    g, lines = cp.g, entry.null_lines(cp)
     if not spec:
         if "K" in lines:
             return lines["K"]
@@ -63,7 +56,8 @@ def _null_direction(spec: str | None, lines: dict, g: np.ndarray) -> np.ndarray:
     try:
         kvec = np.array([float(v) for v in spec.split(",")])
     except ValueError:
-        raise UsageError("malformed k") from None
+        named = f"its null lines are {', '.join(lines)}" if lines else "it names no null line"
+        raise UsageError(f"--k '{spec}' is neither comma-separated components nor a named null line of metric '{entry.name}' ({named})") from None
     if kvec.shape != (g.shape[0],):
         raise UsageError(f"--k must have {g.shape[0]} components, got {kvec.size} in '{spec}'")
     if not np.isfinite(kvec).all():
@@ -71,7 +65,7 @@ def _null_direction(spec: str | None, lines: dict, g: np.ndarray) -> np.ndarray:
     return kvec
 
 
-def _robinson_structure(spec: str, frame, entry, params: dict, cp):
+def _robinson_structure(spec: str, frame, entry, cp):
     """The --robinson structure: 'standard', 'random:SEED' or a named structure of the entry."""
     if spec.startswith("random:"):
         seed = spec.split(":", 1)[1]
@@ -80,15 +74,15 @@ def _robinson_structure(spec: str, frame, entry, params: dict, cp):
         return sample_robinson_over_null_line(frame, 1, int(seed))[0]
     if spec == "standard":
         return build_robinson(frame)
-    dists = entry.structures(params)
-    if spec not in dists:
-        raise UsageError(f"unknown robinson spec '{spec}' (use 'standard', 'random:SEED', or a named structure)")
+    names = entry.registry(cp.chart.params).structures
+    if spec not in names:
+        named = f"its structures are {', '.join(names)}" if names else "it names no structure"
+        raise UsageError(f"unknown robinson spec '{spec}' for metric '{entry.name}' (use 'standard', 'random:SEED', or a named structure; {named})")
     try:
         with np.errstate(divide="raise", over="raise", invalid="raise"):
-            span = distribution_span(cp, dists[spec])
-    except FloatingPointError as exc:  # e.g. taub-nut's kappa and lambda need F > 0
+            return entry.structure(cp, spec)
+    except (FloatingPointError, ValueError) as exc:  # taub-nut's kappa and lambda need F > 0; a degenerate CKY spectrum or a failed frame is a FrameError
         raise UsageError(f"domain error: {exc} in structure '{spec}' at {cp.point.tolist()}") from None
-    return robinson_from_span(cp.g, span)
 
 
 def cmd_classify(args) -> int:
@@ -150,7 +144,7 @@ def cmd_classify(args) -> int:
         except ValueError as exc:  # FrameError on a metric that is not Lorentzian
             raise UsageError(f"cannot search: {exc}") from None
     else:
-        kvec = _null_direction(args.k, entry.null_lines(cp, chart.params), cp.g)
+        kvec = _null_direction(args.k, entry, cp)
         try:
             frame = complete_null_frame(cp.g, kvec)
         except FrameError as exc:
@@ -162,7 +156,7 @@ def cmd_classify(args) -> int:
     report.sim_decomposition = decomposition_dict(dec)
     indeterminate = indeterminate_flags(dec)
     if args.robinson:
-        N = _robinson_structure(args.robinson, dec.frame, entry, chart.params, cp)
+        N = _robinson_structure(args.robinson, dec.frame, entry, cp)
         rdec = refined_flags("C", cp.weyl, N, tol, scale)
         report.robinson = N.serialise()
         report.refined_flags = rdec.summary()
@@ -273,7 +267,8 @@ def _parser() -> argparse.ArgumentParser:
     )
     c.add_argument("--search", action="store_true", help="search the null sphere for the best-aligned direction")
     c.add_argument(
-        "--robinson", default=None, help="'standard', 'random:SEED', or a named structure of the entry (e.g. kk-bubble 'kappa')"
+        "--robinson", default=None, help="'standard', 'random:SEED', or a named structure of the entry (e.g. kk-bubble kappa, "
+        "myers-perry eigen0, robinson-trautman product; an unknown name lists the entry's)"
     )
     c.add_argument("--tol", type=float, default=1e-9)
     c.add_argument("--out", default=None)

@@ -75,9 +75,9 @@ def jconst(value, nvar: int, dtype=float) -> np.ndarray:
     return out
 
 
-def jvar(value, v: int, nvar: int, dtype=float) -> np.ndarray:
+def jvar(value, v: int, nvar: int) -> np.ndarray:
     """Seed jet for coordinate x_v: value + epsilon_v."""
-    out = jconst(value, nvar, dtype)
+    out = jconst(value, nvar)
     e = [0] * nvar
     e[v] = 1
     out[_index_of(nvar)[tuple(e)]] = 1.0

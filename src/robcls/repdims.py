@@ -154,6 +154,8 @@ class ArrowCheck:
 
 # relative floor above which a lowered image counts as an arrow
 ARROW_RTOL = 1e-8
+# image entries lowered at a time: a source module's rows go in chunks of about this many
+_CHUNK = 1 << 18
 
 
 @lru_cache(maxsize=None)
@@ -166,7 +168,8 @@ def computed_arrow_set(space: str, n: int, level: str) -> frozenset:
     over basis pairs decides each arrow exactly.  Each source module is
     lowered onto the target grade's columns only; one product with all the
     target modules' rows of that grade, stacked once, pairs it with every
-    target, whose blocks of columns are then read off one by one.
+    target, whose blocks of columns are then read off one by one.  Source
+    rows go in chunks, to keep the temporaries small.
     """
     table = module_table(space, n, level)
     rank = RANK[space]
@@ -182,9 +185,14 @@ def computed_arrow_set(space: str, n: int, level: str) -> frozenset:
             starts = np.cumsum([0] + [t.dim for t in targets[:-1]])
             stacked[q] = (np.vstack([t.basis[:, cols] for t in targets]), starts)
         target_rows, starts = stacked[q]
-        imgs = _lowered_on_grade(e.basis[:, grade_columns(n, rank, q)], n, rank, q)
-        scale = max(np.abs(imgs).max(), 1e-300)
-        comp = np.abs(imgs @ target_rows.T).max(axis=0)
+        src_cols = grade_columns(n, rank, q)
+        step = max(1, _CHUNK // ((n - 2) * target_rows.shape[1]))
+        scale, comp = 1e-300, np.zeros(target_rows.shape[0])
+        for i in range(0, e.dim, step):
+            imgs = _lowered_on_grade(e.basis[i : i + step, src_cols], n, rank, q)
+            prod = imgs @ target_rows.T
+            scale = max(scale, imgs.max(), -imgs.min())
+            comp = np.maximum(comp, np.maximum(prod.max(axis=0), -prod.min(axis=0)))
         for t, m in zip(targets, np.maximum.reduceat(comp, starts)):
             if m > ARROW_RTOL * scale:
                 out.add((e.key, t.key))

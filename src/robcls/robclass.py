@@ -191,7 +191,6 @@ def parallel_structure_relations(
     R_scalar: float,
     riemann: np.ndarray,
     N: RobinsonStructure,
-    tol: Tolerance = DEFAULT_TOL,
 ) -> ParallelRelationReport:
     """Residuals of the curvature relations forced by a parallel structure.
 
@@ -204,10 +203,10 @@ def parallel_structure_relations(
     eye = np.eye(N.n)
     worst_c = float(np.abs(transform_slots(riemann, (eye, eye, span, perp))).max())
     worst_p = float(np.abs(transform_slots(Phi, (span, perp))).max())
-    dec = refined_flags("C", C, N, tol)
+    dec = refined_flags("C", C, N)
     gs = special_from_flags(dec)
-    extra = {"Pi_0^1(C)": tol.vanishes(probe_norms("C", C, N.frame)[(0, 1)], dec.scale)}
-    decF = refined_flags("F", Phi, N, tol)
+    extra = {"Pi_0^1(C)": DEFAULT_TOL.vanishes(probe_norms("C", C, N.frame)[(0, 1)], dec.scale)}
+    decF = refined_flags("F", Phi, N)
     for d, label in ((dec, (0, 3, 4)), (dec, (1, 1, 2)), (decF, (0, 1, 1)), (decF, (0, 1, 3))):
         key = ModuleKey.of(d.space, label)
         if d.has(key):

@@ -11,12 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import random_class_tensor, random_lorentzian, random_null_vector, reconstruct, unitary_to_real
-from robcls.catalog import (
-    ENTRIES,
-    iwasawa_phi_field,
-    run_expectations,
-    schwarzschild_null_lines,
-)
+from robcls.catalog import ENTRIES, iwasawa_phi_field, run_expectations
 from robcls.chart import eigenstructure
 from robcls.classes import RANK
 from robcls.frames import (
@@ -74,7 +69,7 @@ def test_ac2_schwarzschild():
         for pt in pts:
             cp = chart.evaluate(pt)
             Cn = float(np.linalg.norm(cp.weyl.ravel()))
-            for name, kvec in schwarzschild_null_lines(cp).items():
+            for name, kvec in ENTRIES["schwarzschild"].null_lines(cp).items():
                 fr = complete_null_frame(cp.g, kvec)
                 dec = decompose("C", cp.weyl, fr, "sim")
                 bw = dec.boost_weights()
@@ -92,13 +87,9 @@ def test_ac2_schwarzschild():
 
 
 def test_ac3_kk_bubble():
-    from robcls.catalog import kk_structures
-    from robcls.chart import distribution_span
-    from robcls.frames import robinson_from_span
-
     entry = ENTRIES["kk-bubble"]
     chart = entry.chart()
-    dists = kk_structures(entry.default_params)
+    names = list(entry.registry(chart.params).structures)
     ok = True
     details = []
     for r in (2.5, 3.0, 5.0):
@@ -109,8 +100,8 @@ def test_ac3_kk_bubble():
         if floor <= 1e-2:
             ok = False
         details.append(f"r={r}: floor {floor:.3f}")
-        for name, dist in dists.items():
-            N = robinson_from_span(cp.g, distribution_span(cp, dist))
+        for name in names:
+            N = entry.structure(cp, name)
             if aligned_residual(cp.weyl, N) > 1e-9:
                 ok = False
                 details.append(f"r={r} {name} not aligned")
@@ -125,7 +116,7 @@ def _iwasawa_data():
 
 
 def test_ac4_iwasawa_scalar_phi_cotton_tau():
-    from robcls.catalog import iwasawa_distributions, iwasawa_quoted_combos, iwasawa_quoted_cotton
+    from robcls.catalog import iwasawa_quoted_combos, iwasawa_quoted_cotton
     from robcls.chart import check_cky, tau_degeneracy
 
     chart, pts = _iwasawa_data()
@@ -156,7 +147,7 @@ def test_ac4_iwasawa_scalar_phi_cotton_tau():
     pt = pts[0]
     cp = chart.evaluate(pt)
     rep = check_cky(cp, iwasawa_phi_field)
-    for name, dist in iwasawa_distributions().items():
+    for name, dist in ENTRIES["iwasawa"].registry(chart.params).structures.items():
         deg = tau_degeneracy(cp, dist, rep.tau)
         expected_degenerate = name != "N12"
         if (deg < 1e-9) != expected_degenerate:

@@ -85,18 +85,15 @@ def test_kk_bubble_refined_flag_pattern():
     leading refined piece survives (the structure is aligned, the metric
     type G)."""
     import numpy as np
-    from robcls.catalog import ENTRIES, kk_structures
-    from robcls.chart import distribution_span
-    from robcls.frames import robinson_from_span
+    from robcls.catalog import ENTRIES
     from robcls.robclass import aligned_flag_keys, refined_flags
 
     entry = ENTRIES["kk-bubble"]
     chart = entry.chart()
     pt = np.array([0.0, 3.0, 0.3, 0.2, -0.4])
     cp = chart.evaluate(pt)
-    dists = kk_structures(entry.default_params)
-    for name, dist in dists.items():
-        N = robinson_from_span(cp.g, distribution_span(cp, dist))
+    for name in entry.registry(chart.params).structures:
+        N = entry.structure(cp, name)
         dec = refined_flags("C", cp.weyl, N)
         for key in aligned_flag_keys(5):
             if dec.has(key):
@@ -119,14 +116,64 @@ def test_taub_nut_einstein_mechanism_reports_failure():
 def test_iwasawa_complex_family_member():
     """The Hermitian-structure family includes genuinely complex members."""
     import numpy as np
-    from robcls.catalog import iwasawa_distributions
     from robcls.chart import distribution_span
 
     chart = ENTRIES["iwasawa"].chart()
     pt = np.array([0.3, -0.2, 0.5, 0.1, -0.4, 0.7])
     cp = chart.evaluate(pt)
-    dists = iwasawa_distributions()
+    dists = ENTRIES["iwasawa"].registry(chart.params).structures
     assert "Nab3" in dists
     span = distribution_span(cp, dists["Nab3"])
     g = cp.g.astype(complex)
     assert max(abs(x @ g @ y) for x in span for y in span) < 1e-10
+
+
+def _geodesic_residual(kappa, dkappa, K):
+    """max |kappa ^ i_K d kappa| over |kappa| |K| |d kappa / dx| (max norms), with dkappa[b, a] = d_a kappa_b.
+
+    For a null kappa and K = g^-1 kappa, i_K d kappa is the lowered acceleration of K, so the residual
+    vanishes iff K is geodesic.  It is divided by the partial derivatives, not by d kappa: the Kerr-Schild
+    kappa is closed, and round-off over a vanishing d kappa reads O(1).
+    """
+    beta = K @ (dkappa.T - dkappa)
+    wedge = np.outer(kappa, beta) - np.outer(beta, kappa)
+    return float(np.abs(wedge).max() / (np.abs(kappa).max() * np.abs(K).max() * max(np.abs(dkappa).max(), 1e-300)))
+
+
+def test_integrable_structures_have_geodesic_k():
+    """The paper's "integrable => geodesic" over the registry, at every sample point and variant.
+
+    Every registered K line is geodesic, and so is the line K = g^-1 kappa of every registered
+    structure whose N and N^perp are integrable (kappa its first annihilator).  The non-integrable
+    kk-bubble structures read O(1), so the residual can tell.
+    """
+    from robcls.chart import DistributionSpec, integrability_residual
+
+    lines = integrable = 0
+    not_integrable = {}
+    for name, extra in VARIANTS:
+        entry = ENTRIES[name]
+        chart = entry.chart(extra)
+        if sum(s < 0 for s in chart.signature) != 1:
+            continue  # iwasawa: Riemannian, no null line
+        registry = entry.registry(chart.params)
+        for pt in entry.sample_points(chart.params):
+            cp = chart.evaluate(pt)
+            if registry.lines:
+                K, grad = cp.eval_covector_field(registry.lines["K"])  # grad[a, c] = d_c K^a
+                dkappa = np.einsum("bac,a->bc", cp.dg, K) + cp.g @ grad
+                assert _geodesic_residual(cp.g @ K, dkappa, K) < 1e-14, (name, pt)
+                lines += 1
+            for sname, spec in registry.structures.items():
+                if not isinstance(spec, DistributionSpec):
+                    continue  # a pointwise structure has no field to differentiate
+                kappa, dkappa = (a.real for a in cp.eval_covector_field(spec.forms[0]))
+                residual = _geodesic_residual(kappa, dkappa, cp.g_inv @ kappa)
+                if max(integrability_residual(cp, spec).values()) < 1e-9:
+                    assert residual < 1e-14, (name, sname, pt)
+                    integrable += 1
+                else:
+                    not_integrable[(name, sname)] = min(residual, not_integrable.get((name, sname), np.inf))
+    assert lines == 2 * 2 + 3 + 2 + 2 * 2 and integrable == 3 * 2 + 2 * 8 + 2 * 2
+    assert set(not_integrable) == {("kk-bubble", "kappa_prime"), ("kk-bubble", "lambda_prime")}
+    assert min(not_integrable.values()) >= 0.1

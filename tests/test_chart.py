@@ -222,14 +222,13 @@ def test_domain_errors():
 
 def test_integrability_rescaling_invariance():
     """The integrability verdict depends on the distribution, not the frame scale."""
-    from robcls.catalog import kk_structures
     from robcls.chart import integrability_residual, DistributionSpec
 
     entry = ENTRIES["kk-bubble"]
     chart = entry.chart()
     pt = np.array([0.0, 3.0, 0.3, 0.2, -0.4])
     cp = chart.evaluate(pt)
-    dists = kk_structures(entry.default_params)
+    dists = entry.registry(chart.params).structures
     rng = np.random.default_rng(2)
     for name, dist in dists.items():
         base = max(integrability_residual(cp, dist).values()) < 1e-9
@@ -258,7 +257,7 @@ def test_each_form_is_evaluated_once_per_point():
     evaluation of each annihilator form per point, with unchanged results."""
     from collections import Counter
 
-    from robcls.catalog import iwasawa_distributions, iwasawa_phi_field
+    from robcls.catalog import iwasawa_phi_field
     from robcls.chart import DistributionSpec, distribution_span, integrability_residual, tau_degeneracy
 
     calls = Counter()
@@ -274,7 +273,7 @@ def test_each_form_is_evaluated_once_per_point():
     pt = np.array([0.3, -0.2, 0.5, 0.1, -0.4, 0.7])
     cp = chart.evaluate(pt)
     tau = check_cky(cp, iwasawa_phi_field).tau
-    for name, dist in iwasawa_distributions().items():
+    for name, dist in ENTRIES["iwasawa"].registry(chart.params).structures.items():
         dist = DistributionSpec(name, [counted(f) for f in dist.forms])
         res = integrability_residual(cp, dist)
         deg = tau_degeneracy(cp, dist, tau)

@@ -117,6 +117,7 @@ SCHW5 = ["classify", "--metric", "schwarzschild", "--params", '{"M": 1, "dim": 5
         ["classify", "--metric", "schwarzschild", "--params", '{"dim": 5.5}', "--point", "0,3,1,0.5,0.2"],
         ["classify", "--metric", "schwarzschild", "--params", '{"M": "1"}', "--point", "0,3,1,0.5,0.2"],
         ["classify", "--metric", "taub-nut", "--params", '{"F": [-3]}', "--point", "0,2,0.3,-0.2,0.5,0.1", "--robinson", "lambda_hh"],
+        ["classify", "--metric", "myers-perry", "--params", '{"a1": 0, "a2": 0}', "--point", "0,2.2,0.5,1.2,-0.6", "--robinson", "eigen0"],
     ],
     ids=[
         "params-json",
@@ -154,6 +155,7 @@ SCHW5 = ["classify", "--metric", "schwarzschild", "--params", '{"M": 1, "dim": 5
         "params-dim-fractional",
         "params-M-string",
         "taub-nut-structure-F-negative",
+        "mp-cky-spectrum-degenerate",
     ],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -517,34 +519,38 @@ def test_classify_indeterminate_exit_code(tmp_path):
 
 
 def test_distinguished_structures_registry():
+    """Every entry but minkowski names lines or structures; `null_lines` reads every line, K first, each one null."""
     from robcls.catalog import ENTRIES
 
     named = 0
     for entry in ENTRIES.values():
-        params = dict(entry.default_params)
-        cp = entry.build(params).evaluate(entry.sample_points(params)[0])
-        structs = {**entry.null_lines(cp, params), **entry.structures(params)}
+        chart = entry.chart()
+        cp = chart.evaluate(entry.sample_points(chart.params)[0])
+        registry = entry.registry(chart.params)
+        lines = entry.null_lines(cp)
+        assert list(lines) == list(registry.lines) and list(lines)[:1] in ([], ["K"]), entry.name
+        for v in lines.values():
+            assert abs(v @ cp.g @ v) <= 1e-12 * np.abs(cp.g).max() * (v @ v), entry.name
         if entry.name != "minkowski":
-            assert structs, entry.name
-        named += len(structs)
-    assert named >= 20
+            assert registry.lines or registry.structures, entry.name
+        named += len(registry.lines) + len(registry.structures)
+    assert named >= 25
 
 
 LORENTZIAN = ("minkowski", "pp-wave", "walker", "schwarzschild", "myers-perry", "kk-bubble", "robinson-trautman", "taub-nut")
 
 
-def _classify_at_sample(metric, extra, tmp_path):
-    """Run classify at the first sample point of a catalog entry; return (code, report, chart point, params)."""
+def _classify_at_sample(metric, extra, tmp_path, params=None):
+    """Run classify at the first sample point of a catalog entry; return (code, report, chart point)."""
     from robcls.catalog import ENTRIES
 
-    entry = ENTRIES[metric]
-    params = dict(entry.default_params)
-    pt = entry.sample_points(params)[0]
+    chart = ENTRIES[metric].chart(params)
+    pt = ENTRIES[metric].sample_points(chart.params)[0]
     out = tmp_path / "named.json"
     argv = ["classify", "--metric", metric, "--point", ",".join(repr(float(v)) for v in pt), "--out", str(out)]
-    code = main(argv + extra)
+    code = main(argv + (["--params", json.dumps(params)] if params else []) + extra)
     report = json.loads(out.read_text()) if out.exists() else None
-    return code, report, entry.build(params).evaluate(pt), params
+    return code, report, chart.evaluate(pt)
 
 
 def _reported(**fields):
@@ -554,20 +560,6 @@ def _reported(**fields):
     return ClassificationReport("", "", {}, [], {}, **fields).to_dict()
 
 
-def _catalog_lines(metric, cp, params):
-    from robcls import catalog
-
-    if metric == "schwarzschild":
-        return catalog.schwarzschild_null_lines(cp)
-    if metric == "myers-perry":
-        return catalog.mp_null_lines(cp, params)
-    if metric == "robinson-trautman":
-        return catalog.rt_null_lines(cp)
-    k = np.zeros(cp.n)
-    k[1] = 1.0
-    return {"K": k}  # pp-wave and walker: the parallel line e_1
-
-
 @pytest.mark.parametrize(
     "metric,name",
     [(m, k) for m in ("schwarzschild", "myers-perry", "robinson-trautman") for k in ("K", "L", "ingoing", "outgoing", "l")]
@@ -575,41 +567,59 @@ def _catalog_lines(metric, cp, params):
 )
 def test_classify_named_k(metric, name, tmp_path):
     """--k accepts the catalog's named null lines and their aliases (pp-wave and walker name only K)."""
-    code, report, cp, params = _classify_at_sample(metric, ["--k", name], tmp_path)
+    from robcls.catalog import ENTRIES
+
+    code, report, cp = _classify_at_sample(metric, ["--k", name], tmp_path)
     assert code == 0
     canonical = {"ingoing": "K", "outgoing": "L", "k": "K", "l": "L"}.get(name.lower(), name)
-    assert report["frame"]["k"] == _reported(frame={"k": _catalog_lines(metric, cp, params)[canonical]})["frame"]["k"]
+    assert report["frame"]["k"] == _reported(frame={"k": ENTRIES[metric].null_lines(cp)[canonical]})["frame"]["k"]
 
 
 @pytest.mark.parametrize("metric", LORENTZIAN)
 def test_classify_default_direction(metric, tmp_path):
     """Without --k the frame is built on the entry's line K, else on the first orthonormal null direction."""
+    from robcls.catalog import ENTRIES
     from robcls.frames import orthonormal_basis
 
-    code, report, cp, params = _classify_at_sample(metric, [], tmp_path)
+    code, report, cp = _classify_at_sample(metric, [], tmp_path)
     assert code == 0
     if metric in ("minkowski", "kk-bubble", "taub-nut"):
         basis = orthonormal_basis(cp.g)
         expected = basis[0] + basis[1]
     else:
-        expected = _catalog_lines(metric, cp, params)["K"]
+        expected = ENTRIES[metric].null_lines(cp)["K"]
     assert report["frame"]["k"] == _reported(frame={"k": expected})["frame"]["k"]
 
 
-@pytest.mark.parametrize("metric,name", [("kk-bubble", "kappa"), ("taub-nut", "lambda_hb")])
-def test_classify_named_robinson(metric, name, tmp_path):
-    """--robinson accepts a named structure of the entry, built at the classified point."""
-    from robcls import catalog
-    from robcls.chart import distribution_span
-    from robcls.frames import orthonormal_basis, robinson_from_span
+NAMED_ROBINSON = [
+    ("kk-bubble", "kappa", None),
+    ("taub-nut", "lambda_hb", None),
+    ("myers-perry", "eigen0", None),
+    ("myers-perry", "eigen3", None),
+    ("robinson-trautman", "product", None),
+    ("robinson-trautman", "mixed", {"screen": "spheres"}),
+]
 
-    code, report, cp, params = _classify_at_sample(metric, ["--robinson", name], tmp_path)
+
+@pytest.mark.parametrize("metric,name,params", NAMED_ROBINSON, ids=[f"{m}-{s}" for m, s, _ in NAMED_ROBINSON])
+def test_classify_named_robinson(metric, name, params, tmp_path):
+    """--robinson accepts a named structure of the entry, built at the classified point by `CatalogEntry.structure`."""
+    from robcls.catalog import ENTRIES
+
+    code, report, cp = _classify_at_sample(metric, ["--robinson", name], tmp_path, params)
     assert code == 0
-    basis = orthonormal_basis(cp.g)
-    assert report["frame"]["k"] == _reported(frame={"k": basis[0] + basis[1]})["frame"]["k"]
-    dists = catalog.kk_structures(params) if metric == "kk-bubble" else catalog.taub_nut_structures(params)
-    N = robinson_from_span(cp.g, distribution_span(cp, dists[name]))
+    assert report["frame"]["k"] == _reported(frame={"k": _default_k(metric, cp)})["frame"]["k"]
+    N = ENTRIES[metric].structure(cp, name)
     assert report["robinson"] == _reported(robinson=N.serialise())["robinson"]
+
+
+def _default_k(metric, cp):
+    from robcls.catalog import ENTRIES
+    from robcls.frames import orthonormal_basis
+
+    lines = ENTRIES[metric].null_lines(cp)
+    basis = orthonormal_basis(cp.g)
+    return lines["K"] if lines else basis[0] + basis[1]
 
 
 def test_classify_named_robinson_unknown_for_entry(capsys):
@@ -619,3 +629,39 @@ def test_classify_named_robinson_unknown_for_entry(capsys):
     assert captured.out == ""
     lines = captured.err.strip().splitlines()
     assert len(lines) == 1 and "unknown robinson spec" in lines[0]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["classify", "--metric", "pp-wave", "--point=0.2,0,0.3,-0.4,0.5,0.1", "--k", "L"],
+            "--k 'L' is neither comma-separated components nor a named null line of metric 'pp-wave' (its null lines are K)",
+        ),
+        (
+            ["classify", "--metric", "minkowski", "--point=0,0,0,0,0,0", "--k", "K"],
+            "--k 'K' is neither comma-separated components nor a named null line of metric 'minkowski' (it names no null line)",
+        ),
+        (
+            ["classify", "--metric", "myers-perry", "--point=0,2.2,0.5,1.2,-0.6", "--robinson", "eigen4"],
+            "unknown robinson spec 'eigen4' for metric 'myers-perry' (use 'standard', 'random:SEED', or a named structure; "
+            "its structures are eigen0, eigen1, eigen2, eigen3)",
+        ),
+        (
+            ["classify", "--metric", "robinson-trautman", "--point=0,3,0.3,-0.2,0.4,0.1", "--robinson", "mixed"],
+            "unknown robinson spec 'mixed' for metric 'robinson-trautman' (use 'standard', 'random:SEED', or a named structure; "
+            "its structures are product)",
+        ),
+        (
+            SCHW5 + ["--robinson", "kappa"],
+            "unknown robinson spec 'kappa' for metric 'schwarzschild' (use 'standard', 'random:SEED', or a named structure; "
+            "it names no structure)",
+        ),
+    ],
+    ids=["k-pp-wave-L", "k-minkowski-K", "robinson-mp-eigen4", "robinson-rt-flat-mixed", "robinson-schwarzschild"],
+)
+def test_classify_unknown_name_lists_the_registry(argv, message, capsys):
+    """An unknown --k or --robinson name gets one line that names the metric and lists what it registers."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == message + "\n"

@@ -103,7 +103,7 @@ def _argv(draw):
     )
     if k is not None:
         argv.append(f"--k={k}")
-    names = sorted(entry.structures(entry.default_params))
+    names = sorted({s for extra in entry.variants for s in entry.registry(entry.chart(extra).params).structures})
     robinson = draw(
         st.one_of(st.none(), st.sampled_from(["standard", "nosuch", *names]), st.integers(0, 10**6).map("random:{}".format))
     )

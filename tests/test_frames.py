@@ -351,13 +351,13 @@ def test_robinson_from_span_round_trip():
 def test_schwarzschild_screen_tangent_to_sphere():
     """Completing dt + dr on the Kerr-Schild chart gives a screen tangent
     to the round sphere: orthogonal to both the time and radial directions."""
-    from robcls.catalog import ENTRIES, schwarzschild_null_lines
+    from robcls.catalog import ENTRIES
 
     for n in (4, 6):
         chart = ENTRIES["schwarzschild"].chart({"dim": n, "M": 1.0})
         pt = np.array([0.0, 3.0] + [1.0, 0.5, 0.3, 0.2][: n - 2])
         cp = chart.evaluate(pt)
-        k = schwarzschild_null_lines(cp)["K"]
+        k = ENTRIES["schwarzschild"].null_lines(cp)["K"]
         fr = complete_null_frame(cp.g, k)
         x = pt[1:]
         radial = np.concatenate([[0.0], x / np.linalg.norm(x)])

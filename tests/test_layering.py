@@ -63,6 +63,14 @@ def test_layering(module, forbidden):
     assert not _robcls_imports(_tree(SRC / f"{module}.py")) & forbidden
 
 
+def test_cli_reads_named_structures_through_the_catalog():
+    """`classify` gets a named structure only from `CatalogEntry.structure`: cli.py neither imports nor names the span constructors."""
+    tree = _tree(SRC / "cli.py")
+    imported = {a.name.split(".")[-1] for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom)) for a in node.names}
+    named = _used_names(tree) | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    assert not (imported | named) & {"distribution_span", "robinson_from_span"}
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
 def test_no_unused_imports(path):
     tree = _tree(path)

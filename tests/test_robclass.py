@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from conftest import random_class_tensor, random_lorentzian, random_null_vector, unitary_to_real
-from robcls.catalog import ENTRIES, mp_eigen_structures, schwarzschild_null_lines
+from robcls.catalog import ENTRIES
 from robcls.classes import RANK, metric_wedge_part, weyl_trace_part
 from robcls.frames import (
     adapted_basis,
     build_robinson,
     complete_null_frame,
-    robinson_from_span,
     sample_robinson_over_null_line,
 )
 from robcls.modules import ModuleKey, rob_table, sim_table
@@ -236,21 +235,16 @@ def test_conjugation_covariance(n=6):
 
 
 def _named_structures():
-    """(id, Weyl tensor, scale, structure): kk-bubble's and taub-nut's named structures and Myers-Perry's eigen-structures at every sample point."""
-    from robcls.chart import distribution_span
-
-    for name in ("kk-bubble", "taub-nut", "myers-perry"):
-        entry = ENTRIES[name]
-        params = dict(entry.default_params)
-        chart = entry.build(params)
-        for i, pt in enumerate(entry.sample_points(params)):
-            cp = chart.evaluate(pt)
-            if name == "myers-perry":
-                named = dict(enumerate(mp_eigen_structures(cp, params)))
-            else:
-                named = {s: robinson_from_span(cp.g, distribution_span(cp, d)) for s, d in entry.structures(params).items()}
-            for s, N in named.items():
-                yield f"{name}#{i}:{s}", cp.weyl, cp.curvature_scale(), N
+    """(id, Weyl tensor, scale, structure): every registered structure of the Lorentzian entries, at every sample point and variant."""
+    for name, entry in ENTRIES.items():
+        for extra in entry.variants:
+            chart = entry.chart(extra)
+            if sum(s < 0 for s in chart.signature) != 1:
+                continue
+            for i, pt in enumerate(entry.sample_points(chart.params)):
+                cp = chart.evaluate(pt)
+                for s in entry.registry(chart.params).structures:
+                    yield f"{name}{extra or ''}#{i}:{s}", cp.weyl, cp.curvature_scale(), entry.structure(cp, s)
 
 
 def test_constructor_gauge_is_unobservable():
@@ -278,7 +272,7 @@ def test_constructor_gauge_is_unobservable():
             O[: 2 * (m - 1), : 2 * (m - 1)] = unitary_to_real(U)
             assert observed(C, scale, build_robinson(N.frame.rotate_screen(O))) == base, sid
         count += 1
-    assert count == 3 * 4 + 2 * 8 + 2 * 4
+    assert count == 3 * 4 + 2 * 8 + 2 * 4 + 2 * 1 + 2 * 2  # kk-bubble, taub-nut, myers-perry, robinson-trautman flat and spheres
 
 
 @pytest.mark.parametrize("n", (5, 6, 7, 8))
@@ -335,7 +329,7 @@ def test_multi_robinson_equivalences_decides_special_with_tol():
     """Schwarzschild n = 5 on K: a zero tolerance rejects Pi_1^1 and the special residuals alike."""
     entry = ENTRIES["schwarzschild"]
     cp = entry.chart({"dim": 5}).evaluate(entry.sample_points(dict(entry.default_params))[0])
-    fr = complete_null_frame(cp.g, schwarzschild_null_lines(cp)["K"])
+    fr = complete_null_frame(cp.g, entry.null_lines(cp)["K"])
     strict = multi_robinson_equivalences(cp.weyl, fr, samples=20, tol=Tolerance(0, 0))
     assert not strict.pi11_vanishes and strict.special_count < strict.samples
     assert strict.equivalence_holds
