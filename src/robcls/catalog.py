@@ -538,13 +538,20 @@ def _mp_eigen(cp) -> dict:
     return eigenstructure(phi, cp.g)
 
 
+def _mp_spectrum(cp) -> tuple[list, list]:
+    """Indices of the CKY eigenvalues at a chart point: the real nonzero ones (the eigenlines) and the positive
+    imaginary ones (the eigenplanes)."""
+    vals = _mp_eigen(cp)["eigenvalues"]
+    real_idx = [j for j, v in enumerate(vals) if abs(v.imag) < 1e-8 * max(abs(v), 1.0) and abs(v) > 1e-8]
+    imag_idx = [j for j, v in enumerate(vals) if v.imag > 1e-8]
+    return real_idx, imag_idx
+
+
 def _mp_eigen_structure(cp, i: int) -> RobinsonStructure:
     """Structure i of the 2^m from the CKY eigenplanes: eigenline i // 2 (of -r, then +r) with the imaginary
     eigenplane's (1,0) vector, or its conjugate when i is odd."""
-    es = _mp_eigen(cp)
-    vals, vecs = es["eigenvalues"], es["eigenvectors"]
-    real_idx = [j for j, v in enumerate(vals) if abs(v.imag) < 1e-8 * max(abs(v), 1.0) and abs(v) > 1e-8]
-    imag_idx = [j for j, v in enumerate(vals) if v.imag > 1e-8]
+    vecs = _mp_eigen(cp)["eigenvectors"]
+    real_idx, imag_idx = _mp_spectrum(cp)
     if (len(real_idx), len(imag_idx)) != (2, 1):
         raise FrameError(f"degenerate CKY spectrum: {len(real_idx)} real and {len(imag_idx)} positive imaginary eigenvalues, expected 2 and 1")
     kvec = vecs[:, real_idx[i // 2]]
@@ -577,7 +584,8 @@ def _mp_expect(chart, p, pts):
         rep = check_cky(cp, cky)
         out.append(_res("cky_residual", "principal conformal Killing-Yano 2-form", rep.residual, 1e-9))
         r = _mp_r_jet(JT.jet_point(pt, 5), p).value
-        reals = sorted(v.real for v in _mp_eigen(cp)["eigenvalues"] if abs(v.imag) < 1e-8 and abs(v) > 1e-8)
+        real_idx, imag_idx = _mp_spectrum(cp)
+        reals = sorted(_mp_eigen(cp)["eigenvalues"][j].real for j in real_idx)
         out.append(
             _flag(
                 "cky_eigenvalues",
@@ -586,10 +594,15 @@ def _mp_expect(chart, p, pts):
                 f"reals={reals}, r={r:.6f}",
             )
         )
-        structures = [MYERS_PERRY.structure(cp, name) for name in names]
-        worst = max(special_residual(cp.weyl, N) for N in structures)
-        out.append(_res("special_eigen_structures", "special along the CKY eigen-structures", worst, 1e-8))
-        out.append(_flag("structure_count", "2^m structures from the eigenplanes", len(structures) == 4, str(len(structures))))
+        # each eigenline with either orientation of each eigenplane: the structures are built only when there are 2^m
+        count = len(real_idx) * 2 ** len(imag_idx)
+        cite = "special along the CKY eigen-structures"
+        if count == 4:
+            worst = max(special_residual(cp.weyl, MYERS_PERRY.structure(cp, name)) for name in names)
+            out.append(_res("special_eigen_structures", cite, worst, 1e-8))
+        else:
+            out.append(ExpectationResult("special_eigen_structures", cite, None, detail=f"{count} eigen-structures"))
+        out.append(_flag("structure_count", "2^m structures from the eigenplanes", count == 4, str(count)))
         for name, kvec in MYERS_PERRY.null_lines(cp).items():
             fr = complete_null_frame(cp.g, kvec)
             dec = decompose("C", cp.weyl, fr, "sim")

@@ -1,4 +1,4 @@
-"""Curvature symmetry classes and their dense bases.
+"""Curvature symmetry classes, their projectors and the seeds that span them.
 
 Four classes of tensors recur everywhere:
 
@@ -9,7 +9,7 @@ Four classes of tensors recur everywhere:
 
 Projectors work on plain ndarrays (real or complex) with an explicit
 metric and effective dimension, so the same code serves the full
-tangent space and the Euclidean screen subspace of a null frame.
+tangent space in null-frame components and the Euclidean screen R^{n-2}.
 """
 
 from __future__ import annotations
@@ -196,23 +196,6 @@ def orthonormal_coefficients(mat: np.ndarray) -> tuple[np.ndarray, float]:
     return np.linalg.inv(np.linalg.cholesky(q @ q.conj().T)) @ W, gap
 
 
-def orthonormal_rows(mat: np.ndarray, cols: np.ndarray | None = None) -> tuple[np.ndarray, float]:
-    """Orthonormal basis of the row space of ``mat``, and the gap of its rank (`orthonormal_coefficients`).
-
-    With ``cols`` only those columns are read, and the basis is scattered back
-    into rows of full width that vanish elsewhere: pass a grade's columns for
-    rows supported on that grade.
-    """
-    block = mat if cols is None else mat[:, cols]
-    W, gap = orthonormal_coefficients(block)
-    q = W @ block
-    if cols is None:
-        return q, gap
-    out = np.zeros((q.shape[0], mat.shape[-1]), dtype=q.dtype)
-    out[:, cols] = q
-    return out, gap
-
-
 def kernel_rows(mat) -> np.ndarray:
     """Orthonormal basis (rows, complex) of the kernel of ``mat``: the vectors x with mat @ x = 0.
 
@@ -223,63 +206,28 @@ def kernel_rows(mat) -> np.ndarray:
     return vt[rank:].conj()
 
 
-def _spanning_seeds(space: str, idx: list[int], n: int):
-    """Elementary seed tensors supported on the index set, full n-dim arrays."""
-    seeds = []
-    rank = RANK[space]
-    if space in ("G", "F"):
-        for p, a in enumerate(idx):
-            for b in idx[p:]:
-                t = np.zeros((n,) * 2)
-                t[a, b] = 1.0
-                seeds.append(t)
-    elif space == "A":
-        for a in idx:
-            for p, b in enumerate(idx):
-                for c in idx[p + 1 :]:
-                    t = np.zeros((n,) * 3)
-                    t[a, b, c] = 1.0
-                    seeds.append(t)
-    elif space == "C":
-        pairs = [(a, b) for p, a in enumerate(idx) for b in idx[p + 1 :]]
-        for p, (a, b) in enumerate(pairs):
-            for (c, d) in pairs[p:]:
-                t = np.zeros((n,) * 4)
-                t[a, b, c, d] = 1.0
-                seeds.append(t)
-    else:
-        raise ValueError(space)
-    return seeds
+def spanning_seeds(space: str, d: int) -> np.ndarray:
+    """Elementary tensors on R^d whose class projections span the class: a stack of (d,) * RANK[space] arrays.
 
-
-def class_basis(space: str, g: np.ndarray, g_inv: np.ndarray, idx: list[int] | None = None) -> np.ndarray:
-    """Orthonormal basis (rows, flattened) of the class supported on ``idx``.
-
-    ``idx`` defaults to all indices; passing the screen indices of a null
-    frame with the screen metric in ``g`` yields the screen classes.  ``g``
-    must be the frame metric or the screen metric: the rows are
-    orthonormalised one grade at a time, on that grade's columns.
+    One seed e_a (x) e_b (x) ... per index tuple: a < b for G (a diagonal seed
+    projects to 0), a <= b for F, b < c for A, and index pairs ab <= cd with
+    a < b, c < d for C.
     """
-    n = g.shape[0]
-    if idx is None:
-        idx = list(range(n))
-    dim = len(idx)
-    target = class_dim(space, dim)
-    if target <= 0:
-        return np.zeros((0, n ** RANK[space]))
-    rank = RANK[space]
-    seeds = np.array(_spanning_seeds(space, idx, n)).reshape(-1, n**rank)
-    projected = project_rows(space, seeds, g, g_inv, dim)
-    # every seed is one frame component, and the projection keeps its grade
-    seed_grades = component_grades(n, rank)[seeds.argmax(axis=1)]
-    basis = np.vstack(
-        [orthonormal_rows(projected[seed_grades == q], grade_columns(n, rank, q))[0] for q in sorted(set(seed_grades.tolist()))]
-    )
-    if basis.shape[0] != target:
-        raise RuntimeError(
-            f"class basis {space} dim {dim}: got rank {basis.shape[0]}, expected {target}"
-        )
-    return basis
+    if space == "G":
+        idx = [(a, b) for a in range(d) for b in range(a + 1, d)]
+    elif space == "F":
+        idx = [(a, b) for a in range(d) for b in range(a, d)]
+    elif space == "A":
+        idx = [(a, b, c) for a in range(d) for b in range(d) for c in range(b + 1, d)]
+    elif space == "C":
+        pairs = [(a, b) for a in range(d) for b in range(a + 1, d)]
+        idx = [ab + cd for p, ab in enumerate(pairs) for cd in pairs[p:]]
+    else:
+        raise ValueError(f"unknown space {space!r}")
+    seeds = np.zeros((len(idx),) + (d,) * RANK[space])
+    for s, t in enumerate(idx):
+        seeds[(s, *t)] = 1.0
+    return seeds
 
 
 @lru_cache(maxsize=None)
@@ -290,17 +238,3 @@ def frame_metric(n: int) -> np.ndarray:
     for i in range(1, n - 1):
         eta[i, i] = 1.0
     return eta
-
-
-@lru_cache(maxsize=None)
-def reference_class_basis(space: str, n: int) -> np.ndarray:
-    """Class basis over the full space in null-frame components."""
-    eta = frame_metric(n)
-    return class_basis(space, eta, np.linalg.inv(eta))
-
-
-@lru_cache(maxsize=None)
-def screen_class_basis(space: str, n: int) -> np.ndarray:
-    """Class basis supported on the screen slots 1..n-2 of the null frame."""
-    h = np.diag([0.0] + [1.0] * (n - 2) + [0.0])
-    return class_basis(space, h, h, idx=list(range(1, n - 1)))

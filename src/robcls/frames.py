@@ -20,7 +20,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .classes import frame_metric
+from .classes import frame_metric, kernel_rows
 from .tensor import levi_civita, skew_arr, transform_slots
 
 
@@ -388,9 +388,7 @@ def robinson_from_span(g: np.ndarray, span: list[np.ndarray]) -> RobinsonStructu
     if q.shape[1] != m:
         raise FrameError(f"span has rank {q.shape[1]}, expected {m}")
     # real intersection with the conjugate plane: vectors with q c = conj(q) d
-    M = np.hstack([q, -np.conj(q)])
-    u_, s_, vt = np.linalg.svd(M)
-    null = vt[np.sum(s_ > 1e-10 * s_[0]) :].conj().T
+    null = kernel_rows(np.hstack([q, -np.conj(q)])).T
     reals = []
     for col in range(null.shape[1]):
         v = q @ null[:m, col]

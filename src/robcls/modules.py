@@ -5,12 +5,13 @@ stabiliser of a null line (grades -2..2, labels (i, j), with self-dual
 splits when n = 6) and under the stabiliser of a Robinson structure
 (labels (i, j, k)) is realised here as an explicit subspace of
 null-frame components.  A sim module is generated from representative
-formulas: a linear embedding of a small parameter space (screen vectors,
-screen 2-forms, symmetric tracefree, screen Cotton or screen Weyl class)
-into the full class.  The parameter space is irreducible and the embedding
-commutes with the screen rotations, so by Schur's lemma the embedding is a
-constant times an isometry: a module's basis is its orthonormalised
-parameters (`_param_basis`), embedded and divided by that constant.
+formulas: a linear embedding of a small parameter space (vectors,
+2-forms, symmetric tracefree, Cotton or Weyl class tensors on the Euclidean
+screen R^{n-2}) into the full class.  The parameter space is irreducible
+and the embedding commutes with the screen rotations, so by Schur's lemma
+the embedding is a constant times an isometry: a module's basis is its
+orthonormalised parameters (`_param_basis`, the one rank decision of a sim
+module), embedded and divided by that constant.
 
 One registry, ``_MODULES``, declares each module (i, j) with i >= 0 once:
 its embedding and its parameter space.  A parameter space supplies the sim
@@ -29,7 +30,8 @@ Conventions (fixed throughout the package):
   grade of a frame component = #(l-slots) - #(k-slots); k has grade +1
   adapted complex frame  m_A = (e_{2A-1} - i e_{2A})/sqrt(2), A = 1..m-1,
   u = e_{n-2} in odd dimension; J m_A = +i m_A, omega(m_A, mbar_B) = i d_AB.
-The screen vectors, J and u are read from `frames` on its
+A screen parameter is padded into the frame slots 1..n-2 only when it is
+embedded (`module_rows`).  J and u are read from `frames` on its
 `reference_frame(n)`; they are not re-derived here.
 
 Negative-grade modules are the k <-> l swap of the positive-grade ones.
@@ -51,7 +53,7 @@ from .classes import (
     orthonormal_coefficients,
     project_class,
     project_rows,
-    screen_class_basis,
+    spanning_seeds,
 )
 from .frames import RobinsonStructure, n_to_m_eps, reference_frame
 from .tensor import levi_civita, skew_arr, swap_pairs
@@ -289,38 +291,32 @@ class ModuleTable:
         return self.stacked.shape[0]
 
 
-def _screen_hodge_eps(n):
-    """Levi-Civita on the 4-dimensional screen (n = 6), frame slots 1..4."""
-    eps = np.zeros((n,) * 4)
-    eps[1:5, 1:5, 1:5, 1:5] = levi_civita(4)
-    return eps
+def _self_dual_half(T, sign, slots):
+    """(T + sign * dual T) / 2 on a pair of slots of every tensor of the stack T on R^4 (n = 6), dual the Hodge star of 2-forms."""
+    moved = np.moveaxis(T, slots, (-2, -1))
+    dual = 0.5 * np.einsum("abcd,...cd->...ab", levi_civita(4), moved)
+    return np.moveaxis(0.5 * (moved + sign * dual), (-2, -1), slots)
 
 
-def _pm_project_pair(n, arr, sign, axes):
-    eps = _screen_hodge_eps(n)
-    moved = np.moveaxis(arr, axes, (0, 1))
-    dual = 0.5 * np.einsum("abcd,cd...->ab...", eps, moved)
-    return np.moveaxis(0.5 * (moved + sign * dual), (0, 1), axes)
+def _pm_split_form2(P, sign):
+    return _self_dual_half(P, sign, (1, 2))
 
 
-def _pm_split_form2(n, forms, sign):
-    return [_pm_project_pair(n, w, sign, (0, 1)) for w in forms]
+def _pm_split_A2(P, sign):
+    eye = np.eye(4)
+    return project_class("A", _self_dual_half(P, sign, (2, 3)), eye, eye, 4)
 
 
-def _pm_split_A2(n, psis, sign):
-    h = _h(n)
-    return [project_class("A", _pm_project_pair(n, a, sign, (1, 2)), h, h, n - 2) for a in psis]
-
-
-def _pm_split_C3(n, psis, sign):
-    return [_pm_project_pair(n, _pm_project_pair(n, c, sign, (0, 1)), sign, (2, 3)) for c in psis]
+def _pm_split_C3(P, sign):
+    return _self_dual_half(_self_dual_half(P, sign, (1, 2)), sign, (3, 4))
 
 
 def _screen_class_params(space):
-    """Sim parameters of a screen class: its basis tensors on the screen slots."""
+    """Sim parameters of a screen class: the class projections of the elementary seeds on R^{n-2}, a spanning set."""
 
     def params(n):
-        return list(screen_class_basis(space, n).reshape((-1,) + (n,) * RANK[space]))
+        eye = np.eye(n - 2)
+        return project_class(space, spanning_seeds(space, n - 2), eye, eye, n - 2)
 
     return params
 
@@ -419,16 +415,16 @@ class _ParamSpace:
     span of the sim parameters and labels them through ``refined_labels``.
     """
 
-    sim_params: Callable  # n -> parameter list
+    sim_params: Callable  # n -> parameters, a spanning list of tensors on R^{n-2}
     sim_dim: Callable  # d = n - 2 -> dimension
     refined_dims: Callable  # (m, eps) -> {k: dimension}
     refined_labels: dict  # (J-charge squared, u slots) -> k in Casimir order
-    pm_split: Callable | None = None  # (n, params, +-1) -> the n = 6 self-dual half
+    pm_split: Callable | None = None  # (stacked params, +-1) -> their n = 6 self-dual halves
 
 
 # the one parameter of a module without one: a scalar, on which every invariant vanishes
 _NONE = _ParamSpace(lambda n: [np.ones(())], lambda d: 1, lambda m, eps: {0: 1}, _NONE_LABELS)
-_VEC = _ParamSpace(lambda n: reference_frame(n).screen, lambda d: d, _vec_dims, _VEC_LABELS)
+_VEC = _ParamSpace(lambda n: np.eye(n - 2), lambda d: d, _vec_dims, _VEC_LABELS)
 _FORM2 = _ParamSpace(_screen_class_params("G"), lambda d: class_dim("G", d), _form2_dims, _FORM2_LABELS, _pm_split_form2)
 _SYM2 = _ParamSpace(_screen_class_params("F"), lambda d: class_dim("F", d), _sym2_dims, _SYM2_LABELS)
 _A2 = _ParamSpace(_screen_class_params("A"), lambda d: class_dim("A", d), _A2_dims, _A2_LABELS, _pm_split_A2)
@@ -502,20 +498,29 @@ def _halves(ps: _ParamSpace, n: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _param_basis(ps: _ParamSpace, n: int, pm: str | None) -> tuple[tuple, np.ndarray, float]:
-    """The parameters of a sim module (all, or one n = 6 half), W and the gap of its rank.
+def _param_basis(ps: _ParamSpace, n: int, pm: str | None) -> tuple[np.ndarray, np.ndarray, float]:
+    """The stacked parameters P of a sim module (all, or one n = 6 half), W and the gap of its rank.
 
-    The rows of W @ P are orthonormal, P the parameters flattened on the screen
-    slots 1..n-2; an n = 6 half drops its dependent parameters here
-    (`orthonormal_coefficients`).  Cached per module parameter basis: the
-    parameters and a read-only W, not P, which would keep a second copy of
-    every screen block (`_refined_split` stacks P again).
+    P stacks the parameters, tensors on R^{n-2}, and the rows of W @ P are
+    an orthonormal basis of their span (`orthonormal_coefficients`): this is
+    the one rank decision of the module.  The parameters need only span, so
+    an n = 6 half, and a screen class given by its projected seeds, drops its
+    dependent ones here.  Cached per module parameter basis, P and W
+    read-only.
     """
-    params = tuple(ps.pm_split(n, ps.sim_params(n), +1 if pm == "+" else -1) if pm else ps.sim_params(n))
-    P = np.array([np.asarray(t, dtype=float)[(slice(1, n - 1),) * np.ndim(t)] for t in params])
+    P = np.array(ps.sim_params(n), dtype=float)
+    if pm:
+        P = ps.pm_split(P, +1 if pm == "+" else -1)
     W, gap = orthonormal_coefficients(P.reshape(len(P), -1))
-    W.flags.writeable = False
-    return params, W, gap
+    P.flags.writeable = W.flags.writeable = False
+    return P, W, gap
+
+
+def _pad(n: int, t: np.ndarray) -> np.ndarray:
+    """A tensor on the screen R^{n-2} as frame components: supported on the slots 1..n-2."""
+    out = np.zeros((n,) * t.ndim)
+    out[(slice(1, n - 1),) * t.ndim] = t
+    return out
 
 
 def sim_module_keys(space: str, n: int) -> list[ModuleKey]:
@@ -564,7 +569,7 @@ def module_dim(space: str, n: int, key: ModuleKey) -> int:
 def module_rows(space: str, n: int, key: ModuleKey) -> np.ndarray:
     """Representative rows spanning a sim module, before orthonormalisation: its embedded parameters."""
     mod = _BY_LABEL[space, abs(key.i), key.j]
-    rows = np.array([np.ravel(mod.embed(n, p)) for p in _param_basis(mod.params, n, key.pm)[0]])
+    rows = np.array([np.ravel(mod.embed(n, _pad(n, p))) for p in _param_basis(mod.params, n, key.pm)[0]])
     return swap_kl_rows(rows, n, RANK[space]) if key.i < 0 else rows
 
 
@@ -662,8 +667,7 @@ def _refined_split(ps: _ParamSpace, n: int) -> tuple[dict, float]:
     """
     Q = []
     for pm in _halves(ps, n):
-        params, W, _ = _param_basis(ps, n, pm)
-        P = np.array([np.asarray(t, dtype=float)[(slice(1, n - 1),) * np.ndim(t)] for t in params])
+        P, W, _ = _param_basis(ps, n, pm)
         Q.append(np.tensordot(W, P, axes=1))
     parts, margin = _joint_eigenspaces(_stabiliser_invariants(np.concatenate(Q), n))
     by_key: dict = {}

@@ -1,11 +1,12 @@
 """Dimension-table verification and diagram arrow/leak checks.
 
 Each module's rank is decided once, when its table is built.  For a sim
-module, the eigen-decomposition of the Gram matrix of its screen parameters
-keeps the eigenvalues above a relative floor (``modules._param_basis``;
-by Schur's lemma its embedded rows have the same Gram matrix up to one
-constant), and the gap of the decision is the ratio of the smallest kept to
-the largest dropped singular value.  A refined module is a joint eigenspace
+module that is the only orthonormalisation of its parameters, tensors on the
+screen R^{n-2} that need only span (``modules._param_basis``): the
+eigen-decomposition of their Gram matrix keeps the eigenvalues above a
+relative floor (by Schur's lemma the embedded rows have the same Gram matrix
+up to one constant), and the gap of the decision is the ratio of the
+smallest kept to the largest dropped singular value.  A refined module is a joint eigenspace
 of the stabiliser invariants on its sim parent's orthonormal parameters
 (``modules._refined_split``): its rank is the size of that
 eigenspace, and its gap is the margin of the eigenvalue grouping, the

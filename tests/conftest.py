@@ -7,7 +7,7 @@ from importlib import resources
 
 import numpy as np
 
-from robcls.classes import RANK, reference_class_basis
+from robcls.classes import RANK, frame_metric, project_class
 
 
 def random_lorentzian(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -32,10 +32,13 @@ def random_null_vector(g: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 
 
 def random_class_tensor(space: str, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Random element of the class (frame components), roughly unit scale."""
-    basis = reference_class_basis(space, n)
-    coeff = rng.standard_normal(basis.shape[0])
-    out = (coeff @ basis).reshape((n,) * RANK[space])
+    """Random element of the class (frame components), unit norm: the projection of a Gaussian tensor.
+
+    On the frame metric the projector is Euclidean-orthogonal, so the result is
+    isotropic in the class.
+    """
+    eta = frame_metric(n)
+    out = project_class(space, rng.standard_normal((n,) * RANK[space]), eta, np.linalg.inv(eta), n)
     return out / max(np.linalg.norm(out), 1e-300)
 
 

@@ -75,6 +75,19 @@ def test_parameter_robustness_myers_perry():
         assert not hard, [f"{r.name}: {r.residual}" for r in failures]
 
 
+def test_myers_perry_counts_eigen_structures_from_the_spectrum():
+    """Without rotation the CKY spectrum has no imaginary eigenplane: `structure_count` fails with count 2, the
+    structure check is skipped, and the job records no `evaluation` error."""
+    results = run_expectations(ENTRIES["myers-perry"], params={"a1": 0.0, "a2": 0.0})
+    names = [r.name for r in results]
+    assert "evaluation" not in names
+    counts = [r for r in results if r.name == "structure_count"]
+    assert counts and all(r.status == "FAIL" and r.detail == "2" for r in counts)
+    special = [r for r in results if r.name == "special_eigen_structures"]
+    assert len(special) == len(counts) and all(r.status == "SKIP" for r in special)
+    assert all(names[i - 1] == "special_eigen_structures" for i, name in enumerate(names) if name == "structure_count")
+
+
 def test_taub_nut_skips_einstein_without_F():
     results = run_expectations(ENTRIES["taub-nut"])
     assert any(r.passed is None for r in results)

@@ -276,13 +276,20 @@ def test_verify_dims_n6_includes_pm_rows(tmp_path):
 
 
 def _patch_g01_params(monkeypatch, n, params):
-    """Give the sim module G.0.1 at dimension n the parameter list ``params(p)``, p its own parameters."""
+    """Give the sim module G.0.1 at dimension n the parameter list ``params``, tensors on the screen R^{n-2}."""
     from robcls import modules
 
     mod = modules._BY_LABEL["G", 0, 1]
     real = mod.params.sim_params
-    space = dataclasses.replace(mod.params, sim_params=lambda nn: params(real(nn)) if nn == n else real(nn))
+    space = dataclasses.replace(mod.params, sim_params=lambda nn: params if nn == n else real(nn))
     monkeypatch.setitem(modules._BY_LABEL, ("G", 0, 1), dataclasses.replace(mod, params=space))
+
+
+def _screen_tensor(a, b, sign):
+    """e_a (x) e_b + sign e_b (x) e_a on R^3: a 2-form for sign -1, symmetric for +1."""
+    t = np.zeros((3, 3))
+    t[a, b], t[b, a] = 1.0, sign
+    return t
 
 
 def test_verify_dims_exits_4_on_marginal_rank(monkeypatch, tmp_path):
@@ -293,14 +300,9 @@ def test_verify_dims_exits_4_on_marginal_rank(monkeypatch, tmp_path):
     from robcls.repdims import computed_module_dim
 
     n, key = 5, modules.ModuleKey("G", 0, 1)
-
-    def params(p):
-        s = np.zeros((n, n))
-        s[1, 2] = s[2, 1] = 1.0
-        s *= np.linalg.norm(p[2]) / np.linalg.norm(s)  # a symmetric screen tensor with the parameters' norm
-        return [p[0], p[1], 10**-4.6 * p[2], 10**-5.2 * s]
-
-    _patch_g01_params(monkeypatch, n, params)
+    w01, w02, w12 = (_screen_tensor(a, b, -1.0) for a, b in ((0, 1), (0, 2), (1, 2)))
+    # the Gram spectrum is 2, 2, 2e-9.2 (kept) and 2e-10.4 (dropped, below the floor 2e-10)
+    _patch_g01_params(monkeypatch, n, [w01, w02, 10**-4.6 * w12, 10**-5.2 * _screen_tensor(0, 1, 1.0)])
     modules.sim_table.cache_clear()
     try:
         chk = computed_module_dim("G", n, key, "sim")
@@ -314,14 +316,14 @@ def test_verify_dims_exits_4_on_marginal_rank(monkeypatch, tmp_path):
 
 
 def test_verify_dims_exits_1_on_rank_mismatch(monkeypatch, capsys):
-    """G.0.1 (sim, n = 5) given two of its three parameters: verify-dims
+    """G.0.1 (sim, n = 5) given two of the three screen 2-forms: verify-dims
     reports the module as a NO row and exits 1, with no traceback, and the
     table refuses to decompose a tensor."""
     from robcls import frames, modules
     from robcls.simclass import decompose
 
     n = 5
-    _patch_g01_params(monkeypatch, n, lambda p: p[:2])
+    _patch_g01_params(monkeypatch, n, [_screen_tensor(0, 1, -1.0), _screen_tensor(1, 2, -1.0)])
     modules.sim_table.cache_clear()
     try:
         assert main(["verify-dims", "--n", "5", "--space", "G", "--level", "sim"]) == 1

@@ -56,10 +56,15 @@ def _used_names(tree: ast.Module) -> set:
 
 @pytest.mark.parametrize(
     "module, forbidden",
-    [("frames", {"modules", "graphs"}), ("simclass", {"repdims"})],
+    [
+        ("frames", {"modules", "graphs"}),
+        ("simclass", {"repdims"}),
+        ("classes", {p.stem for p in SOURCES} - {"classes", "tensor"}),
+    ],
 )
 def test_layering(module, forbidden):
-    """Frames sit below the module tables and the diagrams; simclass sits below repdims."""
+    """Frames sit below the module tables and the diagrams; simclass sits below repdims; classes
+    imports no robcls module but tensor."""
     assert not _robcls_imports(_tree(SRC / f"{module}.py")) & forbidden
 
 
@@ -129,9 +134,6 @@ TEST_ONLY = {
     "nilpotent_action_check": "item 9",
     "down_closure": "item 9",
     "probe_G6_pm": "item 9",
-    # the class basis in the reference frame: read by the fixtures in tests/conftest.py
-    # and checked by the class-basis tests
-    "reference_class_basis": "test fixtures",
     # public API: exported by robcls/__init__.py, called only by the tests
     "adapted_blocks": "public API",
     "frame_field_bracket": "public API",

@@ -198,8 +198,8 @@ def test_sim_embeddings_satisfy_schurs_identity(space, n):
     lemma): the Gram matrix of a sim module's rows is c^2 times that of its screen parameters."""
     for key in sim_module_keys(space, n):
         rows = module_rows(space, n, key)
-        params, _, _ = _param_basis(_BY_LABEL[space, abs(key.i), key.j].params, n, key.pm)
-        P = np.array([np.ravel(p) for p in params])  # zero off the screen slots
+        P, _, _ = _param_basis(_BY_LABEL[space, abs(key.i), key.j].params, n, key.pm)
+        P = P.reshape(len(P), -1)
         gram_rows, gram_params = rows @ rows.T, P @ P.T
         c2 = np.trace(gram_rows) / np.trace(gram_params)
         assert c2 > 0.0, key
@@ -208,14 +208,15 @@ def test_sim_embeddings_satisfy_schurs_identity(space, n):
 
 def test_cold_tables_orthonormalise_each_parameter_basis_once():
     """A cold build of every sim and rob table at n = 4..9 runs `orthonormal_coefficients` once per
-    module parameter basis: one per (parameter space, n), and one per self-dual half at n = 6."""
+    module parameter basis, counted package-wide: one per (parameter space, n), and one per
+    self-dual half at n = 6."""
     src = str(Path(robcls.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = (
-        "import robcls.modules as M\n"
+        "import robcls.classes as C, robcls.modules as M\n"
         "calls = []\n"
-        "inner = M.orthonormal_coefficients\n"
-        "M.orthonormal_coefficients = lambda mat: calls.append(mat.shape) or inner(mat)\n"
+        "inner = C.orthonormal_coefficients\n"
+        "C.orthonormal_coefficients = M.orthonormal_coefficients = lambda mat: calls.append(mat.shape) or inner(mat)\n"
         "for n in range(4, 10):\n"
         "    for space in 'GFAC':\n"
         "        M.sim_table(space, n), M.rob_table(space, n)\n"

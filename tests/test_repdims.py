@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from robcls.classes import RANK, class_dim, grade_columns, reference_class_basis
+from robcls import classes, modules
+from robcls.classes import RANK, class_dim, grade_columns
 from robcls.frames import reference_frame
 from robcls.graphs import paper_arrow_set
 from robcls.modules import ModuleKey, module_table, rob_table, sim_table
@@ -19,9 +20,9 @@ SPACES = ("G", "F", "A", "C")
 
 
 def test_symmetry_basis_counts():
-    assert reference_class_basis("F", 7).shape[0] == 27
-    assert reference_class_basis("C", 6).shape[0] == 84
-    assert reference_class_basis("A", 4).shape[0] == 16
+    assert class_dim("F", 7) == sim_table("F", 7).total_dim == 27
+    assert class_dim("C", 6) == sim_table("C", 6).total_dim == 84
+    assert class_dim("A", 4) == sim_table("A", 4).total_dim == 16
 
 
 @pytest.mark.parametrize("n", (4, 6, 9))
@@ -42,11 +43,21 @@ def test_specific_rank_examples():
     assert chk.computed_dim == 27
 
 
-def test_dim_checks_build_no_class_basis():
-    """The dimension checks read the rank measured by the table build."""
-    reference_class_basis.cache_clear()
-    all_dim_checks("C", 6, "rob")
-    assert reference_class_basis.cache_info().misses == 0
+def test_dim_checks_decide_no_rank(monkeypatch):
+    """The dimension checks read the rank measured by the table build: on built tables they call no
+    `orthonormal_coefficients`."""
+    sim_table("C", 6), rob_table("C", 6)
+    calls, inner = [], classes.orthonormal_coefficients
+
+    def counted(mat):
+        calls.append(mat.shape)
+        return inner(mat)
+
+    monkeypatch.setattr(modules, "orthonormal_coefficients", counted)
+    monkeypatch.setattr(classes, "orthonormal_coefficients", counted)
+    for level in ("sim", "rob"):
+        all_dim_checks("C", 6, level)
+    assert calls == []
 
 
 @pytest.mark.parametrize("n", (4, 5, 6, 7))
