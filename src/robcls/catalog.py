@@ -585,7 +585,7 @@ def _mp_expect(chart, p, pts):
         out.append(_res("cky_residual", "principal conformal Killing-Yano 2-form", rep.residual, 1e-9))
         r = _mp_r_jet(JT.jet_point(pt, 5), p).value
         real_idx, imag_idx = _mp_spectrum(cp)
-        reals = sorted(_mp_eigen(cp)["eigenvalues"][j].real for j in real_idx)
+        reals = sorted(float(_mp_eigen(cp)["eigenvalues"][j].real) for j in real_idx)
         out.append(
             _flag(
                 "cky_eigenvalues",

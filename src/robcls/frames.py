@@ -101,6 +101,25 @@ def orthonormal_basis(g: np.ndarray) -> np.ndarray:
     return np.array(cols)
 
 
+def orthonormal_null_frame(w: np.ndarray) -> np.ndarray:
+    """Adapted frame rows (k, e_1..e_{n-2}, l) at k = (1, w), for a unit w in R^{n-1}.
+
+    The rows are components in an orthonormal basis, timelike first
+    (`orthonormal_basis`), and V diag(-1, 1, ..., 1) V^T = `frame_metric(n)` up
+    to round-off: l = (-1, w)/2, and the screen is rows 2..n-1
+    of the Householder reflection H = I - v v^T / (1 + |w_1|), v = w + sign(w_1) e_1,
+    which takes w to -sign(w_1) e_1; each row has time component 0.
+    """
+    n = w.shape[0] + 1
+    v = w.copy()
+    v[0] += 1.0 if w[0] >= 0.0 else -1.0
+    V = np.zeros((n, n))
+    V[0, 0], V[0, 1:] = 1.0, w
+    V[1 : n - 1, 1:] = np.eye(n - 1)[1:] - np.outer(v[1:], v / (1.0 + abs(w[0])))
+    V[n - 1, 0], V[n - 1, 1:] = -0.5, 0.5 * w
+    return V
+
+
 def complete_null_frame(g: np.ndarray, k: np.ndarray) -> NullFrame:
     """Deterministic completion of a null vector to an adapted frame.
 

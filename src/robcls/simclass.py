@@ -25,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from .classes import RANK, component_grades
-from .frames import FrameError, NullFrame, complete_null_frame, orthonormal_basis, volume_form
+from .frames import FrameError, NullFrame, complete_null_frame, orthonormal_basis, orthonormal_null_frame, volume_form
 from .graphs import paper_arrow_set
 from .modules import ModuleKey, module_table, sim_table
 from .tensor import DEFAULT_TOL, Tolerance, skew_arr, swap_pairs, transform_slots
@@ -437,11 +437,13 @@ def weyl_type_search(
 ) -> WeylTypeLabel:
     """Search the null sphere for the direction minimising the WAND residual.
 
-    Deterministic low-discrepancy grid followed by a local pattern descent;
-    the type at the best direction is reported together with the residual
-    landscape (a declared type G is evidence-bounded by the floor).  The
-    best direction is labelled by `weyl_type_at_frame` at ``scale`` (None:
-    the norm of C in that direction's frame).
+    Deterministic low-discrepancy grid followed by a local pattern descent
+    and a Nelder-Mead polish down the boost-weight ladder; the type at the
+    best direction is reported together with the residual landscape (a
+    declared type G is evidence-bounded by the floor).  The best direction
+    is the one direction completed to a frame (`complete_null_frame`), and
+    is labelled by `weyl_type_at_frame` at ``scale`` (None: the norm of C in
+    that direction's frame).
     """
     n = g.shape[0]
     if not np.isfinite(C).all():
@@ -449,17 +451,19 @@ def weyl_type_search(
     if np.count_nonzero(np.linalg.eigvalsh(g) < 0) != 1:
         raise FrameError("the metric is not Lorentzian: no null sphere to search")
     basis = orthonormal_basis(g)
-    Cnorm = max(float(np.linalg.norm(transform_slots(C, basis))), 1e-300)
+    C_on = transform_slots(C, basis)  # C on the orthonormal basis of g
+    Cnorm = max(float(np.linalg.norm(C_on)), 1e-300)
     grid = sphere_grid(n - 2, grid_count)
     best, grid_floor, grid_median = _grid_stage(C, basis, grid, g, Cnorm)
     omega = grid[best]
     step = 0.3
     cur = grid_floor
+    eye = np.eye(n - 1)
     for _ in range(refine_steps):
         improved = False
         for d in range(n - 1):
             for s in (+1.0, -1.0):
-                cand = omega + s * step * np.eye(n - 1)[d]
+                cand = omega + s * step * eye[d]
                 cand = cand / np.linalg.norm(cand)
                 val = wand_residual(C, basis, cand, g, Cnorm)
                 if val < cur:
@@ -470,17 +474,18 @@ def weyl_type_search(
                 break
     # hierarchical polish: the WAND residual is quartic around deeply
     # degenerate directions, so refine through the filtration ladder where
-    # each deeper level residual is better conditioned (the last is linear)
+    # each deeper level residual is better conditioned (the last is linear).
+    # The ladder reads C_on in the closed-form frame at k = (1, w) of the
+    # orthonormal basis, the direction basis[0] + w @ basis[1:]; its l and
+    # screen differ from `complete_null_frame`'s by a screen rotation, which
+    # keeps every grade's norm, and a null rotation about k, which adds only
+    # lower grades, so the residual agrees wherever those vanish
     grades = component_grades(n, RANK["C"])
 
     def level_residual(w, level):
         """|frame components of C at grades <= level| / Cnorm: the sim modules of each grade span its columns."""
-        k = basis[0] + w @ basis[1:]
-        try:
-            fr = complete_null_frame(g, k)
-        except FrameError:
-            return 1e6
-        return float(np.linalg.norm(fr.to_frame(C).ravel()[grades <= level])) / Cnorm
+        F = transform_slots(C_on, orthonormal_null_frame(w))
+        return float(np.linalg.norm(F.ravel()[grades <= level])) / Cnorm
 
     def polish(level, w0):
         from scipy.optimize import minimize  # imported here: most runs never polish

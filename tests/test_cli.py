@@ -367,6 +367,14 @@ def test_regress_single_entry(tmp_path):
     assert "pp-wave" in text and "0 failed" in text
 
 
+def test_regress_verbose_prints_plain_floats(capsys):
+    """The details print numbers, not numpy scalar reprs such as `np.float64(...)`."""
+    assert main(["regress", "--verbose", "--only", "myers-perry"]) == 0
+    text = capsys.readouterr().out
+    assert "cky_eigenvalues" in text and "reals=[-2.6" in text
+    assert "np.float64" not in text
+
+
 def test_regress_unknown_entry():
     assert main(["regress", "--only", "nosuch"]) == 2
 

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import random_class_tensor, random_lorentzian, random_null_vector, reconstruct
-from robcls.classes import RANK, component_grades
-from robcls.frames import complete_null_frame, orthonormal_basis, reference_frame
+from robcls.classes import RANK, component_grades, frame_metric
+from robcls.frames import complete_null_frame, orthonormal_basis, orthonormal_null_frame, reference_frame
 from robcls.modules import sim_table
 import robcls.simclass as simclass
 from robcls.catalog import ENTRIES
@@ -227,6 +227,9 @@ def _per_point_grid(C, basis, grid, g, Cnorm):
     return int(np.argmin(vals)), float(vals.min()), float(np.median(vals))
 
 
+SEARCH_CASES = ["schwarzschild-r3-n4", "schwarzschild-r3-n7", "pp-wave#0", "kk-bubble#0", "planted-N-n5"]
+
+
 def _search_case(name):
     if name.startswith("schwarzschild"):
         n = int(name[-1])
@@ -239,7 +242,7 @@ def _search_case(name):
     return cp.weyl, cp.g
 
 
-@pytest.mark.parametrize("name", ["schwarzschild-r3-n4", "schwarzschild-r3-n7", "pp-wave#0", "kk-bubble#0", "planted-N-n5"])
+@pytest.mark.parametrize("name", SEARCH_CASES)
 def test_weyl_type_search_matches_per_point_grid(name, monkeypatch):
     """Ranking by the closed form reports exactly what the per-point grid loop did."""
     C, g = _search_case(name)
@@ -282,31 +285,61 @@ def test_grade_columns_carry_the_sim_module_norms(n):
 
 
 def test_polish_propagates_errors_other_than_frame_error(monkeypatch):
-    """Only a FrameError marks a direction as unusable; any other error in the
-    ladder's frame completion ends the search."""
-    C, g = _search_case("pp-wave#0")
-    calls = []
+    """The search completes one frame, the labelling one at the best direction
+    (the ladder reads C in `orthonormal_null_frame`), and any error from that
+    completion ends the search."""
+    for name in SEARCH_CASES:
+        C, g = _search_case(name)
+        calls = []
 
-    def counting(g, k):
-        calls.append(k)
-        return complete_null_frame(g, k)
+        def counting(g, k):
+            calls.append(k)
+            return complete_null_frame(g, k)
 
-    monkeypatch.setattr(simclass, "complete_null_frame", counting)
-    weyl_type_search(C, g)
-    assert len(calls) > 10  # the ladder polishes at this point
+        monkeypatch.setattr(simclass, "complete_null_frame", counting)
+        label = weyl_type_search(C, g)
+        assert len(calls) == 1, name
+        assert np.array_equal(calls[0], label.direction)
 
-    raised = []
+    def broken(g, k):
+        raise RuntimeError("broken completion")
 
-    def broken_first(g, k):
-        """Fail the search's first completion, the ladder's at level -2, and complete every later one."""
-        if not raised:
-            raised.append(k)
-            raise RuntimeError("broken completion")
-        return complete_null_frame(g, k)
-
-    monkeypatch.setattr(simclass, "complete_null_frame", broken_first)
+    monkeypatch.setattr(simclass, "complete_null_frame", broken)
     with pytest.raises(RuntimeError, match="broken completion"):
-        weyl_type_search(C, g)
+        weyl_type_search(*_search_case("pp-wave#0"))
+
+
+@pytest.mark.parametrize("n", range(4, 10))
+def test_orthonormal_null_frame_is_an_adapted_frame(n):
+    """Its rows pair like `frame_metric(n)` under eta and its k row is (1, w), also at w = +-e_1."""
+    rng = np.random.default_rng(500 + n)
+    eta = np.diag([-1.0] + [1.0] * (n - 1))
+    e1 = np.eye(n - 1)[0]
+    ws = [e1, -e1] + [w / np.linalg.norm(w) for w in rng.standard_normal((20, n - 1))]
+    for w in ws:
+        V = orthonormal_null_frame(w)
+        assert np.abs(V @ eta @ V.T - frame_metric(n)).max() <= 1e-14
+        assert np.array_equal(V[0], np.concatenate([[1.0], w]))
+
+
+@pytest.mark.parametrize("n", range(4, 10))
+def test_ladder_residual_matches_completed_frame_where_lower_grades_vanish(n):
+    """At a planted k whose Weyl tensor has no grade below `level`, the ladder
+    residual in `orthonormal_null_frame` equals the one read through
+    `complete_null_frame` and `to_frame`: the two frames differ by a screen
+    rotation and a null rotation about k, which adds only lower grades."""
+    grades = component_grades(n, 4)
+    for seed, level in enumerate((-2, -1, 0, 1)):
+        C, g, k0 = planted_weyl(n, set(range(level, 3)), seed=700 + 10 * n + seed)
+        basis = orthonormal_basis(g)
+        kh = np.linalg.solve(basis.T, k0)  # k0 = kh @ basis
+        w = kh[1:] / kh[0]
+        w /= np.linalg.norm(w)
+        F_new = transform_slots(transform_slots(C, basis), orthonormal_null_frame(w)).ravel()
+        F_old = complete_null_frame(g, basis[0] + w @ basis[1:]).to_frame(C).ravel()
+        want = np.linalg.norm(F_old[grades <= level])
+        assert want > 1e-6  # the planted lowest grade does not vanish
+        assert abs(np.linalg.norm(F_new[grades <= level]) - want) <= 1e-12 * want, level
 
 
 def test_sphere_grid_deterministic_unit():
