@@ -333,98 +333,34 @@ def weyl_type_at_frame(C: np.ndarray, frame: NullFrame, tol: Tolerance = DEFAULT
     return WeylTypeLabel(label, flags, norms, direction=frame.k, decomposition=dec)
 
 
-def wand_residual(C: np.ndarray, frame_basis: np.ndarray, omega: np.ndarray, g: np.ndarray, Cnorm: float) -> float:
-    k = frame_basis[0] + omega @ frame_basis[1:]
-    M = np.einsum("befc,e,f->bc", C, k, k)
-    kb = g @ k
-    img = skew_arr(np.einsum("a,bc,d->abcd", kb, M, kb), (0, 1), (2, 3))
-    return float(np.linalg.norm(img) / Cnorm)
+_GRID_BLOCK = 1024  # directions per block of `wand_residual`: under 3 MB of temporaries at n = 9
 
 
-_GRID_BLOCK = 2048  # closed-form rows per block: about 3 MB of temporaries at n = 9
-_GRID_MIN_CANDIDATES = 32
+def wand_residual(C: np.ndarray, frame_basis: np.ndarray, omega: np.ndarray, g: np.ndarray, Cnorm: float):
+    """|skew_(01)(23)(U (x) M (x) U)| / Cnorm: the (-2, 0) probe of C along k, which vanishes at a WAND.
 
-
-def _grid_wand_sq(C: np.ndarray, basis: np.ndarray, grid: np.ndarray, g: np.ndarray, Cnorm: float):
-    """Closed-form squared WAND residuals of the grid points, with round-off bounds.
-
-    With k = basis[0] + omega @ basis[1:], U = g k, M_bc = C_befc k^e k^f,
-    s = |U|^2 and q = U.MU, the image in `wand_residual` has
-
-        |U ^ M ^ U|^2 = (s^2 |M|^2 - 2 s |MU|^2 + q^2) / 4,
-
-    one matrix product for M over a block of rows.  The form cancels near
-    zero, so it only ranks; returns (val, err) with |val - wand_residual^2|
-    <= err row by row.  The bound, with C divided by Cnorm as in
-    `wand_residual`: both evaluations form M and U with errors
-    |dM| <= n^2 eps |C||k|^2 and |dU| <= n eps |g||k|, which move the
-    residual r <= s|M| by at most s|dM| + 2 sqrt(s)|M||dU|, so r^2 by twice
-    r times that; the cancellation costs a few eps s^2 |M|^2.  Hence
-
-        err = 4 n^2 eps s|M| (s|M| + s|C||k|^2 + sqrt(s)|g||k||M|),
-
-    about 190 times the largest error seen on the catalog sample points and
-    on random Weyl tensors in random Lorentzian metrics, n = 4..9.
+    Here k = frame_basis[0] + omega @ frame_basis[1:], U = g k and
+    M_bc = C_befc k^e k^f.  With s = |U|^2 and P = I - U U^T / s, the identity
+    |x ^ u|^2 = |u|^2 |x - (x.u) u / |u|^2|^2, applied once per antisymmetrised
+    pair, gives the norm exactly as s |P M P| / 2, which cancels no worse than
+    building the n^4 image.  One direction (omega of shape (n - 1,)) gives a
+    float; a stack of them (m, n - 1) gives m residuals, evaluated in blocks of
+    _GRID_BLOCK rows.
     """
     n = g.shape[0]
-    C = C / Cnorm  # Cnorm**2 may underflow
-    Cmat = C.transpose(1, 2, 0, 3).reshape(n * n, n * n)
-    Cfro, gfro = np.linalg.norm(C), np.linalg.norm(g)
-    val, err = [], []
-    for start in range(0, len(grid), _GRID_BLOCK):
-        K = basis[0] + grid[start : start + _GRID_BLOCK] @ basis[1:]
+    Cmat = (C / Cnorm).transpose(1, 2, 0, 3).reshape(n * n, n * n)  # divided first: |P M P|^2 of a tiny C underflows
+    W = np.atleast_2d(omega)
+    out = np.empty(len(W))
+    for start in range(0, len(W), _GRID_BLOCK):
+        K = frame_basis[0] + W[start : start + _GRID_BLOCK] @ frame_basis[1:]
         U = K @ g.T
         M = ((K[:, :, None] * K[:, None, :]).reshape(len(K), n * n) @ Cmat).reshape(len(K), n, n)
-        MU = np.einsum("ibc,ic->ib", M, U)
         s = np.einsum("ib,ib->i", U, U)
-        k2 = np.einsum("ib,ib->i", K, K)
-        m = np.sqrt(np.einsum("ibc,ibc->i", M, M))
-        q = np.einsum("ib,ib->i", U, MU)
-        val.append(0.25 * ((s * m) ** 2 - 2.0 * s * np.einsum("ib,ib->i", MU, MU) + q * q))
-        err.append(4 * n * n * np.finfo(float).eps * s * m * (s * m + s * Cfro * k2 + np.sqrt(s * k2) * gfro * m))
-    return np.concatenate(val), np.concatenate(err)
-
-
-def _grid_stage(C: np.ndarray, basis: np.ndarray, grid: np.ndarray, g: np.ndarray, Cnorm: float):
-    """(index of the minimum, minimum, median) of the exact grid residuals.
-
-    The closed form ranks the grid and `wand_residual` is evaluated only
-    where the error bounds leave the answer open, so the result equals
-    np.argmin (first index on ties), min and the median (the mean of the two
-    middle values, as np.median) of `wand_residual` at every grid point.
-    """
-    val, err = _grid_wand_sq(C, basis, grid, g, Cnorm)
-    lo, hi = val - err, val + err
-    exact: dict[int, float] = {}
-
-    def resid(i):
-        if i not in exact:
-            exact[i] = wand_residual(C, basis, grid[i], g, Cnorm)
-        return exact[i]
-
-    # the minimum lies below every upper bound, so only intervals reaching
-    # under the smallest one can hold it; np.argmin takes the first index on
-    # ties, and a candidate is skipped once its lower bound shows that it
-    # cannot beat the best exact value found so far
-    for i in np.argsort(val, kind="stable")[:_GRID_MIN_CANDIDATES]:
-        resid(i)
-    floor, best = min((v, i) for i, v in exact.items())
-    for i in np.flatnonzero(lo <= hi.min()):
-        if i in exact or (lo[i], i) > (floor * floor, best):
-            continue
-        if (resid(i), i) < (floor, best):
-            floor, best = exact[i], i
-    # the order statistic of rank r has its square between the r-th smallest
-    # lower and upper bounds; points wholly below that window are counted
-    stats = []
-    for r in ((len(grid) - 1) // 2, len(grid) // 2):
-        L, H = np.partition(lo, r)[r], np.partition(hi, r)[r]
-        if H <= 0.0:
-            stats.append(0.0)
-            continue
-        window = sorted(resid(i) for i in np.flatnonzero((hi >= L) & (lo <= H)))
-        stats.append(window[r - int(np.count_nonzero(hi < L))])
-    return int(best), floor, 0.5 * (stats[0] + stats[1])
+        V = U / s[:, None]
+        M -= np.einsum("ibc,ic->ib", M, U)[:, :, None] * V[:, None, :]  # M P
+        M -= V[:, :, None] * np.einsum("ib,ibc->ic", U, M)[:, None, :]  # P M P
+        out[start : start + len(K)] = 0.5 * s * np.sqrt(np.einsum("ibc,ibc->i", M, M))
+    return float(out[0]) if np.ndim(omega) == 1 else out
 
 
 def weyl_type_search(
@@ -440,7 +376,9 @@ def weyl_type_search(
     Deterministic low-discrepancy grid followed by a local pattern descent
     and a Nelder-Mead polish down the boost-weight ladder; the type at the
     best direction is reported together with the residual landscape (a
-    declared type G is evidence-bounded by the floor).  The best direction
+    declared type G is evidence-bounded by the floor).  The exact residual
+    `wand_residual` scores the whole grid in one batched call, each poll of
+    the descent in one call and the final floor in one.  The best direction
     is the one direction completed to a frame (`complete_null_frame`), and
     is labelled by `weyl_type_at_frame` at ``scale`` (None: the norm of C in
     that direction's frame).
@@ -454,20 +392,33 @@ def weyl_type_search(
     C_on = transform_slots(C, basis)  # C on the orthonormal basis of g
     Cnorm = max(float(np.linalg.norm(C_on)), 1e-300)
     grid = sphere_grid(n - 2, grid_count)
-    best, grid_floor, grid_median = _grid_stage(C, basis, grid, g, Cnorm)
+    vals = wand_residual(C, basis, grid, g, Cnorm)
+    best = int(np.argmin(vals))
+    grid_floor = float(vals[best])
+    # the median as the mean of the two middle values; np.median would import numpy.ma
+    mid = ((len(vals) - 1) // 2, len(vals) // 2)
+    grid_median = float(0.5 * np.partition(vals, mid)[list(mid)].sum())
+    # compass search: poll +e_0, -e_0, +e_1, ... at the current step and take
+    # the first candidate that beats cur.  The rest of a poll is evaluated in
+    # one call at the current omega; after a move the candidates behind the
+    # one taken are polled again from the new omega, so the steps are those of
+    # a sequential poll
     omega = grid[best]
     step = 0.3
     cur = grid_floor
-    eye = np.eye(n - 1)
+    compass = np.kron(np.eye(n - 1), [[1.0], [-1.0]])
     for _ in range(refine_steps):
         improved = False
-        for d in range(n - 1):
-            for s in (+1.0, -1.0):
-                cand = omega + s * step * eye[d]
-                cand = cand / np.linalg.norm(cand)
-                val = wand_residual(C, basis, cand, g, Cnorm)
-                if val < cur:
-                    cur, omega, improved = val, cand, True
+        j = 0
+        while j < len(compass):
+            cands = omega + step * compass[j:]
+            cands /= np.sqrt(cands[:, None, :] @ cands[:, :, None])[:, 0]  # each row's dot, as np.linalg.norm of one row
+            polled = wand_residual(C, basis, cands, g, Cnorm)
+            hits = np.flatnonzero(polled < cur)
+            if not hits.size:
+                break
+            cur, omega, improved = float(polled[hits[0]]), cands[hits[0]], True
+            j += int(hits[0]) + 1
         if not improved:
             step *= 0.5
             if step < 1e-8:

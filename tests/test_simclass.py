@@ -9,7 +9,6 @@ import robcls.simclass as simclass
 from robcls.catalog import ENTRIES
 from robcls.simclass import (
     GradedDecomposition,
-    _grid_wand_sq,
     decompose,
     down_closure,
     probe_norms,
@@ -204,27 +203,100 @@ def test_weyl_type_search_recovers_wand():
     assert label.type in ("N", "O")
 
 
-@pytest.mark.parametrize("n", (4, 5, 6, 7, 8, 9))
-def test_grid_closed_form_matches_wand_residual(n):
-    """The batched closed form equals wand_residual**2 and stays inside its error bound."""
-    rng = np.random.default_rng(61 + n)
+def _image_residual(C, frame_basis, omega, g, Cnorm):
+    """The WAND residual as the norm of the n^4 image skew_(01)(23)(U (x) M (x) U): the oracle of `wand_residual`."""
+    k = frame_basis[0] + omega @ frame_basis[1:]
+    M = np.einsum("befc,e,f->bc", C, k, k)
+    kb = g @ k
+    img = skew_arr(np.einsum("a,bc,d->abcd", kb, M, kb), (0, 1), (2, 3))
+    return float(np.linalg.norm(img) / Cnorm)
+
+
+def _random_weyl_on_basis(n, rng):
+    """A random Weyl tensor in a random Lorentzian metric, its orthonormal basis and Cnorm as the search takes it."""
     g = random_lorentzian(n, rng)
     fr = complete_null_frame(g, random_null_vector(g, rng))
     C = fr.from_frame(random_class_tensor("C", n, rng))
     basis = orthonormal_basis(g)
+    return C, g, basis, float(np.linalg.norm(transform_slots(C, basis)))
+
+
+@pytest.mark.parametrize("n", (4, 5, 6, 7, 8, 9))
+def test_wand_residual_matches_image_oracle(n):
+    """s |P M P| / 2 equals the norm of the antisymmetrised n^4 image, one direction and a stack."""
+    rng = np.random.default_rng(80 + n)
+    for _ in range(4):
+        C, g, basis, Cnorm = _random_weyl_on_basis(n, rng)
+        W = rng.standard_normal((40, n - 1))
+        W /= np.linalg.norm(W, axis=1, keepdims=True)
+        want = np.array([_image_residual(C, basis, w, g, Cnorm) for w in W])
+        single = np.array([wand_residual(C, basis, w, g, Cnorm) for w in W])
+        assert np.all(np.abs(single - want) <= 1e-13 * want)
+        assert np.all(np.abs(wand_residual(C, basis, W, g, Cnorm) - want) <= 1e-13 * want)
+
+
+@pytest.mark.parametrize("n", (4, 5, 6, 7, 8, 9))
+@pytest.mark.parametrize("grades", [set(range(-1, 3)), {0, 1, 2}, {1, 2}, {2}], ids=["-1..2", "0..2", "1..2", "2"])
+def test_wand_residual_matches_image_oracle_near_planted_wands(n, grades):
+    """At a planted WAND, where both forms read round-off, and at perturbations
+    of 1e-12 to 1e-4 from it, the closed form agrees with the n^4 image: to
+    relative 1e-13 above the round-off floor, to 1e-15 absolute (|C| = 1) at it."""
+    C, g, k0 = planted_weyl(n, grades, seed=900 + n + 10 * len(grades))
+    basis = orthonormal_basis(g)
     Cnorm = float(np.linalg.norm(transform_slots(C, basis)))
-    grid = sphere_grid(n - 2, 3000)  # more than one block
-    val, err = _grid_wand_sq(C, basis, grid, g, Cnorm)
-    exact = np.array([wand_residual(C, basis, w, g, Cnorm) for w in grid]) ** 2
-    assert np.all(np.abs(val - exact) <= err)
-    big = exact >= 1e-6  # residual >= 1e-3
-    assert big.any()
-    assert np.all(np.abs(val - exact)[big] <= 1e-10 * exact[big])
+    kh = np.linalg.solve(basis.T, k0)  # k0 = kh @ basis
+    w0 = kh[1:] / np.linalg.norm(kh[1:])
+    rng = np.random.default_rng(n)
+    W = [w0]
+    for eps in (1e-12, 1e-10, 1e-8, 1e-6, 1e-4):
+        d = rng.standard_normal(n - 1)
+        w = w0 + eps * d / np.linalg.norm(d)
+        W.append(w / np.linalg.norm(w))
+    W = np.array(W)
+    want = np.array([_image_residual(C, basis, w, g, Cnorm) for w in W])
+    got = wand_residual(C, basis, W, g, Cnorm)
+    assert want[0] < 1e-14  # the planted direction is a WAND
+    assert np.all(np.abs(got - want) <= 1e-13 * want + 1e-15)
 
 
-def _per_point_grid(C, basis, grid, g, Cnorm):
+@pytest.mark.parametrize("n", (4, 5, 6, 7, 8, 9))
+def test_grid_closed_form_matches_wand_residual(n):
+    """The grid's batched call, over more than one row block, gives the single-direction values."""
+    rng = np.random.default_rng(61 + n)
+    C, g, basis, Cnorm = _random_weyl_on_basis(n, rng)
+    grid = sphere_grid(n - 2, 3000)
+    assert len(grid) > simclass._GRID_BLOCK
+    batched = wand_residual(C, basis, grid, g, Cnorm)
+    single = np.array([wand_residual(C, basis, w, g, Cnorm) for w in grid])
+    assert batched.shape == (len(grid),)
+    assert np.all(np.abs(batched - single) <= 1e-14 * single)
+
+
+def _sequential_grid_and_descent(C, g, grid_count, refine_steps=50):
+    """The grid and the pattern descent, one `wand_residual` call per direction:
+    (descended direction, its residual, grid floor, grid median)."""
+    n = g.shape[0]
+    basis = orthonormal_basis(g)
+    Cnorm = max(float(np.linalg.norm(transform_slots(C, basis))), 1e-300)
+    grid = sphere_grid(n - 2, grid_count)
     vals = np.array([wand_residual(C, basis, w, g, Cnorm) for w in grid])
-    return int(np.argmin(vals)), float(vals.min()), float(np.median(vals))
+    best = int(np.argmin(vals))
+    omega, cur, step = grid[best], vals[best], 0.3
+    eye = np.eye(n - 1)
+    for _ in range(refine_steps):
+        improved = False
+        for d in range(n - 1):
+            for s in (+1.0, -1.0):
+                cand = omega + s * step * eye[d]
+                cand = cand / np.linalg.norm(cand)
+                val = wand_residual(C, basis, cand, g, Cnorm)
+                if val < cur:
+                    cur, omega, improved = val, cand, True
+        if not improved:
+            step *= 0.5
+            if step < 1e-8:
+                break
+    return omega, cur, float(vals.min()), float(np.median(vals))
 
 
 SEARCH_CASES = ["schwarzschild-r3-n4", "schwarzschild-r3-n7", "pp-wave#0", "kk-bubble#0", "planted-N-n5"]
@@ -244,15 +316,44 @@ def _search_case(name):
 
 @pytest.mark.parametrize("name", SEARCH_CASES)
 def test_weyl_type_search_matches_per_point_grid(name, monkeypatch):
-    """Ranking by the closed form reports exactly what the per-point grid loop did."""
+    """The batched grid and polls report what a per-point grid and a sequential
+    compass poll give: the reference descends per point, and the search's
+    polish then starts from its direction (a one-point grid, no descent).
+    Floors agree to relative 1e-12, or to 1e-15 of |C| at the round-off floor."""
     C, g = _search_case(name)
     new = weyl_type_search(C, g, grid_count=2000)
-    monkeypatch.setattr(simclass, "_grid_stage", _per_point_grid)
-    ref = weyl_type_search(C, g, grid_count=2000)
-    for key in ("grid_floor", "grid_median", "refined_floor"):
-        assert new.search[key] == ref.search[key], key
-    assert np.array_equal(new.direction, ref.direction)
+    omega, cur, grid_floor, grid_median = _sequential_grid_and_descent(C, g, 2000)
+    monkeypatch.setattr(simclass, "sphere_grid", lambda dim_sphere, count: omega[None, :])
+    ref = weyl_type_search(C, g, grid_count=2000, refine_steps=0)
+    assert ref.search["grid_floor"] == cur
+    for key, want in (("grid_floor", grid_floor), ("grid_median", grid_median), ("refined_floor", ref.search["refined_floor"])):
+        assert abs(new.search[key] - want) <= 1e-12 * want + 1e-15, key
+    assert np.abs(new.direction - ref.direction).max() <= 1e-12 * np.abs(ref.direction).max()
     assert new.type == ref.type
+
+
+# `wand_residual` calls per search as measured: the grid, the poll batches and
+# the final floor (a sequential poll made 331 to 635 single-direction calls)
+WAND_CALL_BUDGET = {"schwarzschild-r3-n4": 102, "schwarzschild-r3-n7": 103, "pp-wave#0": 102, "kk-bubble#0": 59, "planted-N-n5": 58}
+
+
+@pytest.mark.parametrize("name", SEARCH_CASES)
+def test_weyl_type_search_wand_residual_work_budget(name, monkeypatch):
+    """One `wand_residual` call for the grid, one per poll batch and one for the final floor."""
+    C, g = _search_case(name)
+    calls = []
+
+    def counting(C, frame_basis, omega, g, Cnorm):
+        calls.append(np.shape(omega))
+        return wand_residual(C, frame_basis, omega, g, Cnorm)
+
+    monkeypatch.setattr(simclass, "wand_residual", counting)
+    weyl_type_search(C, g)
+    n = g.shape[0]
+    assert calls[0] == (10000, n - 1)
+    assert calls[-1] == (n - 1,)
+    assert all(len(c) == 2 and 1 <= c[0] <= 2 * (n - 1) for c in calls[1:-1])
+    assert len(calls) <= WAND_CALL_BUDGET[name], len(calls)
 
 
 @pytest.mark.parametrize("n,grades,planted", [(8, {2}, "N"), (9, {0, 1, 2}, "II")])
