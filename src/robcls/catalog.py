@@ -51,7 +51,7 @@ from .robclass import (
     restriction_residual,
     special_residual,
 )
-from .simclass import decompose, probe_norms, weyl_type_at_frame, weyl_type_search
+from .simclass import decompose, weyl_type_at_frame, weyl_type_search
 from .tensor import skew_arr
 
 
@@ -406,8 +406,7 @@ def _schw_expect(chart, p, pts):
             fr = complete_null_frame(cp.g, kvec)
             dec = decompose("C", cp.weyl, fr, "sim")
             out.append(_flag(f"type_II_at_{name}", "type D(bcd) in the null alignment sense", dec.filtration_vanishing(-1), str(dec.boost_weights())))
-            pn = probe_norms("C", cp.weyl, fr)
-            out.append(_res(f"Pi_1^1_at_{name}", "algebraically special along every incident structure", pn[(1, 1)] / Cn, 1e-9))
+            out.append(_res(f"Pi_1^1_at_{name}", "algebraically special along every incident structure", dec.closure_norm(1, 1) / Cn, 1e-9))
             samples = sample_robinson_over_null_line(fr, 10, rng_seed=7)
             worst = max(special_residual(cp.weyl, N) for N in samples)
             out.append(_res(f"special_samples_at_{name}", "special for sampled incident structures", worst, 1e-9))

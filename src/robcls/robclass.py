@@ -17,8 +17,8 @@ import numpy as np
 
 from .frames import NullFrame, RobinsonStructure, adapted_basis, robinson_forms, sample_robinson_over_null_line
 from .modules import ModuleKey
-from .simclass import GradedDecomposition, decompose, probe_images, probe_norms
-from .tensor import DEFAULT_TOL, Tolerance, skew_arr, transform_slots
+from .simclass import GradedDecomposition, decompose
+from .tensor import DEFAULT_TOL, Tolerance, skew_arr, swap_pairs, transform_slots
 
 # block conditions of the alignment / specialness propositions, as refined keys
 ALIGNED_KEYS = {
@@ -151,11 +151,13 @@ def multi_robinson_equivalences(
 ) -> MultiRobinsonReport:
     """Verify: Pi_1^1(C) = 0 iff C is special for every structure on the line.
 
-    Both sides are decided by ``tol`` at the scale of C's frame components.
+    Both sides are decided by ``tol`` at the scale of C's frame components;
+    Pi_1^1 is the closure norm of C's sim decomposition.
     """
-    Cn = float(np.linalg.norm(frame.to_frame(C)))
+    dec = decompose("C", C, frame, tol=tol)
+    Cn = dec.scale
     Cmax = float(np.abs(C).max())  # undoes the normalisation of `special_residual`
-    pi11 = probe_norms("C", C, frame)[(1, 1)]
+    pi11 = dec.closure_norm(1, 1)
     vanishes = tol.vanishes(pi11, Cn)
     structures = sample_robinson_over_null_line(frame, samples, rng_seed)
     special_count = 0
@@ -205,13 +207,29 @@ def parallel_structure_relations(
     worst_p = float(np.abs(transform_slots(Phi, (span, perp))).max())
     dec = refined_flags("C", C, N)
     gs = special_from_flags(dec)
-    extra = {"Pi_0^1(C)": DEFAULT_TOL.vanishes(probe_norms("C", C, N.frame)[(0, 1)], dec.scale)}
+    extra = {"Pi_0^1(C)": dec.tol.vanishes(dec.closure_norm(0, 1), dec.scale)}
     decF = refined_flags("F", Phi, N)
     for d, label in ((dec, (0, 3, 4)), (dec, (1, 1, 2)), (decF, (0, 1, 1)), (decF, (0, 1, 3))):
         key = ModuleKey.of(d.space, label)
         if d.has(key):
             extra[str(key)] = d.flag(key)
     return ParallelRelationReport(worst_c / scale, worst_p / scale, gs, extra)
+
+
+def _pi02_relation(C: np.ndarray, Phi: np.ndarray, frame: NullFrame, scale: float) -> float:
+    """max |Pi_0^2(C) + 4/(n-2) Pi_0^1(F)| / scale: a relation that a parallel null line forces.
+
+    The two images are the Bel-Debever contractions of C at (0, 2) and of Phi
+    at (0, 1), each antisymmetrised over (a, b) and (c, d) once.
+    """
+    g, k, n = frame.g, frame.k, frame.n
+    kb = g @ k
+    Xk = np.einsum("abec,e->abc", C, k)
+    Ckk = np.einsum("befd,e,f->bd", C, k, k)
+    D = skew_arr(np.einsum("abc,d->abcd", Xk, kb) - (2.0 / (n - 2)) * np.einsum("ca,bd->abcd", g, Ckk), (0, 1), (2, 3))
+    tr = np.einsum("a,bc,d->abcd", kb, g, Phi @ k)
+    F01 = skew_arr(np.einsum("a,bc,d->abcd", kb, Phi, kb) + (1.0 / (n - 2)) * (tr + swap_pairs(tr)), (0, 1), (2, 3))
+    return float(np.abs(D + swap_pairs(D) + (4.0 / (n - 2.0)) * F01).max() / scale)
 
 
 def recurrent_line_relations(C: np.ndarray, Phi: np.ndarray, R_scalar: float, riemann: np.ndarray, frame: NullFrame) -> dict:
@@ -224,23 +242,17 @@ def recurrent_line_relations(C: np.ndarray, Phi: np.ndarray, R_scalar: float, ri
     rke = np.einsum("abce,e->abc", riemann, k)
     t = skew_arr(np.einsum("abc,d->abcd", rke, kb), (2, 3))
     out = {"recurrent_curvature": float(np.abs(t).max() / scale)}
-    imC = probe_images("C", C, frame)
-    imF = probe_images("F", Phi, frame)
-    cs = max(float(np.linalg.norm(frame.to_frame(C))), 1e-300)
-    fs = max(float(np.linalg.norm(frame.to_frame(Phi))), 1e-300, abs(R_scalar))
-    out["Pi_0^1(C)"] = float(np.linalg.norm(imC[(0, 1)])) / cs
-    out["Pi_-1^0(F)"] = float(np.linalg.norm(imF[(-1, 0)])) / fs
+    decC, decF = decompose("C", C, frame), decompose("F", Phi, frame)
+    out["Pi_0^1(C)"] = decC.closure_norm(0, 1) / max(decC.scale, 1e-300)
+    out["Pi_-1^0(F)"] = decF.closure_norm(-1, 0) / max(decF.scale, 1e-300, abs(R_scalar))
     # Pi_0^0(C)_ab = (n-4)/(n-2) k_(a Phi_b)c k^c + (n-2)/(n(n-1)) R k_a k_b
     lhs = np.einsum("acdb,c,d->ab", C, k, k)
     phik = Phi @ k
     rhs = ((n - 4.0) / (n - 2.0)) * 0.5 * (np.outer(kb, phik) + np.outer(phik, kb)) + (
         (n - 2.0) / (n * (n - 1.0))
     ) * R_scalar * np.outer(kb, kb)
-    out["Pi_0^0_relation"] = float(np.abs(lhs - rhs).max() / max(scale, 1e-300))
-    # Pi_0^2(C) = -4/(n-2) Pi_0^1(F)
-    out["Pi_0^2_relation"] = float(
-        np.abs(imC[(0, 2)] + (4.0 / (n - 2.0)) * imF[(0, 1)]).max() / max(scale, 1e-300)
-    )
+    out["Pi_0^0_relation"] = float(np.abs(lhs - rhs).max() / scale)
+    out["Pi_0^2_relation"] = _pi02_relation(C, Phi, frame, scale)
     return out
 
 
@@ -253,27 +265,19 @@ def parallel_vector_relations(C: np.ndarray, Phi: np.ndarray, R_scalar: float, r
     out = {"riemann_k": float(np.abs(np.einsum("abce,e->abc", riemann, k)).max() / scale)}
     phik = Phi @ k
     out["phi_k_relation"] = float(np.abs(phik + (R_scalar / n) * kb).max() / max(np.abs(Phi).max(), abs(R_scalar), 1e-300))
-    imC = probe_images("C", C, frame)
-    imF = probe_images("F", Phi, frame)
-    cs = max(float(np.linalg.norm(frame.to_frame(C))), 1e-300)
-    out["Pi_0^1(C)"] = float(np.linalg.norm(imC[(0, 1)])) / cs
-    # biconditional chains evaluated as residual pairs
-    out["Pi_0^0_relation"] = float(
-        np.abs(imC[(0, 0)] - (1.0 / ((n - 1.0) * (n - 2.0))) * R_scalar * np.outer(kb, kb)).max()
-        / max(scale, 1e-300)
-    )
+    decC = decompose("C", C, frame)
+    out["Pi_0^1(C)"] = decC.closure_norm(0, 1) / max(decC.scale, 1e-300)
+    # biconditional chains evaluated as residual pairs: Pi_0^0(C) = C_acdb k^c k^d,
+    # Pi_1^0(C) = C_abcd k^d and Pi_1^0(F) = k_[a Phi_b]c
+    Ckk = np.einsum("acdb,c,d->ab", C, k, k)
+    out["Pi_0^0_relation"] = float(np.abs(Ckk - (1.0 / ((n - 1.0) * (n - 2.0))) * R_scalar * np.outer(kb, kb)).max() / scale)
+    Ck = np.einsum("abcd,d->abc", C, k)
+    F10 = 0.5 * (np.einsum("a,bc->abc", kb, Phi) - np.einsum("b,ac->abc", kb, Phi))
     gpart = skew_arr(np.einsum("a,bc->abc", kb, g), (0, 1))
     out["Pi_1^0_relation"] = float(
-        np.abs(
-            imC[(1, 0)]
-            - (2.0 / (n - 2.0)) * imF[(1, 0)]
-            + (2.0 / (n * (n - 1.0) * (n - 2.0))) * R_scalar * gpart
-        ).max()
-        / max(scale, 1e-300)
+        np.abs(Ck - (2.0 / (n - 2.0)) * F10 + (2.0 / (n * (n - 1.0) * (n - 2.0))) * R_scalar * gpart).max() / scale
     )
-    out["Pi_0^2_relation"] = float(
-        np.abs(imC[(0, 2)] + (4.0 / (n - 2.0)) * imF[(0, 1)]).max() / max(scale, 1e-300)
-    )
+    out["Pi_0^2_relation"] = _pi02_relation(C, Phi, frame, scale)
     return out
 
 

@@ -1,19 +1,14 @@
 """Classification of curvature tensors under the stabiliser of a null line.
 
-Two complementary tools are provided:
-
-* the graded decomposition of a class tensor with respect to a null frame
-  (module images, norms, vanishing flags, boost-weight aggregates), built
-  on the module tables of `modules`;
-* the invariant probe maps of Bel-Debever type: explicit contractions
-  with k (and, for the top-grade detectors, with l) whose vanishing
-  characterises invariant submodule membership.  `weyl_type` and the
-  Petrov/Weyl subtype flags are computed from these.
-
-A probe at grade i vanishes exactly when the tensor has no component in
-the probed module nor in any module reachable from it along arrows of
-the classification diagram (down-closure semantics); this equivalence is
-exercised by the test suite.
+The graded decomposition of a class tensor with respect to a null frame
+(module images, norms, vanishing flags, boost-weight aggregates) is built on
+the module tables of `modules`.  The Weyl type is read off its filtration,
+and each subtype flag and printed residual Pi_i^j off the same
+decomposition: Pi_i^j is the root-sum-square of the module norms over
+`down_closure`, the modules reachable from (i, j) along the arrows of the
+classification diagram.  That is the module content of the Bel-Debever
+criteria, whose explicit contractions the test suite keeps as an oracle.
+The null-sphere WAND search labels its best direction the same way.
 """
 
 from __future__ import annotations
@@ -25,10 +20,10 @@ from functools import lru_cache
 import numpy as np
 
 from .classes import RANK, component_grades
-from .frames import FrameError, NullFrame, complete_null_frame, orthonormal_basis, orthonormal_null_frame, volume_form
+from .frames import FrameError, NullFrame, complete_null_frame, orthonormal_basis, orthonormal_null_frame
 from .graphs import paper_arrow_set
 from .modules import ModuleKey, module_table, sim_table
-from .tensor import DEFAULT_TOL, Tolerance, skew_arr, swap_pairs, transform_slots
+from .tensor import DEFAULT_TOL, Tolerance, transform_slots
 
 
 # --------------------------------------------------------------------------
@@ -89,6 +84,16 @@ class GradedDecomposition:
         tot = sum(c.norm ** 2 for k, c in self.components.items() if (k.i, k.j) == (i, j))
         return float(np.sqrt(tot))
 
+    def closure_norm(self, i: int, j: int) -> float:
+        """Pi_i^j: the root-sum-square of the module norms over `down_closure` of (i, j).
+
+        It vanishes exactly when the tensor has no part in the (i, j) module
+        nor in any module below it.  A refined decomposition sums the refined
+        parts of those sim modules.
+        """
+        labels = {(key.i, key.j) for key in down_closure(self.space, self.frame.n, i, j)}
+        return math.hypot(*(c.norm for key, c in self.components.items() if (key.i, key.j) in labels))
+
     def summary(self) -> dict:
         return {
             str(c.key): {"norm": c.norm, "vanishing": bool(c.vanishing)}
@@ -122,8 +127,9 @@ def decompose(
     return GradedDecomposition(space, level, frame, comps, resid, tol, scale)
 
 
-def down_closure(space: str, n: int, i: int, j: int) -> list[ModuleKey]:
-    """Modules reachable from (i, j) (all +- parts) along diagram arrows."""
+@lru_cache(maxsize=None)
+def down_closure(space: str, n: int, i: int, j: int) -> tuple[ModuleKey, ...]:
+    """Modules reachable from (i, j) (all +- parts) along diagram arrows; cached per (space, n, i, j)."""
     adj: dict = {}
     for src, dst in paper_arrow_set(space, n, "sim"):
         adj.setdefault(src, set()).add(dst)
@@ -134,157 +140,15 @@ def down_closure(space: str, n: int, i: int, j: int) -> list[ModuleKey]:
             if nxt not in seen:
                 seen.add(nxt)
                 frontier.append(nxt)
-    return sorted(seen, key=lambda k: (k.i, k.j, k.pm))
-
-
-# --------------------------------------------------------------------------
-# invariant probe maps (generalised Bel-Debever criteria)
-# --------------------------------------------------------------------------
-
-
-def probe_G(phi: np.ndarray, frame: NullFrame) -> dict:
-    g, k, l = frame.g, frame.k, frame.l
-    kb, lb = g @ k, g @ l
-    out = {}
-    w = np.einsum("c,ca->a", k, phi)
-    out[(-1, 0)] = 0.5 * (np.outer(w, kb) - np.outer(kb, w))
-    out[(0, 0)] = np.einsum("a,ab->b", k, phi)
-    out[(0, 1)] = skew_arr(np.einsum("ab,c->abc", phi, kb), (0, 1, 2))
-    wl = np.einsum("c,ca->a", l, phi)
-    out[(1, 0)] = 0.5 * (np.outer(wl, lb) - np.outer(lb, wl))
-    return out
-
-
-def probe_G6_pm(phi: np.ndarray, frame: NullFrame) -> dict:
-    """The n = 6 Hodge-split probes for 2-forms."""
-    g = frame.g
-    kb = g @ frame.k
-    eps = volume_form(g)
-    g_inv = np.linalg.inv(g)
-    eps_up3 = np.einsum("abcdef,ax,by,cz->xyzdef", eps, g_inv, g_inv, g_inv)
-    base = skew_arr(np.einsum("d,ef->def", kb, phi), (0, 1, 2))
-    dual = (1.0 / 6.0) * np.einsum("a,bc,abcdef->def", kb, phi, eps_up3)
-    return {"+": base + dual, "-": base - dual}
-
-
-def probe_F(Phi: np.ndarray, frame: NullFrame) -> dict:
-    g, k, l = frame.g, frame.k, frame.l
-    kb = g @ k
-    n = frame.n
-    out = {(-2, 0): np.array(k @ Phi @ k)}
-    w = k @ Phi
-    out[(-1, 0)] = 0.5 * (np.outer(w, kb) - np.outer(kb, w))
-    tr = np.einsum("a,bc,d->abcd", kb, g, Phi @ k)
-    raw = np.einsum("a,bc,d->abcd", kb, Phi, kb) + (1.0 / (n - 2)) * (tr + swap_pairs(tr))
-    out[(0, 1)] = skew_arr(raw, (0, 1), (2, 3))
-    out[(0, 0)] = Phi @ k
-    out[(1, 0)] = 0.5 * (np.einsum("a,bc->abc", kb, Phi) - np.einsum("b,ac->abc", kb, Phi))
-    out[(2, 0)] = np.array(l @ Phi @ l)
-    return out
-
-
-def probe_A(A: np.ndarray, frame: NullFrame) -> dict:
-    g, k, l = frame.g, frame.k, frame.l
-    kb, lb = g @ k, g @ l
-    n = frame.n
-    out = {}
-    Akk = np.einsum("c,d,cda->a", k, k, A)
-    out[(-2, 0)] = 0.5 * (np.outer(Akk, kb) - np.outer(kb, Akk))
-    out[(-1, 0)] = Akk
-    X = np.einsum("bec,e->bc", A, k)  # A_{bec} k^e
-    raw = np.einsum("a,bc,d->abcd", kb, X, kb) + (1.0 / (n - 2)) * np.einsum("a,bc,d->abcd", kb, g, Akk)
-    D = skew_arr(raw, (0, 1), (2, 3))
-    out[(-1, 1)] = D - swap_pairs(D)
-    out[(-1, 2)] = D + swap_pairs(D)
-    Y = np.einsum("adb,d->ab", A, k)
-    t1 = np.einsum("ab,c->abc", Y, kb) - np.einsum("ac,b->abc", Y, kb)
-    t2 = np.einsum("a,dbc,d->abc", kb, A, k)
-    # the printed assignment detects the opposite member of the isotypic
-    # pair; kernels fix the labelling
-    out[(0, 0)] = t1 + t2
-    out[(0, 1)] = t1 - t2
-    W = 2.0 * np.einsum("bfd,f->bd", A, k)
-    Z = np.einsum("fde,f->de", A, k)
-    q1 = np.einsum("ca,bd,e->abcde", g, W, kb) - np.einsum("ca,b,de->abcde", g, kb, Z)
-    q2 = np.einsum("ca,bd,e->abcde", g, g, Akk)
-    raw = np.einsum("a,bcd,e->abcde", kb, A, kb) - (1.0 / (n - 3)) * q1 - (2.0 / ((n - 2) * (n - 3))) * q2
-    out[(0, 2)] = skew_arr(raw, (0, 1), (2, 3, 4))
-    out[(1, 0)] = np.einsum("abc,c->ab", A, k)
-    # k_[a A_b]cd is already skew in (c, d)
-    raw = np.einsum("a,bcd->abcd", kb, A) + (2.0 / (n - 2)) * np.einsum("ac,dbe,e->abcd", g, A, k)
-    D = skew_arr(raw, (0, 1), (2, 3))
-    out[(1, 1)] = D - swap_pairs(D)
-    out[(1, 2)] = D + swap_pairs(D)
-    All = np.einsum("c,d,cda->a", l, l, A)
-    out[(2, 0)] = 0.5 * (np.outer(All, lb) - np.outer(lb, All))
-    return out
-
-
-def probe_C(C: np.ndarray, frame: NullFrame) -> dict:
-    g, k = frame.g, frame.k
-    kb = g @ k
-    n = frame.n
-    out = {}
-    M = np.einsum("befc,e,f->bc", C, k, k)
-    out[(-2, 0)] = skew_arr(np.einsum("a,bc,d->abcd", kb, M, kb), (0, 1), (2, 3))
-    out[(-1, 0)] = skew_arr(np.einsum("adeb,d,e,c->abc", C, k, k, kb), (1, 2))
-    X = np.einsum("bcfd,f->bcd", C, k)
-    W = np.einsum("efgb,f,g->eb", C, k, k)
-    raw = np.einsum("a,bcd,e->abcde", kb, X, kb) - (2.0 / (n - 3)) * np.einsum("ad,eb,c->abcde", g, W, kb)
-    out[(-1, 1)] = skew_arr(raw, (0, 1, 2), (3, 4))
-    out[(0, 0)] = np.einsum("acdb,c,d->ab", C, k, k)
-    out[(0, 1)] = skew_arr(np.einsum("a,bcde,e->abcd", kb, C, k), (0, 1, 2))
-    # C_abek^e is skew in (a, b), and the trace term is pair-symmetric
-    Xk = np.einsum("abec,e->abc", C, k)
-    Ckk = np.einsum("befd,e,f->bd", C, k, k)
-    raw = np.einsum("abc,d->abcd", Xk, kb) - (2.0 / (n - 2)) * np.einsum("ca,bd->abcd", g, Ckk)
-    D = skew_arr(raw, (0, 1), (2, 3))
-    out[(0, 2)] = D + swap_pairs(D)
-    if n > 4:
-        out[(0, 3)] = _probe_C_0_3(C, frame)
-    out[(1, 0)] = np.einsum("abcd,d->abc", C, k)
-    # k_[a C_bc]de is already skew in (d, e)
-    Y = np.einsum("exbc,x->ebc", C, k)
-    raw = np.einsum("a,bcde->abcde", kb, C) + (2.0 / (n - 3)) * np.einsum("ad,ebc->abcde", g, Y)
-    out[(1, 1)] = skew_arr(raw, (0, 1, 2), (3, 4))
-    out[(2, 0)] = C
-    return out
-
-
-def _probe_C_0_3(C: np.ndarray, frame: NullFrame) -> np.ndarray:
-    g, k = frame.g, frame.k
-    kb = g @ k
-    n = frame.n
-    X = np.einsum("efgb,g->efb", C, k)
-    Y = np.einsum("bcge,g->bce", C, k)
-    W = np.einsum("xghy,g,h->xy", C, k, k)
-    # the trace term is a sum of nine placements of g W g, each skew over two
-    # pairs; as W is symmetric they add up to nine times the placement below
-    # antisymmetrised over (a, b, c) and (d, e, f)
-    raw = (
-        np.einsum("a,bcde,f->abcdef", kb, C, kb)
-        - (2.0 / (n - 4)) * (np.einsum("ad,efb,c->abcdef", g, X, kb) + np.einsum("da,bce,f->abcdef", g, Y, kb))
-        + (4.0 / ((n - 3) * (n - 4))) * np.einsum("da,be,fc->abcdef", g, W, g)
-    )
-    return skew_arr(raw, (0, 1, 2), (3, 4, 5))
-
-
-PROBES = {"G": probe_G, "F": probe_F, "A": probe_A, "C": probe_C}
-
-
-def probe_images(space: str, arr: np.ndarray, frame: NullFrame) -> dict:
-    return PROBES[space](np.asarray(arr, dtype=float), frame)
-
-
-def probe_norms(space: str, arr: np.ndarray, frame: NullFrame) -> dict:
-    return {k: float(np.linalg.norm(np.atleast_1d(v))) for k, v in probe_images(space, arr, frame).items()}
+    return tuple(sorted(seen, key=lambda k: (k.i, k.j, k.pm)))
 
 
 # --------------------------------------------------------------------------
 # Petrov/Weyl types
 # --------------------------------------------------------------------------
 
-SUBTYPE_PROBES = {
+# each subtype flag: the module (i, j) whose down-closure norm Pi_i^j vanishes
+SUBTYPE_MODULES = {
     "I(a)": (-1, 0),
     "I(b)": (-1, 1),
     "II(a)": (0, 0),
@@ -296,6 +160,9 @@ SUBTYPE_PROBES = {
 }
 
 TYPE_ORDER = ["G", "I", "II", "III", "N", "O"]
+
+# the reported Pi_i^j: every C label; (0, 3) only for n > 4
+RESIDUAL_MODULES = tuple(sorted({(-2, 0), (2, 0), *SUBTYPE_MODULES.values()}))
 
 
 @dataclass
@@ -318,9 +185,12 @@ class WeylTypeLabel:
 
 
 def weyl_type_at_frame(C: np.ndarray, frame: NullFrame, tol: Tolerance = DEFAULT_TOL, scale: float | None = None) -> WeylTypeLabel:
-    """Type and subtype flags of a Weyl tensor with respect to a fixed frame."""
-    if scale is None:
-        scale = float(np.linalg.norm(frame.to_frame(C)))
+    """Type and subtype flags of a Weyl tensor with respect to a fixed frame.
+
+    Both are read off one sim decomposition at ``scale`` (None: the norm of
+    C's frame components): the type off its filtration, each subtype flag off
+    the vanishing of its closure norm Pi_i^j, which is also the residual.
+    """
     dec = decompose("C", C, frame, "sim", tol, scale)
     label = "G"
     for t, i in (("I", -2), ("II", -1), ("III", 0), ("N", 1), ("O", 2)):
@@ -328,16 +198,16 @@ def weyl_type_at_frame(C: np.ndarray, frame: NullFrame, tol: Tolerance = DEFAULT
             label = t
         else:
             break
-    norms = probe_norms("C", C, frame)
-    flags = tuple(name for name, key in SUBTYPE_PROBES.items() if key in norms and tol.vanishes(norms[key], scale))
-    return WeylTypeLabel(label, flags, norms, direction=frame.k, decomposition=dec)
+    residuals = {key: dec.closure_norm(*key) for key in RESIDUAL_MODULES if key != (0, 3) or frame.n > 4}
+    flags = tuple(name for name, key in SUBTYPE_MODULES.items() if key in residuals and tol.vanishes(residuals[key], dec.scale))
+    return WeylTypeLabel(label, flags, residuals, direction=frame.k, decomposition=dec)
 
 
 _GRID_BLOCK = 1024  # directions per block of `wand_residual`: under 3 MB of temporaries at n = 9
 
 
 def wand_residual(C: np.ndarray, frame_basis: np.ndarray, omega: np.ndarray, g: np.ndarray, Cnorm: float):
-    """|skew_(01)(23)(U (x) M (x) U)| / Cnorm: the (-2, 0) probe of C along k, which vanishes at a WAND.
+    """|skew_(01)(23)(U (x) M (x) U)| / Cnorm: the boost-weight +2 part of C along k, which vanishes at a WAND.
 
     Here k = frame_basis[0] + omega @ frame_basis[1:], U = g k and
     M_bc = C_befc k^e k^f.  With s = |U|^2 and P = I - U U^T / s, the identity

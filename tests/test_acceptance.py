@@ -10,6 +10,7 @@ red line is reported alongside the corrected value, which passes.
 import numpy as np
 import pytest
 
+from bel_debever import probe_norms
 from conftest import random_class_tensor, random_lorentzian, random_null_vector, reconstruct, unitary_to_real
 from robcls.catalog import ENTRIES, iwasawa_phi_field, run_expectations
 from robcls.chart import eigenstructure
@@ -25,7 +26,7 @@ from robcls import jets as JT
 from robcls.modules import sim_table, rob_table
 from robcls.repdims import all_dim_checks, nilpotent_action_check
 from robcls.robclass import multi_robinson_equivalences, special_residual
-from robcls.simclass import decompose, probe_norms, weyl_type_search
+from robcls.simclass import decompose, weyl_type_search
 from robcls.robclass import aligned_residual
 
 SPACES = ("G", "F", "A", "C")

@@ -505,6 +505,28 @@ def test_classify_predicates_follow_the_refined_flags(argv, tmp_path):
         assert report["predicates"] == {"aligned": True, "algebraically_special": True}
 
 
+@pytest.mark.parametrize("n", range(4, 10))
+@pytest.mark.parametrize("metric", ("schwarzschild", "walker"))
+def test_classify_residuals_are_closure_norms_of_the_printed_modules(metric, n, capsys):
+    """Each printed Pi_i^j is the root-sum-square of the printed sim module norms over
+    `down_closure`, and each subtype flag is set exactly when its residual is within
+    the threshold at the decomposition's scale; n = 4 has no Pi_0^3."""
+    from robcls.simclass import SUBTYPE_MODULES, down_closure
+
+    point = ",".join(map(str, [0.1, 3.0, 0.9, 0.5, 0.3, 0.2, 0.1, -0.3, 0.2][:n]))
+    assert main(["classify", "--metric", metric, "--dim", str(n), "--point", point]) in (0, 3)
+    report = json.loads(capsys.readouterr().out)
+    wt, sim = report["weyl_type"], report["sim_decomposition"]
+    assert len(wt["residuals"]) == (9 if n == 4 else 10)
+    for name, value in wt["residuals"].items():
+        i, j = map(int, name[3:].split("^"))
+        closure = np.sqrt(sum(sim["modules"][str(key)]["norm"] ** 2 for key in down_closure("C", n, i, j)))
+        assert value == pytest.approx(closure, rel=1e-12, abs=1e-300), name
+    tol = Tolerance(report["tolerances"]["abs_eps"], report["tolerances"]["rel_eps"])
+    expected = [f for f, (i, j) in SUBTYPE_MODULES.items() if f"Pi_{i}^{j}" in wt["residuals"] and wt["residuals"][f"Pi_{i}^{j}"] <= tol.threshold(sim["scale"])]
+    assert wt["subtype_flags"] == sorted(expected)
+
+
 def test_classify_indeterminate_exit_code(tmp_path):
     """A tolerance placed inside a module-norm band reports exit code 3."""
     out = tmp_path / "ind.json"

@@ -132,8 +132,6 @@ TEST_ONLY = {
     "g_refined_maps": "item 9",
     "integrability_map_0_3_3": "item 9",
     "nilpotent_action_check": "item 9",
-    "down_closure": "item 9",
-    "probe_G6_pm": "item 9",
     # public API: exported by robcls/__init__.py, called only by the tests
     "adapted_blocks": "public API",
     "frame_field_bracket": "public API",

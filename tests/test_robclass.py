@@ -443,25 +443,38 @@ def test_integrability_map_0_3_3(n=6):
 
 
 def test_relations_compute_each_probe_once(monkeypatch):
-    """Each relation set probes C and Phi once, and reads the norms off those images."""
-    from robcls import simclass
+    """Each relation set decomposes C once, and Phi once where it reads a norm of Phi,
+    and its tensor identities agree with the Bel-Debever probe images."""
+    from bel_debever import probe_images
+    from robcls import robclass
     from robcls.robclass import parallel_vector_relations, recurrent_line_relations
 
     calls = []
-    for space in ("C", "F"):
+    original = robclass.decompose
 
-        def counted(arr, frame, space=space, probe=simclass.PROBES[space]):
-            calls.append(space)
-            return probe(arr, frame)
+    def counted(space, *args, **kwargs):
+        calls.append(space)
+        return original(space, *args, **kwargs)
 
-        monkeypatch.setitem(simclass.PROBES, space, counted)
+    monkeypatch.setattr(robclass, "decompose", counted)
     n = 6
     rng = np.random.default_rng(3)
     g = random_lorentzian(n, rng)
     fr = complete_null_frame(g, random_null_vector(g, rng))
-    C, riemann = rng.standard_normal((2,) + (n,) * 4)
-    Phi = rng.standard_normal((n, n))
-    for relations in (recurrent_line_relations, parallel_vector_relations):
+    C, Phi = (fr.from_frame(random_class_tensor(space, n, rng)) for space in ("C", "F"))
+    riemann = rng.standard_normal((n,) * 4)
+    R = 0.3
+    scale = np.abs(riemann).max()
+    kb = g @ fr.k
+    imC, imF = probe_images("C", C, fr), probe_images("F", Phi, fr)
+    pi02 = np.abs(imC[(0, 2)] + (4.0 / (n - 2)) * imF[(0, 1)]).max() / scale
+    pi00 = np.abs(imC[(0, 0)] - R / ((n - 1) * (n - 2)) * np.outer(kb, kb)).max() / scale
+    gpart = skew_arr(np.einsum("a,bc->abc", kb, g), (0, 1))
+    pi10 = np.abs(imC[(1, 0)] - (2.0 / (n - 2)) * imF[(1, 0)] + 2.0 * R / (n * (n - 1) * (n - 2)) * gpart).max() / scale
+    for relations, spaces in ((recurrent_line_relations, ["C", "F"]), (parallel_vector_relations, ["C"])):
         calls.clear()
-        relations(C, Phi + Phi.T, 0.3, riemann, fr)
-        assert sorted(calls) == ["C", "F"], relations.__name__
+        out = relations(C, Phi, R, riemann, fr)
+        assert sorted(calls) == spaces, relations.__name__
+        assert out["Pi_0^2_relation"] == pytest.approx(pi02, rel=1e-12), relations.__name__
+    assert out["Pi_0^0_relation"] == pytest.approx(pi00, rel=1e-12)
+    assert out["Pi_1^0_relation"] == pytest.approx(pi10, rel=1e-12)

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from bel_debever import probe_G6_pm, probe_images, probe_norms
 from conftest import random_class_tensor, random_lorentzian, random_null_vector, reconstruct
 from robcls.classes import RANK, component_grades, frame_metric
-from robcls.frames import complete_null_frame, orthonormal_basis, orthonormal_null_frame, reference_frame
+from robcls.frames import NullFrame, complete_null_frame, orthonormal_basis, orthonormal_null_frame, reference_frame
 from robcls.modules import sim_table
 import robcls.simclass as simclass
 from robcls.catalog import ENTRIES
@@ -11,7 +12,6 @@ from robcls.simclass import (
     GradedDecomposition,
     decompose,
     down_closure,
-    probe_norms,
     sphere_grid,
     wand_residual,
     weyl_type_at_frame,
@@ -507,7 +507,6 @@ def test_sphere_grid_rejects_spheres_beyond_its_primes():
 
 def test_probe_g6_pm_matches_module_split():
     """The explicit n = 6 Hodge-split 2-form probes separate the +- modules."""
-    from robcls.simclass import probe_G6_pm
     from robcls.modules import ModuleKey
 
     n = 6
@@ -546,8 +545,7 @@ def test_grading_element_probe_pattern():
     assert norms[(1, 0)] > 0.5
 
 
-# The probes as first written: every term antisymmetrised on its own, and the
-# C_0^3 trace term as nine two-pair placements of g W g.
+# The C_0^3 probe's trace term as first written: nine two-pair placements of g W g.
 
 _C03_PIECES = [
     ("da,be,fc", (0, 1), (4, 5)),
@@ -562,100 +560,40 @@ _C03_PIECES = [
 ]
 
 
-def _skew2(a, s1, s2):
-    return skew_arr(skew_arr(a, s1), s2)
-
-
-def _pair(t):
-    return np.transpose(t, (2, 3, 0, 1))
-
-
-def _ref_probe_F(Phi, fr):
-    g, k, n = fr.g, fr.k, fr.n
-    kb = g @ k
-    core = _skew2(np.einsum("a,bc,d->abcd", kb, Phi, kb), (0, 1), (2, 3))
-    tr1 = _skew2(np.einsum("a,bc,d->abcd", kb, g, Phi @ k), (0, 1), (2, 3))
-    tr2 = _skew2(np.einsum("c,da,b->abcd", kb, g, Phi @ k), (2, 3), (0, 1))
-    return {(0, 1): core + (1.0 / (n - 2)) * (tr1 + tr2)}
-
-
-def _ref_probe_A(A, fr):
-    g, k, n = fr.g, fr.k, fr.n
-    kb = g @ k
-    out = {}
-    Akk = np.einsum("c,d,cda->a", k, k, A)
-    X = np.einsum("bec,e->bc", A, k)
-    core = _skew2(np.einsum("a,bc,d->abcd", kb, X, kb), (0, 1), (2, 3))
-    trc = _skew2(np.einsum("a,bc,d->abcd", kb, g, Akk), (0, 1), (2, 3))
-    out[(-1, 1)] = (core - _pair(core)) + (1.0 / (n - 2)) * (trc - _pair(trc))
-    out[(-1, 2)] = (core + _pair(core)) + (1.0 / (n - 2)) * (trc + _pair(trc))
-    core = _skew2(np.einsum("a,bcd,e->abcde", kb, A, kb), (0, 1), (2, 3, 4))
-    W = 2.0 * np.einsum("bfd,f->bd", A, k)
-    Z = np.einsum("fde,f->de", A, k)
-    q1 = np.einsum("ca,bd,e->abcde", g, W, kb) - np.einsum("ca,b,de->abcde", g, kb, Z)
-    q1 = _skew2(q1, (0, 1), (2, 3, 4))
-    q2 = _skew2(np.einsum("ca,bd,e->abcde", g, g, Akk), (0, 1), (2, 3, 4))
-    out[(0, 2)] = core - (1.0 / (n - 3)) * q1 - (2.0 / ((n - 2) * (n - 3))) * q2
-    P = skew_arr(np.einsum("a,bcd->abcd", kb, A), (0, 1))
-    Q = skew_arr(np.einsum("c,dab->abcd", kb, A), (2, 3))
-    R1 = _skew2(np.einsum("ac,dbe,e->abcd", g, A, k), (0, 1), (2, 3))
-    R2 = _skew2(np.einsum("ca,bde,e->abcd", g, A, k), (0, 1), (2, 3))
-    out[(1, 1)] = P - Q + (2.0 / (n - 2)) * (R1 - R2)
-    out[(1, 2)] = P + Q + (2.0 / (n - 2)) * (R1 + R2)
-    return out
-
-
 def _ref_C03_trace(g, W):
     t3 = 0.0
     for spec, br1, br2 in _C03_PIECES:
-        t3 = t3 + _skew2(np.einsum(spec + "->abcdef", g, W, g), br1, br2)
+        t3 = t3 + skew_arr(np.einsum(spec + "->abcdef", g, W, g), br1, br2)
     return t3
 
 
-def _ref_probe_C(C, fr):
-    g, k, n = fr.g, fr.k, fr.n
-    kb = g @ k
-    out = {}
-    X = np.einsum("bcfd,f->bcd", C, k)
-    T = _skew2(np.einsum("a,bcd,e->abcde", kb, X, kb), (0, 1, 2), (3, 4))
-    W = np.einsum("efgb,f,g->eb", C, k, k)
-    q = _skew2(np.einsum("ad,eb,c->abcde", g, W, kb), (0, 1, 2), (3, 4))
-    out[(-1, 1)] = T - (2.0 / (n - 3)) * q
-    Xk = np.einsum("abec,e->abc", C, k)
-    t = skew_arr(np.einsum("abc,d->abcd", Xk, kb), (2, 3))
-    Ckk = np.einsum("befd,e,f->bd", C, k, k)
-    q = _skew2(np.einsum("ca,bd->abcd", g, Ckk), (2, 3), (0, 1))
-    out[(0, 2)] = t + np.transpose(t, (2, 3, 0, 1)) - (4.0 / (n - 2)) * q
-    if n > 4:
-        t1 = _skew2(np.einsum("a,bcde,f->abcdef", kb, C, kb), (0, 1, 2), (3, 4, 5))
-        X = np.einsum("efgb,g->efb", C, k)
-        t2a = _skew2(np.einsum("ad,efb,c->abcdef", g, X, kb), (0, 1, 2), (3, 4, 5))
-        Y = np.einsum("bcge,g->bce", C, k)
-        t2b = _skew2(np.einsum("da,bce,f->abcdef", g, Y, kb), (0, 1, 2), (3, 4, 5))
-        W = np.einsum("xghy,g,h->xy", C, k, k)
-        t3 = _ref_C03_trace(g, W)
-        out[(0, 3)] = t1 - (2.0 / (n - 4)) * (t2a + t2b) + (4.0 / (9.0 * (n - 3) * (n - 4))) * t3
-    t = skew_arr(np.einsum("a,bcde->abcde", kb, C), (0, 1, 2))
-    Y = np.einsum("exbc,x->ebc", C, k)
-    q = _skew2(np.einsum("ad,ebc->abcde", g, Y), (0, 1, 2), (3, 4))
-    out[(1, 1)] = t + (2.0 / (n - 3)) * q
-    return out
-
-
 @pytest.mark.parametrize("n", (4, 5, 6, 7, 8, 9))
-def test_probes_match_termwise_antisymmetrisation(n):
-    """Antisymmetrising each probe's summed terms once agrees with
-    antisymmetrising every term on its own, in random Lorentzian frames."""
+def test_probes_vanish_with_closure_norms_in_random_frames(n):
+    """In a random Lorentzian frame, each Bel-Debever probe of F, A and C and the
+    closure norm of its label vanish together: both are nonzero on a random
+    tensor (both vanish where the label has no module below it), and both
+    vanish once the modules of the closure are taken out."""
     rng = np.random.default_rng(41 + n)
     g = random_lorentzian(n, rng)
     fr = complete_null_frame(g, random_null_vector(g, rng))
-    for space, ref_probe in (("F", _ref_probe_F), ("A", _ref_probe_A), ("C", _ref_probe_C)):
-        T = fr.from_frame(random_class_tensor(space, n, rng))
-        new = simclass.probe_images(space, T, fr)
-        ref = ref_probe(T, fr)
-        assert ref.keys() <= new.keys()
-        for key, img in ref.items():
-            assert np.abs(new[key] - img).max() <= 1e-13 * np.linalg.norm(T), (space, key)
+    for space in ("F", "A", "C"):
+        tab = sim_table(space, n)
+        t = random_class_tensor(space, n, rng)
+        T = fr.from_frame(t)
+        dec = decompose(space, T, fr, "sim")
+        for (i, j), img in probe_images(space, T, fr).items():
+            closure = down_closure(space, n, i, j)
+            probe, pi = float(np.linalg.norm(img)), dec.closure_norm(i, j)
+            if closure:
+                assert probe > 1e-6 and pi > 1e-6, (space, i, j, probe, pi)
+            else:
+                assert probe < 1e-10 and pi == 0.0, (space, i, j, probe)
+            coeff = tab.coefficients(t.ravel())
+            for key in closure:
+                coeff[tab.slices[key]] = 0.0
+            T_out = fr.from_frame((tab.stacked.T @ coeff).reshape(t.shape))
+            probe_out = float(np.linalg.norm(probe_images(space, T_out, fr)[(i, j)]))
+            assert probe_out < 1e-10 and decompose(space, T_out, fr, "sim").closure_norm(i, j) < 1e-12, (space, i, j, probe_out)
 
 
 def test_C03_trace_is_nine_times_one_placement():
@@ -668,3 +606,49 @@ def test_C03_trace_is_nine_times_one_placement():
         one = skew_arr(np.einsum("da,be,fc->abcdef", g, W, g), (0, 1, 2), (3, 4, 5))
         nine = _ref_C03_trace(g, W)
         assert np.abs(nine - 9.0 * one).max() <= 1e-14 * np.abs(nine).max()
+
+
+LORENTZIAN = [name for name, entry in ENTRIES.items() if sum(s < 0 for s in entry.chart().signature) == 1]
+
+
+@pytest.mark.parametrize("name", LORENTZIAN)
+def test_weyl_type_is_coordinate_covariant(name):
+    """The type, the subtype flags and the residuals Pi_i^j do not see a change of
+    coordinates x = lam Q y: g, C and the frame at each sample point, along the
+    default null direction, carried through it with lam = 1e-2 and 1e2."""
+    from robcls.cli import _null_direction
+
+    entry = ENTRIES[name]
+    chart = entry.chart()
+    rng = np.random.default_rng(59)
+    for pt in entry.sample_points(chart.params):
+        cp = chart.evaluate(pt)
+        fr = complete_null_frame(cp.g, _null_direction(None, entry, cp))
+        base = weyl_type_at_frame(cp.weyl, fr)
+        n = fr.n
+        for lam in (1e-2, 1e2):
+            J = lam * np.linalg.qr(rng.standard_normal((n, n)))[0]  # dx/dy
+            Jinv = np.linalg.inv(J)
+            fr_y = NullFrame(J.T @ cp.g @ J, Jinv @ fr.k, Jinv @ fr.l, tuple(Jinv @ e for e in fr.screen))
+            label = weyl_type_at_frame(transform_slots(cp.weyl, J.T), fr_y)
+            assert (label.type, label.subtype_flags) == (base.type, base.subtype_flags), (pt, lam)
+            assert label.residuals.keys() == base.residuals.keys()
+            scale = base.decomposition.scale
+            for key, val in base.residuals.items():
+                assert abs(label.residuals[key] - val) <= 1e-12 * scale, (pt, lam, key)
+
+
+def test_weyl_type_at_frame_memory_budget():
+    """A warm label at n = 9 allocates no n^6 probe images: its tracemalloc peak stays under 2 MB."""
+    import tracemalloc
+
+    cp = ENTRIES["schwarzschild"].chart({"dim": 9}).evaluate([0.0, 3.0] + [0.0] * 7)
+    fr = complete_null_frame(cp.g, ENTRIES["schwarzschild"].null_lines(cp)["K"])
+    weyl_type_at_frame(cp.weyl, fr)  # builds the tables and closures
+    tracemalloc.start()
+    try:
+        weyl_type_at_frame(cp.weyl, fr)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000, peak
