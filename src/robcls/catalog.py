@@ -458,7 +458,7 @@ def _mp_r(a1, a2, nvar, *coords):
             hi = mid
     rho_val = 0.5 * (lo + hi)
     rho = Jet.constant(rho_val, nvar)
-    for _ in range(4):
+    for _ in range(2):  # each Newton step doubles the order the jet is correct to: 1, then 3
         F = R2[0] / (rho + a[0] ** 2) + R2[1] / (rho + a[1] ** 2) - 1.0
         dF = -(R2[0] / (rho + a[0] ** 2) ** 2 + R2[1] / (rho + a[1] ** 2) ** 2)
         rho = rho - F / dF

@@ -144,9 +144,8 @@ def cmd_classify(args) -> int:
         except ValueError as exc:  # FrameError on a metric that is not Lorentzian
             raise UsageError(f"cannot search: {exc}") from None
     else:
-        kvec = _null_direction(args.k, entry, cp)
         try:
-            frame = complete_null_frame(cp.g, kvec)
+            frame = complete_null_frame(cp.g, _null_direction(args.k, entry, cp))
         except FrameError as exc:
             raise UsageError(f"frame error: {exc}") from None
         label = weyl_type_at_frame(cp.weyl, frame, tol, scale)

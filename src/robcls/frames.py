@@ -91,14 +91,17 @@ def reference_frame(n: int) -> NullFrame:
 
 
 def orthonormal_basis(g: np.ndarray) -> np.ndarray:
-    """Rows: timelike unit then spacelike units, diagonalising g."""
+    """Rows: timelike unit then spacelike units, diagonalising g.
+
+    A g that does not have exactly one negative eigenvalue, or that has an
+    eigenvalue at most 1e-12 of the largest in modulus, is a `FrameError`.
+    """
     w, v = np.linalg.eigh(g)
     order = np.argsort(w)
-    cols = []
-    for idx in order:
-        val = w[idx]
-        cols.append(v[:, idx] / np.sqrt(abs(val)))
-    return np.array(cols)
+    mod = np.abs(w[order])
+    if np.count_nonzero(w < 0) != 1 or mod.min() <= 1e-12 * mod.max():
+        raise FrameError(f"g is not a nondegenerate Lorentzian metric: eigenvalues {w.tolist()}")
+    return v.T[order] / np.sqrt(mod)[:, None]
 
 
 def orthonormal_null_frame(w: np.ndarray) -> np.ndarray:
@@ -121,75 +124,30 @@ def orthonormal_null_frame(w: np.ndarray) -> np.ndarray:
 
 
 def complete_null_frame(g: np.ndarray, k: np.ndarray) -> NullFrame:
-    """Deterministic completion of a null vector to an adapted frame.
+    """The adapted frame of the null line of k, in closed form from the orthonormal basis of g.
 
-    Ordered Gram-Schmidt over the coordinate basis, in matrix form: the
-    candidates are the coordinate basis vectors with P = I - k (g l)^T -
-    l (g k)^T, the projector off span{k, l}, applied twice; an ordered
-    Cholesky factorisation of their Gram matrix skips each candidate whose
-    pivot (its squared residual after the earlier kept ones) is degenerate
-    and stops at n - 2 kept; the screen is L^{-1} times the kept candidates,
-    re-orthonormalised once in g (CholeskyQR).  P is applied as
-    v - g(v, l) k - g(v, k) l, never formed: the entries of P P cancel
-    badly when |l| is large.  The output is reproducible, and every failure
-    is a `FrameError`.
+    With B = `orthonormal_basis(g)` and k = c B, the frame is that of
+    `orthonormal_null_frame(w)` at w = c[1:] / c_0, read back through B, in
+    the gauge k^0 = 1 of that basis: k is returned as k / |c_0|, so the frame
+    of s k is the frame of k for s > 0, and k, l flip sign for s < 0 while
+    the screen stays.  A k that is zero or not null (| |w|^2 - 1 | > 1e-8),
+    non-finite input and a g that `orthonormal_basis` rejects are a
+    `FrameError`.
     """
     g = np.asarray(g, dtype=float)
     k = np.asarray(k, dtype=float)
     if not (np.isfinite(g).all() and np.isfinite(k).all()):
         raise FrameError("g and k must have finite components")
-    n = g.shape[0]
-    knorm = np.linalg.norm(k)
-    if knorm == 0.0:
+    if not k.any():
         raise FrameError("k is zero")
-    gmax = np.abs(g).max()
-    scale = gmax * knorm**2
-    if abs(k @ g @ k) > 1e-8 * max(scale, 1e-300):
-        raise FrameError(f"k is not null: g(k,k) = {k @ g @ k}")
+    B = orthonormal_basis(g)
     gk = g @ k
-    # dual null direction from the first usable coordinate basis vector
-    cand = np.abs(gk)
-    cmax = cand.max()
-    if cmax == 0.0:
-        raise FrameError("g k vanishes: k has no dual null direction")
-    idx = int(np.argmax(cand > 0.1 * cmax))
-    w = np.zeros(n)
-    w[idx] = 1.0 / gk[idx]
-    l = w - 0.5 * float(w @ g @ w) * k
-    l = l / float(l @ g @ k)
-    l = l - 0.5 * float(l @ g @ l) * k  # second pass for round-off
-    gl = g @ l
-
-    def project(rows):
-        """P v = v - g(v, l) k - g(v, k) l for each row v."""
-        return rows - np.outer(rows @ gl, k) - np.outer(rows @ gk, l)
-
-    X = project(project(np.eye(n)))  # rows: the candidates; the second pass clears the first's round-off
-    H = X @ g @ X.T
-    floor = 1e-12 * max(1.0, gmax)
-    L = np.zeros((n, n - 2))
-    E = np.zeros((n - 2, n))
-    j = 0
-    for a in range(n):
-        pivot = H[a, a] - L[a, :j] @ L[a, :j]
-        if pivot > floor:
-            L[a, j] = r = np.sqrt(pivot)
-            L[a + 1 :, j] = (H[a + 1 :, a] - L[a + 1 :, :j] @ L[a, :j]) / r
-            E[j] = (X[a] - L[a, :j] @ E[:j]) / r  # forward substitution: row j of L^{-1} X
-            j += 1
-            if j == n - 2:
-                break
-    if j != n - 2:
-        raise FrameError("could not complete the screen basis")
-    E = project(E)  # the substitution's round-off leaves parts along k and l
-    try:
-        E = np.linalg.solve(np.linalg.cholesky(E @ g @ E.T), E)
-    except np.linalg.LinAlgError:
-        raise FrameError("could not complete the screen basis") from None
-    frame = NullFrame(g, k, l, tuple(E))
-    if frame.max_residual() > 1e-9 * max(1.0, gmax):
-        raise FrameError(f"frame completion failed, residual {frame.max_residual()}")
-    return frame
+    c0 = -float(B[0] @ gk)  # k = c B with c_0 = -g(k, B_0) and c_i = g(k, B_i)
+    w = B[1:] @ gk / c0 if c0 else None  # c_0 = 0: k is spacelike
+    if w is None or abs(w @ w - 1.0) > 1e-8:
+        raise FrameError(f"k is not null: g(k,k) = {k @ gk}")
+    V = orthonormal_null_frame(w / np.linalg.norm(w)) @ B
+    return NullFrame(g, k / abs(c0), np.sign(c0) * V[-1], tuple(V[1:-1]))
 
 
 # --------------------------------------------------------------------------
@@ -420,10 +378,7 @@ def robinson_from_span(g: np.ndarray, span: list[np.ndarray]) -> RobinsonStructu
             reals.append(v.real)
     if not reals:
         raise FrameError("span has real index 0: no real null line")
-    k = reals[0] / np.linalg.norm(reals[0])
-    if abs(k @ g @ k) > 1e-9 * max(1.0, np.abs(g).max()):
-        raise FrameError("real intersection is not null")
-    frame = complete_null_frame(g, k)
+    frame = complete_null_frame(g, reals[0])
     S = (frame.coframe @ q)[1 : n - 1]  # columns: screen parts of the span's orthonormal basis
     w, s1, _ = np.linalg.svd(S, full_matrices=False)
     rank = int(np.sum(s1 > 1e-9 * max(s1[0], 1e-30)))

@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .classes import RANK, component_grades
-from .frames import FrameError, NullFrame, complete_null_frame, orthonormal_basis, orthonormal_null_frame
+from .frames import NullFrame, complete_null_frame, orthonormal_basis, orthonormal_null_frame
 from .graphs import paper_arrow_set
 from .modules import ModuleKey, module_table, sim_table
 from .tensor import DEFAULT_TOL, Tolerance, transform_slots
@@ -256,9 +256,7 @@ def weyl_type_search(
     n = g.shape[0]
     if not np.isfinite(C).all():
         raise ValueError("the Weyl tensor has non-finite components")
-    if np.count_nonzero(np.linalg.eigvalsh(g) < 0) != 1:
-        raise FrameError("the metric is not Lorentzian: no null sphere to search")
-    basis = orthonormal_basis(g)
+    basis = orthonormal_basis(g)  # a FrameError when g is not Lorentzian: no null sphere to search
     C_on = transform_slots(C, basis)  # C on the orthonormal basis of g
     Cnorm = max(float(np.linalg.norm(C_on)), 1e-300)
     grid = sphere_grid(n - 2, grid_count)
@@ -297,10 +295,8 @@ def weyl_type_search(
     # degenerate directions, so refine through the filtration ladder where
     # each deeper level residual is better conditioned (the last is linear).
     # The ladder reads C_on in the closed-form frame at k = (1, w) of the
-    # orthonormal basis, the direction basis[0] + w @ basis[1:]; its l and
-    # screen differ from `complete_null_frame`'s by a screen rotation, which
-    # keeps every grade's norm, and a null rotation about k, which adds only
-    # lower grades, so the residual agrees wherever those vanish
+    # orthonormal basis, the direction basis[0] + w @ basis[1:], which is the
+    # frame `complete_null_frame` labels that direction in
     grades = component_grades(n, RANK["C"])
 
     def level_residual(w, level):

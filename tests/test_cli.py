@@ -592,6 +592,13 @@ def _reported(**fields):
     return ClassificationReport("", "", {}, [], {}, **fields).to_dict()
 
 
+def _gauged(g, k):
+    """k rescaled to k^0 = 1 in the orthonormal basis of g, as the reported frame carries it: k / |c_0|, c_0 = -g(k, basis[0])."""
+    from robcls.frames import orthonormal_basis
+
+    return k / abs(orthonormal_basis(g)[0] @ (g @ k))
+
+
 @pytest.mark.parametrize(
     "metric,name",
     [(m, k) for m in ("schwarzschild", "myers-perry", "robinson-trautman") for k in ("K", "L", "ingoing", "outgoing", "l")]
@@ -604,7 +611,7 @@ def test_classify_named_k(metric, name, tmp_path):
     code, report, cp = _classify_at_sample(metric, ["--k", name], tmp_path)
     assert code == 0
     canonical = {"ingoing": "K", "outgoing": "L", "k": "K", "l": "L"}.get(name.lower(), name)
-    assert report["frame"]["k"] == _reported(frame={"k": ENTRIES[metric].null_lines(cp)[canonical]})["frame"]["k"]
+    assert report["frame"]["k"] == _reported(frame={"k": _gauged(cp.g, ENTRIES[metric].null_lines(cp)[canonical])})["frame"]["k"]
 
 
 @pytest.mark.parametrize("metric", LORENTZIAN)
@@ -620,7 +627,43 @@ def test_classify_default_direction(metric, tmp_path):
         expected = basis[0] + basis[1]
     else:
         expected = ENTRIES[metric].null_lines(cp)["K"]
-    assert report["frame"]["k"] == _reported(frame={"k": expected})["frame"]["k"]
+    assert report["frame"]["k"] == _reported(frame={"k": _gauged(cp.g, expected)})["frame"]["k"]
+
+
+BOOSTS = (1e3, 1e-3, 1e5, 1e-5, 1e8, 1e-8)
+
+
+def _verdict(code, report):
+    """Exit code, type, subtype flags, refined vanishing map, predicates and indeterminate list of a report."""
+    return (
+        code,
+        report["weyl_type"]["type"],
+        report["weyl_type"]["subtype_flags"],
+        {key: c["vanishing"] for key, c in report["refined_flags"].items()},
+        report["predicates"],
+        report["indeterminate"],
+    )
+
+
+@pytest.mark.parametrize("metric", LORENTZIAN)
+def test_classify_verdict_is_boost_invariant(metric, tmp_path):
+    """Every named line at every sample point, boosted by 10^+-3, 10^+-5 and 10^+-8,
+    gives the verdict of the unboosted line under --robinson standard."""
+    from robcls.catalog import ENTRIES
+
+    entry = ENTRIES[metric]
+    chart = entry.chart(None)
+    out = tmp_path / "boost.json"
+    for pt in entry.sample_points(chart.params):
+        point = ",".join(repr(float(v)) for v in pt)
+        for name, K in entry.null_lines(chart.evaluate(pt)).items():
+            verdicts = []
+            for s in (1.0, *BOOSTS):
+                argv = ["classify", "--metric", metric, "--point=" + point, "--robinson", "standard", "--out", str(out)]
+                code = main(argv + ["--k=" + ",".join(repr(float(v)) for v in s * K)])
+                assert code in (0, 3), (name, s, code)
+                verdicts.append(_verdict(code, json.loads(out.read_text())))
+            assert verdicts == [verdicts[0]] * len(verdicts), (pt, name)
 
 
 NAMED_ROBINSON = [
@@ -640,7 +683,7 @@ def test_classify_named_robinson(metric, name, params, tmp_path):
 
     code, report, cp = _classify_at_sample(metric, ["--robinson", name], tmp_path, params)
     assert code == 0
-    assert report["frame"]["k"] == _reported(frame={"k": _default_k(metric, cp)})["frame"]["k"]
+    assert report["frame"]["k"] == _reported(frame={"k": _gauged(cp.g, _default_k(metric, cp))})["frame"]["k"]
     N = ENTRIES[metric].structure(cp, name)
     assert report["robinson"] == _reported(robinson=N.serialise())["robinson"]
 

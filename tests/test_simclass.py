@@ -410,6 +410,19 @@ def test_polish_propagates_errors_other_than_frame_error(monkeypatch):
         weyl_type_search(*_search_case("pp-wave#0"))
 
 
+@pytest.mark.parametrize("name", SEARCH_CASES)
+def test_weyl_type_search_labels_in_the_ladder_frame(name):
+    """The search labels its direction k = basis[0] + w @ basis[1:] in the frame its
+    ladder polished in: `orthonormal_null_frame(w) @ basis`, to round-off."""
+    C, g = _search_case(name)
+    label = weyl_type_search(C, g)
+    basis = orthonormal_basis(g)
+    w = np.linalg.solve(basis.T, label.direction)[1:]
+    want = orthonormal_null_frame(w / np.linalg.norm(w)) @ basis
+    got = label.decomposition.frame.vectors
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
 @pytest.mark.parametrize("n", range(4, 10))
 def test_orthonormal_null_frame_is_an_adapted_frame(n):
     """Its rows pair like `frame_metric(n)` under eta and its k row is (1, w), also at w = +-e_1."""
@@ -427,8 +440,7 @@ def test_orthonormal_null_frame_is_an_adapted_frame(n):
 def test_ladder_residual_matches_completed_frame_where_lower_grades_vanish(n):
     """At a planted k whose Weyl tensor has no grade below `level`, the ladder
     residual in `orthonormal_null_frame` equals the one read through
-    `complete_null_frame` and `to_frame`: the two frames differ by a screen
-    rotation and a null rotation about k, which adds only lower grades."""
+    `complete_null_frame` and `to_frame`, which completes k in that frame."""
     grades = component_grades(n, 4)
     for seed, level in enumerate((-2, -1, 0, 1)):
         C, g, k0 = planted_weyl(n, set(range(level, 3)), seed=700 + 10 * n + seed)
