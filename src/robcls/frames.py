@@ -118,9 +118,17 @@ def orthonormal_null_frame(w: np.ndarray) -> np.ndarray:
     v[0] += 1.0 if w[0] >= 0.0 else -1.0
     V = np.zeros((n, n))
     V[0, 0], V[0, 1:] = 1.0, w
-    V[1 : n - 1, 1:] = np.eye(n - 1)[1:] - np.outer(v[1:], v / (1.0 + abs(w[0])))
+    V[1 : n - 1, 1:] = _screen_identity(n) - v[1:, None] * (v / (1.0 + abs(w[0])))
     V[n - 1, 0], V[n - 1, 1:] = -0.5, 0.5 * w
     return V
+
+
+@lru_cache(maxsize=None)
+def _screen_identity(n: int) -> np.ndarray:
+    """Rows 2..n-1 of the (n - 1) identity: the I of the screen rows of `orthonormal_null_frame`'s reflection; cached per n, read-only."""
+    out = np.eye(n - 1)[1:]
+    out.flags.writeable = False
+    return out
 
 
 def complete_null_frame(g: np.ndarray, k: np.ndarray) -> NullFrame:

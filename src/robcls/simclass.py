@@ -206,11 +206,17 @@ def weyl_type_at_frame(C: np.ndarray, frame: NullFrame, tol: Tolerance = DEFAULT
 _GRID_BLOCK = 1024  # directions per block of `wand_residual`: under 3 MB of temporaries at n = 9
 
 
-def wand_residual(C: np.ndarray, frame_basis: np.ndarray, omega: np.ndarray, g: np.ndarray, Cnorm: float):
+def wand_matrix(C: np.ndarray, Cnorm: float) -> np.ndarray:
+    """C / Cnorm as the (n^2, n^2) matrix [(b, e), (f, c)] -> C_befc that `wand_residual` contracts with k (x) k."""
+    n = C.shape[0]
+    return (C / Cnorm).transpose(1, 2, 0, 3).reshape(n * n, n * n)  # divided first: |P M P|^2 of a tiny C underflows
+
+
+def wand_residual(Cmat: np.ndarray, frame_basis: np.ndarray, omega: np.ndarray, g: np.ndarray):
     """|skew_(01)(23)(U (x) M (x) U)| / Cnorm: the boost-weight +2 part of C along k, which vanishes at a WAND.
 
-    Here k = frame_basis[0] + omega @ frame_basis[1:], U = g k and
-    M_bc = C_befc k^e k^f.  With s = |U|^2 and P = I - U U^T / s, the identity
+    Here Cmat = `wand_matrix(C, Cnorm)`, k = frame_basis[0] + omega @ frame_basis[1:],
+    U = g k and M_bc = C_befc k^e k^f.  With s = |U|^2 and P = I - U U^T / s, the identity
     |x ^ u|^2 = |u|^2 |x - (x.u) u / |u|^2|^2, applied once per antisymmetrised
     pair, gives the norm exactly as s |P M P| / 2, which cancels no worse than
     building the n^4 image.  One direction (omega of shape (n - 1,)) gives a
@@ -218,7 +224,6 @@ def wand_residual(C: np.ndarray, frame_basis: np.ndarray, omega: np.ndarray, g: 
     _GRID_BLOCK rows.
     """
     n = g.shape[0]
-    Cmat = (C / Cnorm).transpose(1, 2, 0, 3).reshape(n * n, n * n)  # divided first: |P M P|^2 of a tiny C underflows
     W = np.atleast_2d(omega)
     out = np.empty(len(W))
     for start in range(0, len(W), _GRID_BLOCK):
@@ -233,6 +238,34 @@ def wand_residual(C: np.ndarray, frame_basis: np.ndarray, omega: np.ndarray, g: 
     return float(out[0]) if np.ndim(omega) == 1 else out
 
 
+def ladder_residual(C_on: np.ndarray, Cnorm: float):
+    """The polish's ladder residual of C, given on the orthonormal basis of g: a function of (w, level).
+
+    At a unit w it is |frame components of C at grades <= level| / Cnorm in
+    `orthonormal_null_frame(w)`, the frame of k = (1, w); the sim modules of
+    each grade span its columns.  C is read in Lambda^2 form, the N x N matrix
+    Cb[(a<b), (c<d)] = C_abcd with N = n(n - 1)/2, and the frame acts on it as
+    K = Lambda^2 V, K[(i<j), (p<q)] = V_ip V_jq - V_iq V_jp, gathered from V
+    through four flat index arrays: the pair components are K Cb K^T, each
+    counted four times in the n^4 norm, and no n^4 array is built per call.
+    """
+    n = C_on.shape[0]
+    a, b = np.triu_indices(n, 1)
+    Cb = C_on[a[:, None], b[:, None], a, b]
+    pair_grade = component_grades(n, 2).reshape(n, n)[a, b]
+    masks = {level: np.flatnonzero(pair_grade[:, None] + pair_grade <= level) for level in (-2, -1, 0, 1)}
+    ip, jq, iq, jp = a[:, None] * n + a, b[:, None] * n + b, a[:, None] * n + b, b[:, None] * n + a
+
+    def residual(w, level):
+        V = orthonormal_null_frame(w).ravel()
+        K = V.take(ip) * V.take(jq)
+        K -= V.take(iq) * V.take(jp)
+        low = (K @ Cb @ K.T).take(masks[level])
+        return 2.0 * math.sqrt(low.dot(low)) / Cnorm  # np.linalg.norm's own arithmetic
+
+    return residual
+
+
 def weyl_type_search(
     C: np.ndarray,
     g: np.ndarray,
@@ -244,11 +277,12 @@ def weyl_type_search(
     """Search the null sphere for the direction minimising the WAND residual.
 
     Deterministic low-discrepancy grid followed by a local pattern descent
-    and a Nelder-Mead polish down the boost-weight ladder; the type at the
-    best direction is reported together with the residual landscape (a
-    declared type G is evidence-bounded by the floor).  The exact residual
-    `wand_residual` scores the whole grid in one batched call, each poll of
-    the descent in one call and the final floor in one.  The best direction
+    and a Nelder-Mead polish (`_nelder_mead`) down the boost-weight ladder
+    (`ladder_residual`); the type at the best direction is reported together
+    with the residual landscape (a declared type G is evidence-bounded by the
+    floor).  The exact residual `wand_residual` scores the whole grid in one
+    batched call, each poll of the descent in one call and the final floor in
+    one, all against one `wand_matrix` of the search.  The best direction
     is the one direction completed to a frame (`complete_null_frame`), and
     is labelled by `weyl_type_at_frame` at ``scale`` (None: the norm of C in
     that direction's frame).
@@ -259,8 +293,9 @@ def weyl_type_search(
     basis = orthonormal_basis(g)  # a FrameError when g is not Lorentzian: no null sphere to search
     C_on = transform_slots(C, basis)  # C on the orthonormal basis of g
     Cnorm = max(float(np.linalg.norm(C_on)), 1e-300)
+    Cmat = wand_matrix(C, Cnorm)
     grid = sphere_grid(n - 2, grid_count)
-    vals = wand_residual(C, basis, grid, g, Cnorm)
+    vals = wand_residual(Cmat, basis, grid, g)
     best = int(np.argmin(vals))
     grid_floor = float(vals[best])
     # the median as the mean of the two middle values; np.median would import numpy.ma
@@ -281,7 +316,7 @@ def weyl_type_search(
         while j < len(compass):
             cands = omega + step * compass[j:]
             cands /= np.sqrt(cands[:, None, :] @ cands[:, :, None])[:, 0]  # each row's dot, as np.linalg.norm of one row
-            polled = wand_residual(C, basis, cands, g, Cnorm)
+            polled = wand_residual(Cmat, basis, cands, g)
             hits = np.flatnonzero(polled < cur)
             if not hits.size:
                 break
@@ -297,24 +332,17 @@ def weyl_type_search(
     # The ladder reads C_on in the closed-form frame at k = (1, w) of the
     # orthonormal basis, the direction basis[0] + w @ basis[1:], which is the
     # frame `complete_null_frame` labels that direction in
-    grades = component_grades(n, RANK["C"])
-
-    def level_residual(w, level):
-        """|frame components of C at grades <= level| / Cnorm: the sim modules of each grade span its columns."""
-        F = transform_slots(C_on, orthonormal_null_frame(w))
-        return float(np.linalg.norm(F.ravel()[grades <= level])) / Cnorm
+    level_residual = ladder_residual(C_on, Cnorm)
 
     def polish(level, w0):
-        from scipy.optimize import minimize  # imported here: most runs never polish
-
         def objective(w):
             nw = np.linalg.norm(w)
             if nw < 1e-12:
                 return 1e6
             return np.log10(level_residual(w / nw, level) + 1e-300)
 
-        sol = minimize(objective, w0, method="Nelder-Mead", options={"xatol": 1e-13, "fatol": 1e-10, "maxiter": 400})
-        return sol.x / np.linalg.norm(sol.x)
+        x = _nelder_mead(objective, w0, xatol=1e-13, fatol=1e-10, maxiter=400)
+        return x / np.linalg.norm(x)
 
     if Cnorm > 1e-250:
         for level in (-2, -1, 0, 1):
@@ -323,7 +351,7 @@ def weyl_type_search(
                 omega = polish(level, omega)
             elif res >= 1e-3:
                 break
-    cur = min(cur, wand_residual(C, basis, omega, g, Cnorm))
+    cur = min(cur, wand_residual(Cmat, basis, omega, g))
     k_best = basis[0] + omega @ basis[1:]
     frame = complete_null_frame(g, k_best)
     label = weyl_type_at_frame(C, frame, tol, scale)
@@ -418,3 +446,53 @@ def _ndtri(y0: np.ndarray) -> np.ndarray:
     xt = x0 - x1
     out[tail] = np.where(reflected[tail], xt, -xt)
     return out
+
+
+def _nelder_mead(f, x0: np.ndarray, xatol: float, fatol: float, maxiter: int) -> np.ndarray:
+    """The minimiser `scipy.optimize.minimize(f, x0, method="Nelder-Mead", options=...)` returns, bit for bit.
+
+    A numpy port of scipy's `_minimize_neldermead` for the options the polish
+    uses: not adaptive, no bounds, no evaluation limit, the default initial
+    simplex (one component of x0 at a time scaled by 1.05, or set to 0.00025
+    where it is 0), the `xatol`/`fatol` test and `maxiter`.  It keeps scipy's
+    arithmetic, its `np.argsort`/`np.take` order and its `np.add.reduce`
+    centroid.  scipy sorts the first simplex twice, so the loop sorts on entry.
+    """
+    N = len(x0)
+    sim = np.array([x0] * (N + 1), dtype=float)
+    for k in range(N):
+        sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
+    fsim = np.array([f(x) for x in sim], dtype=float)
+    ind = fsim.argsort()
+    sim, fsim = sim.take(ind, 0), fsim.take(ind)
+    iterations = 1
+    while True:
+        ind = fsim.argsort()
+        sim, fsim = sim.take(ind, 0), fsim.take(ind)
+        if iterations >= maxiter or (np.abs(sim[1:] - sim[0]).max() <= xatol and np.abs(fsim[0] - fsim[1:]).max() <= fatol):
+            return sim[0]
+        xbar = np.add.reduce(sim[:-1], 0) / N
+        xr = 2 * xbar - sim[-1]  # reflection
+        fxr = f(xr)
+        if fxr < fsim[0]:
+            xe = 3 * xbar - 2 * sim[-1]  # expansion
+            fxe = f(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:
+                xc = 1.5 * xbar - 0.5 * sim[-1]  # outside contraction
+                fxc = f(xc)
+                shrink = not fxc <= fxr
+            else:
+                xc = 0.5 * xbar + 0.5 * sim[-1]  # inside contraction
+                fxc = f(xc)
+                shrink = not fxc < fsim[-1]
+            if shrink:
+                for j in range(1, N + 1):
+                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                    fsim[j] = f(sim[j])
+            else:
+                sim[-1], fsim[-1] = xc, fxc
+        iterations += 1

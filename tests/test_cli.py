@@ -398,7 +398,7 @@ def test_unwritable_out_one_line_exit_2(argv, out, tmp_path, capsys):
 
 
 def test_regress_leaves_scipy_optimize_unloaded():
-    """Only the search polish imports scipy.optimize, and a regress of kk-bubble never polishes."""
+    """A regress of kk-bubble, which runs the WAND search on its chart, loads no scipy.optimize."""
     src = str(Path(robcls.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = (
@@ -412,9 +412,11 @@ def test_regress_leaves_scipy_optimize_unloaded():
 
 
 def test_commands_without_search_leave_scipy_unloaded():
-    """No command imports scipy or numpy.ma on start-up; kk-bubble's regress builds a 4000-point sphere grid.
+    """No command imports scipy or numpy.ma; kk-bubble's regress builds a 4000-point sphere grid.
 
-    numpy.ma loads on the first np.unique or np.median call of a process.
+    The two searches polish, pp-wave at ladder level 1 and Schwarzschild n = 4
+    at level -1, with the in-repo Nelder-Mead.  numpy.ma loads on the first
+    np.unique or np.median call of a process.
     """
     src = str(Path(robcls.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -430,9 +432,13 @@ def test_commands_without_search_leave_scipy_unloaded():
         "print(lazy_modules())\n"
         "assert main(['classify', '--metric', 'schwarzschild', '--point', '0,3,1,0.5,0.2', '--out', os.devnull]) == 0\n"
         "print(lazy_modules())\n"
+        "assert main(['classify', '--metric', 'pp-wave', '--point=0.2,0.0,0.3,-0.4,0.5,0.1', '--search', '--out', os.devnull]) == 0\n"
+        "print(lazy_modules())\n"
+        "assert main(['classify', '--metric', 'schwarzschild', '--dim', '4', '--point', '0,3,0,0', '--search', '--out', os.devnull]) == 0\n"
+        "print(lazy_modules())\n"
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout == "[]\n" * 4
+    assert out.stdout == "[]\n" * 6
 
 
 def test_perfbench_tracer_binds_to_robcls():
